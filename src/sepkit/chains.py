@@ -2,19 +2,22 @@
 
 A chain is a strictly nested family X_1 c ... c X_q of s-sides whose
 boundaries all have minimum-separator size and together cover every minimum
-s-t separator. It is built from the per-vertex membership test and made
-laminar by uncrossing: a crossing pair is replaced by intersection and union,
-which keeps boundary sizes and coverage intact and strictly improves the
-(collection size, -sum of squared sizes) measure.
+s-t separator. It is read off one maximum flow: for every vertex v on some
+minimum separator, the residual network gives the minimum separator closest
+to s that contains v (``Residual.separator_through``), and its s-side joins
+the collection. The collection is made laminar by uncrossing: a crossing
+pair is replaced by intersection and union, which keeps boundary sizes and
+coverage intact and strictly improves the (collection size, -sum of squared
+sizes) measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import DomainError, Graph, boundary, reachable_from
-from .separation import min_separator_containing, min_vertex_separator
+from .separation import SeparatorResult, st_flow
 
 
 @dataclass(frozen=True)
@@ -39,34 +42,30 @@ class SeparatorChain:
         return [self.s_lo, *self.boundaries, self.s_hi]
 
 
-def _covered(sets_: Sequence[frozenset[int]], S: Iterable[int]) -> bool:
-    union = set().union(*sets_) if sets_ else set()
-    return set(S) <= union
+def build_chain(G: Graph, s: int, t: int,
+                flow: Optional[SeparatorResult] = None) -> SeparatorChain:
+    """Construct the nested chain for non-adjacent distinct s, t.
 
-
-def build_chain(G: Graph, s: int, t: int) -> SeparatorChain:
-    """Construct the nested chain for non-adjacent distinct s, t."""
+    ``flow``, a finished s-t flow of G such as ``cover_set`` already holds,
+    is reused instead of running a new one.
+    """
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
         raise DomainError("terminals must be distinct and non-adjacent")
-    ell = min_vertex_separator(G, (s,), (t,)).size
-    assert ell != float("inf")
-    ell = int(ell)
+    r = st_flow(G, s, t, flow)
+    assert r.is_finite
+    ell = int(r.size)
 
-    collection: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
+    # distinct minimum separators have distinct s-sides
+    sides: dict[tuple[int, ...], frozenset[int]] = {}
     for v in range(G.n):
-        if v in (s, t):
+        witness = r.residual.separator_through(v)
+        if witness is None or witness in sides:
             continue
-        r = min_separator_containing(G, s, t, v)
-        if r is None:
-            continue
-        X = frozenset(reachable_from(G, (s,), r.witness))
+        X = frozenset(reachable_from(G, (s,), witness))
         assert len(boundary(G, X)) == ell
-        if X not in seen:
-            seen.add(X)
-            collection.append(X)
-    collection.sort(key=lambda X: (len(X), sorted(X)))
+        sides[witness] = X
+    collection = sorted(sides.values(), key=lambda X: (len(X), sorted(X)))
 
     q0 = len(collection)
     max_steps = G.n * q0 * q0

@@ -29,6 +29,10 @@ class UsageError(Exception):
     pass
 
 
+class InputError(Exception):
+    """The graph file could not be read."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -109,8 +113,14 @@ def _dispatch(args) -> dict:
         return _result(cmd, answer, report.to_jsonable(include_elapsed=False),
                        {}, ["elapsed-per-phase reported on stderr only"])
 
-    with open(args.graph) as fh:
-        G = parse_graph(fh.read())
+    try:
+        with open(args.graph, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(exc) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.graph}: {exc}") from None
+    G = parse_graph(text)
     stats: dict = {}
     notes: list[str] = []
 
@@ -244,10 +254,7 @@ def run_command(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, InputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OracleCapError, GraphError) as exc:

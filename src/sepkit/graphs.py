@@ -37,7 +37,9 @@ class Graph:
 
     ``adj[v]`` is a sorted tuple of neighbors. ``labels``, when present, carries
     one annotation per vertex (used to remember vertex origins across
-    rewritings).
+    rewritings). Neighbor sets for hashed lookups are built on first use
+    (``neighbor_sets``), so a graph that is only walked stores its adjacency
+    once.
     """
 
     __slots__ = ("n", "adj", "_nbr_sets", "labels")
@@ -56,7 +58,7 @@ class Graph:
             nbrs[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self._nbr_sets = tuple(frozenset(s) for s in nbrs)
+        self._nbr_sets = None
         if labels is not None and len(labels) != n:
             raise DomainError("labels length must equal vertex count")
         self.labels = tuple(labels) if labels is not None else None
@@ -77,7 +79,13 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        return v in self.adj[u]
+
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """``adj`` as frozensets, for callers that test adjacency in a loop."""
+        if self._nbr_sets is None:
+            self._nbr_sets = tuple(frozenset(a) for a in self.adj)
+        return self._nbr_sets
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, sorted."""

@@ -191,21 +191,31 @@ def _bipartite_matching(H: Graph, left: set[int]) -> dict[int, int]:
     """Maximum matching of bipartite H via augmenting paths; returns the
     right-to-left matched map."""
     match_r: dict[int, int] = {}
-    match_l: dict[int, int] = {}
-
-    def augment(l: int, seen: set[int]) -> bool:
-        for r in H.adj[l]:
-            if r in seen:
+    for root in sorted(left):
+        # depth-first search for an augmenting path from root, kept on an
+        # explicit stack of (left vertex, next neighbor index, right vertex
+        # it was reached through)
+        seen: set[int] = set()
+        stack = [(root, 0, -1)]
+        while stack:
+            l, i, via = stack[-1]
+            nbrs = H.adj[l]
+            while i < len(nbrs) and nbrs[i] in seen:
+                i += 1
+            if i == len(nbrs):
+                stack.pop()
                 continue
+            r = nbrs[i]
             seen.add(r)
-            if r not in match_r or augment(match_r[r], seen):
+            stack[-1] = (l, i + 1, via)
+            if r in match_r:
+                stack.append((match_r[r], 0, r))
+                continue
+            # r is free: flip the matching along the path on the stack
+            for l, _, via in reversed(stack):
                 match_r[r] = l
-                match_l[l] = r
-                return True
-        return False
-
-    for l in sorted(left):
-        augment(l, set())
+                r = via
+            break
     return match_r
 
 
@@ -390,22 +400,21 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     at most k-1 vertices separating s from t in G minus v while keeping s
     connected to v1 and t connected to v2; decided by multicut-uncut calls
     with the unconstrained class. Two sound shortcuts keep this affordable:
-    membership in a minimum separator answers immediately, and vertices whose
-    deletion leaves the minimum separator size above k-1 can never qualify.
+    membership in a minimum separator answers immediately (read off the
+    residual network of one s-t flow), and vertices whose deletion leaves
+    the minimum separator size above k-1 can never qualify.
     """
-    from .separation import min_separator_containing
-
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
         raise DomainError("terminals must be distinct and non-adjacent")
-    ell = min_vertex_separator(G, (s,), (t,)).size
-    if ell == 0 or ell > k:
+    flow = min_vertex_separator(G, (s,), (t,))
+    if flow.size == 0 or flow.size > k:
         return ()
     out = []
     for v in range(G.n):
         if v in (s, t):
             continue
-        if min_separator_containing(G, s, t, v) is not None:
+        if flow.residual.separator_through(v) is not None:
             out.append(v)
             continue
         rest = delete_vertices(G, (v,))

@@ -5,7 +5,10 @@ bounded-treewidth replacement graph.
 vertex of every minimal s-t separator of size at most k. At excess 0 the
 chain boundaries suffice; for positive excess, each layer between consecutive
 boundaries is handled by contracting boundary subsets onto two fresh
-terminals and recursing with a smaller excess.
+terminals and recursing with a smaller excess. Each terminal pair costs one
+max-flow: the flow that decides whether a pair has a separator within budget
+is handed to ``cover_set`` and on to ``build_chain``, which reads the chain
+from its residual network.
 
 ``reduce_instance`` unions the covers over all terminal pairs, takes the
 torso, and replaces every torso-added edge by k+1 parallel two-edge paths
@@ -23,7 +26,7 @@ from typing import Iterable, Optional
 from .chains import SeparatorChain, build_chain
 from .graphs import (DomainError, Graph, components, contract_terminal_sets,
                      vset)
-from .separation import min_vertex_separator
+from .separation import SeparatorResult, min_vertex_separator, st_flow
 
 GADGET = "gadget"
 SATURATION_LIMIT = 2 ** 63 - 1
@@ -36,7 +39,6 @@ class TreewidthBounds:
     g_value: int
     f_value: int
     saturated: bool = False
-    reduced_width_bound: Optional[int] = None
 
 
 def tw_bound(ell: int, excess: int) -> TreewidthBounds:
@@ -44,7 +46,8 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
 
     g(l, 0) = 6l and g(l, e) = 3 * (2l + 3^(2l) * (g(l, e-1) + 1));
     f(l, 0) = 1 and f(l, e) = f(l, e-1) * 3^(2l) + 1. Values beyond 2^63 - 1
-    saturate with a warning.
+    saturate with a warning; g >= f throughout, so the loop stops once f
+    saturates.
     """
     if ell < 1 or excess < 0:
         raise DomainError("need ell >= 1 and excess >= 0")
@@ -58,6 +61,8 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
             saturated = True
             g = min(g, SATURATION_LIMIT)
             f = min(f, SATURATION_LIMIT)
+            if f == SATURATION_LIMIT:
+                break
     if saturated:
         warnings.warn(f"treewidth bound saturated for ell={ell}, excess={excess}",
                       stacklevel=2)
@@ -132,24 +137,26 @@ def _disjoint_subset_pairs(pool: tuple[int, ...]):
             yield tuple(A), tuple(B)
 
 
-def cover_set(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
+def cover_set(G: Graph, s: int, t: int, k: int,
+              flow: Optional[SeparatorResult] = None) -> tuple[int, ...]:
     """All vertices on minimal s-t separators of size <= k, plus s and t.
 
     Degrades to {s, t} when the terminals are adjacent or no separator of
-    size <= k exists.
+    size <= k exists. ``flow``, a finished s-t flow of G, is reused instead
+    of running a new one.
     """
     G.check_vertices((s, t))
     if s == t:
         raise DomainError("terminals must be distinct")
     if G.has_edge(s, t):
         return vset((s, t))
-    r = min_vertex_separator(G, (s,), (t,), cap=k)
+    r = st_flow(G, s, t, flow, cap=k)
     if not r.within(k):
         return vset((s, t))
     ell = int(r.size)
     excess = k - ell
 
-    chain = build_chain(G, s, t)
+    chain = build_chain(G, s, t, flow=r)
     cover: set[int] = {s, t}
     for S in chain.boundaries:
         cover.update(S)
@@ -166,7 +173,7 @@ def cover_set(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
             if not rr.within(k):
                 continue
             sub_budget = min(k, int(rr.size) + excess - 1)
-            sub = cover_set(con.graph, con.a, con.b, sub_budget)
+            sub = cover_set(con.graph, con.a, con.b, sub_budget, flow=rr)
             cover.update(con.map_back(sub))
     return tuple(sorted(cover))
 
@@ -225,12 +232,12 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int) -> ReducedInstan
             r = min_vertex_separator(G, (s,), (t,), cap=k)
             if not r.within(k):
                 continue
-            cover.update(cover_set(G, s, t, k))
+            cover.update(cover_set(G, s, t, k, flow=r))
             contributing += 1
             if r.size >= 1:
                 g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)
     # one extra for the degree-2 gadget attachments
-    width_bound = 3 * contributing * (g_max + 1) + 1
+    width_bound = min(3 * contributing * (g_max + 1) + 1, SATURATION_LIMIT)
 
     tor = torso(G, cover)
     added_new = {(tor.to_new(u), tor.to_new(v)) for u, v in tor.added_edges}

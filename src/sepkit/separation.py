@@ -1,22 +1,77 @@
 """Minimum vertex separators between vertex sets, by unit-capacity flow.
 
 The flow network splits every candidate vertex v into an in/out arc of
-capacity one; a super-source covers A and a super-sink covers B. Augmenting
-paths are found by BFS with neighbors scanned in ascending id order, so both
-the size and the canonical witness (the min cut closest to A) are
-deterministic.
+capacity one; a super-source covers A and a super-sink covers B. The network
+is stored as flat arc arrays (head, residual capacity; the reverse of arc a
+is a ^ 1) with each node's arcs sorted by head. Augmenting paths are found by
+BFS scanning arcs in that order, so both the size and the canonical witness
+(the min cut closest to A) are deterministic.
+
+A finished flow keeps its residual network (``SeparatorResult.residual``).
+By Picard and Queyranne (1980) the closed sets of a maximum flow's residual
+network that contain the source and not the sink are exactly the minimum
+cuts. So one flow answers, for every vertex v at once, whether v lies on a
+minimum separator and which one is closest to A: the residual closure of the
+source and v's in-copy, when it reaches neither v's out-copy nor the sink.
+Since every maximum flow has the same closed sets, these answers do not
+depend on which augmenting paths were found.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graphs import DomainError, Graph, components, delete_vertices, reachable_from, vset
+from .graphs import DomainError, Graph, components, reachable_from, vset
 
 INFINITE = math.inf
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class Residual:
+    """Residual network of a finished maximum flow between vertex sets.
+
+    Node 2v is the in-copy of vertex v, 2v+1 its out-copy; the last two
+    nodes are the super-source and the super-sink.
+    """
+    graph: Graph
+    sources: frozenset[int]
+    sinks: frozenset[int]
+    inner: tuple[int, ...]          # vertices outside both terminal sets, ascending
+    adj: list[list[int]]            # node -> arc ids, ascending by head
+    head: list[int]
+    cap: list[int]                  # residual capacity per arc
+    reach: bytearray                # nodes residual-reachable from the source
+    witness: tuple[int, ...]        # the source-closest minimum separator
+
+    def belongs_to(self, G: Graph, A: Iterable[int], B: Iterable[int]) -> bool:
+        return self.graph is G and self.sources == frozenset(A) and self.sinks == frozenset(B)
+
+    def separator_through(self, v: int) -> Optional[tuple[int, ...]]:
+        """The minimum separator closest to A among those containing v, or
+        None when v lies on no minimum separator (or is a terminal)."""
+        v_in, v_out = 2 * v, 2 * v + 1
+        reach = self.reach
+        if v in self.sources or v in self.sinks or reach[v_out]:
+            return None
+        if reach[v_in]:
+            return self.witness
+        sink = len(reach) - 1
+        adj, head, cap = self.adj, self.head, self.cap
+        seen = bytearray(reach)
+        seen[v_in] = 1
+        stack = [v_in]
+        while stack:
+            for a in adj[stack.pop()]:
+                if cap[a]:
+                    y = head[a]
+                    if not seen[y]:
+                        if y == v_out or y == sink:
+                            return None
+                        seen[y] = 1
+                        stack.append(y)
+        return tuple(u for u in self.inner if seen[2 * u] and not seen[2 * u + 1])
 
 
 @dataclass(frozen=True)
@@ -27,12 +82,14 @@ class SeparatorResult:
     and ``INFINITE`` when none can (terminal sets overlap or touch). When a
     cap was given and the search stopped early, ``exceeds_cap`` is set and
     ``size`` is the lower bound reached (cap + 1); this is a distinct state
-    from INFINITE.
+    from INFINITE. A finite result from ``min_vertex_separator`` carries the
+    residual network of its maximum flow.
     """
     size: float
     witness: tuple[int, ...] = ()
     source_side: tuple[int, ...] = ()
     exceeds_cap: bool = False
+    residual: Optional[Residual] = field(default=None, compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -57,8 +114,8 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
     from the source while the out-copy is not (the cut closest to A). With
     ``cap`` given, the search stops as soon as the flow exceeds it.
     """
-    A_s = set(G.check_vertices(A))
-    B_s = set(G.check_vertices(B))
+    A_s = frozenset(G.check_vertices(A))
+    B_s = frozenset(G.check_vertices(B))
     if not A_s or not B_s:
         raise DomainError("terminal sets must be non-empty")
     if A_s & B_s:
@@ -68,76 +125,94 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
             if w in B_s:
                 return SeparatorResult(INFINITE)
 
-    # node encoding: 2v = in-copy, 2v+1 = out-copy, then source, sink
     source = 2 * G.n
-    sink = 2 * G.n + 1
-    arcs: dict[int, dict[int, int]] = {source: {}, sink: {}}
-
-    def ensure(x):
-        if x not in arcs:
-            arcs[x] = {}
+    sink = source + 1
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    head: list[int] = []
+    res: list[int] = []
 
     def add_arc(x, y, c):
-        ensure(x)
-        ensure(y)
-        arcs[x][y] = max(arcs[x].get(y, 0), c)
-        arcs[y].setdefault(x, 0)
+        adj[x].append(len(head))
+        head.append(y)
+        res.append(c)
+        adj[y].append(len(head))
+        head.append(x)
+        res.append(0)
 
-    inner = [v for v in range(G.n) if v not in A_s and v not in B_s]
+    inner = tuple(v for v in range(G.n) if v not in A_s and v not in B_s)
     for v in inner:
         add_arc(2 * v, 2 * v + 1, 1)
+    from_source: set[int] = set()
+    to_sink: set[int] = set()
     for u, v in G.edges():
-        u_in, v_in = u in A_s or u in B_s, v in A_s or v in B_s
-        if not u_in and not v_in:
+        u_term, v_term = u in A_s or u in B_s, v in A_s or v in B_s
+        if not u_term and not v_term:
             add_arc(2 * u + 1, 2 * v, _BIG)
             add_arc(2 * v + 1, 2 * u, _BIG)
-        elif u_in and not v_in:
-            if u in A_s:
-                add_arc(source, 2 * v, _BIG)
-            else:
-                add_arc(2 * v + 1, sink, _BIG)
-        elif v_in and not u_in:
-            if v in A_s:
-                add_arc(source, 2 * u, _BIG)
-            else:
-                add_arc(2 * u + 1, sink, _BIG)
-        # A-A, B-B edges are irrelevant; A-B handled above
+            continue
+        if u_term == v_term:
+            continue    # A-A and B-B edges are irrelevant; A-B handled above
+        term, w = (u, v) if u_term else (v, u)
+        if term in A_s:
+            if w not in from_source:
+                from_source.add(w)
+                add_arc(source, 2 * w, _BIG)
+        elif w not in to_sink:
+            to_sink.add(w)
+            add_arc(2 * w + 1, sink, _BIG)
+    for arcs in adj:
+        arcs.sort(key=head.__getitem__)
 
     flow = 0
     while True:
         if cap is not None and flow > cap:
             return SeparatorResult(cap + 1, exceeds_cap=True)
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            x = queue.popleft()
-            for y in sorted(arcs[x]):
-                if y not in parent and arcs[x][y] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if sink not in parent:
+        seen = bytearray(sink + 1)
+        seen[source] = 1
+        via = [0] * (sink + 1)
+        queue = [source]
+        found = False
+        for x in queue:
+            for a in adj[x]:
+                if res[a]:
+                    y = head[a]
+                    if not seen[y]:
+                        seen[y] = 1
+                        via[y] = a
+                        queue.append(y)
+                        if y == sink:
+                            found = True
+                            break
+            if found:
+                break
+        if not found:
             break
         y = sink
         while y != source:
-            x = parent[y]
-            arcs[x][y] -= 1
-            arcs[y][x] += 1
-            y = x
+            a = via[y]
+            res[a] -= 1
+            res[a ^ 1] += 1
+            y = head[a ^ 1]
         flow += 1
 
-    # residual reachability gives the source-closest min cut
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(arcs[x]):
-            if y not in reach and arcs[x][y] > 0:
-                reach.add(y)
-                queue.append(y)
-    witness = tuple(v for v in inner if 2 * v in reach and 2 * v + 1 not in reach)
+    # the last search reached exactly the source side of the source-closest
+    # min cut
+    witness = tuple(v for v in inner if seen[2 * v] and not seen[2 * v + 1])
     assert len(witness) == flow
     side = reachable_from(G, A_s, witness)
-    return SeparatorResult(flow, witness, side)
+    residual = Residual(G, A_s, B_s, inner, adj, head, res, seen, witness)
+    return SeparatorResult(flow, witness, side, residual=residual)
+
+
+def st_flow(G: Graph, s: int, t: int, flow: Optional[SeparatorResult] = None,
+            cap: Optional[int] = None) -> SeparatorResult:
+    """The minimum s-t separator of G: ``flow`` itself when it is a finished
+    flow of this graph and pair, else a fresh ``min_vertex_separator``."""
+    if flow is None or flow.residual is None:
+        return min_vertex_separator(G, (s,), (t,), cap=cap)
+    if not flow.residual.belongs_to(G, (s,), (t,)):
+        raise DomainError("flow belongs to another graph or terminal pair")
+    return flow
 
 
 def is_separator(G: Graph, S: Iterable[int], A: Iterable[int], B: Iterable[int]) -> bool:
@@ -171,22 +246,17 @@ def minimalize_separator(G: Graph, S: Iterable[int], A: Iterable[int],
 
 
 def min_separator_containing(G: Graph, s: int, t: int, v: int) -> Optional[SeparatorResult]:
-    """A minimum s-t separator containing v, if v lies in one.
-
-    v is in a minimum s-t separator iff deleting it drops the minimum
-    separator size by exactly one; the witness is then that smaller separator
-    plus v.
+    """The minimum s-t separator closest to s among those containing v, if v
+    lies on any minimum s-t separator; one s-t flow decides it (see
+    ``Residual.separator_through``).
     """
     G.check_vertices((s, t, v))
     if s == t or G.has_edge(s, t):
         raise DomainError("terminals must be distinct and non-adjacent")
     if v in (s, t):
         raise DomainError("candidate vertex must differ from the terminals")
-    ell = min_vertex_separator(G, (s,), (t,)).size
-    sub = delete_vertices(G, (v,))
-    r = min_vertex_separator(sub.graph, (sub.to_new(s),), (sub.to_new(t),))
-    if not r.is_finite or r.size != ell - 1:
+    r = min_vertex_separator(G, (s,), (t,))
+    witness = r.residual.separator_through(v)
+    if witness is None:
         return None
-    witness = tuple(sorted(sub.map_back(r.witness) + (v,)))
-    side = reachable_from(G, (s,), witness)
-    return SeparatorResult(int(ell), witness, side)
+    return SeparatorResult(int(r.size), witness, reachable_from(G, (s,), witness))

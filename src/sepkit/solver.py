@@ -305,7 +305,7 @@ def _form_join(left: tuple, right: tuple) -> Optional[tuple]:
 # -- block bookkeeping -----------------------------------------------------------
 
 def _blocks_introduce(blocks: tuple, v: int, G: Graph, terminals: frozenset) -> tuple:
-    nbrs = G._nbr_sets[v]
+    nbrs = G.neighbor_sets()[v]
     verts = {v}
     terms = {v} if v in terminals else set()
     rest = []
@@ -355,6 +355,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
     terminals = frozenset(G.check_vertices(cons.terminals))
     forbidden = terminals | frozenset(G.check_vertices(undeletable))
+    nbr_sets = G.neighbor_sets()
     cut_pairs = tuple(cons.cut_pairs)
     uncut_pairs = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
 
@@ -411,7 +412,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                 # delete v
                 if v not in forbidden and form[0] < k:
                     rank = sum(1 for d in deleted if d < v)
-                    nbr_ranks = [i for i, d in enumerate(deleted) if G.has_edge(d, v)]
+                    nbr_ranks = [i for i, d in enumerate(deleted) if d in nbr_sets[v]]
                     nform = _form_add_pin(form, rank, nbr_ranks)
                     if class_ok(nform):
                         ndel = tuple(sorted(deleted + (v,)))

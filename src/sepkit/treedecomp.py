@@ -343,6 +343,13 @@ def format_td(td: TreeDecomposition, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _td_ints(fields: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError("non-integer field", lineno) from None
+
+
 def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, tuple[int, ...]] = {}
@@ -355,16 +362,19 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
         if fields[0] == "s":
             if header is not None or len(fields) != 5 or fields[1] != "td":
                 raise ParseError("bad or duplicate 's td' header", lineno)
-            header = tuple(int(x) for x in fields[2:])
+            header = tuple(_td_ints(fields[2:], lineno))
         elif fields[0] == "b":
-            idx = int(fields[1])
+            if len(fields) < 2:
+                raise ParseError("bag line without an id", lineno)
+            idx, *members = _td_ints(fields[1:], lineno)
             if idx in bags:
                 raise ParseError(f"duplicate bag {idx}", lineno)
-            bags[idx] = tuple(sorted(int(x) - 1 for x in fields[2:]))
+            bags[idx] = tuple(sorted(x - 1 for x in members))
         else:
             if len(fields) != 2:
                 raise ParseError("bad tree edge", lineno)
-            edges.append((int(fields[0]) - 1, int(fields[1]) - 1))
+            u, v = _td_ints(fields, lineno)
+            edges.append((u - 1, v - 1))
     if header is None:
         raise ParseError("missing 's td' header", 1)
     nbags, _, n = header

@@ -85,3 +85,12 @@ def test_random_chains_validate():
         assert validate_chain(G, s, t, ch, _minimum_seps(G, s, t))
         checked += 1
     assert checked >= 100
+
+
+def test_chain_reuses_given_flow():
+    flow = min_vertex_separator(PP, (0,), (5,), cap=3)
+    assert build_chain(PP, 0, 5, flow=flow) == build_chain(PP, 0, 5)
+    with pytest.raises(DomainError):
+        build_chain(PP, 0, 5, flow=min_vertex_separator(PP, (5,), (0,)))
+    with pytest.raises(DomainError):
+        build_chain(PP, 0, 5, flow=min_vertex_separator(C4, (0,), (2,)))

@@ -156,6 +156,17 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_graph_exit_2(tmp_path, capsys):
+    # a permission error takes the same path, but root reads any file, so
+    # it is not exercised here
+    binary = tmp_path / "latin1.gr"
+    binary.write_bytes("c caf\u00e9\np 2 1\ne 1 2\n".encode("latin-1"))
+    for path in (tmp_path, binary):
+        assert run_command(["minsep", "--graph", str(path), "--s", "1", "--t", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("parse error: ")
+
+
 def test_json_schema_stable(graph_files, capsys):
     code, doc, _ = _run(capsys, ["gmincut", "--graph", graph_files["C4"],
                                  "--s", "1", "--t", "3", "--k", "2",

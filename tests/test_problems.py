@@ -102,6 +102,15 @@ def test_bipartite_max_independent_set():
         bipartite_max_independent_set(cycle_graph(3))
 
 
+def test_bipartite_max_independent_set_long_augmenting_paths():
+    # 2 x 1500 ladder, rung i is (2i, 2i+1): augmenting paths run the whole
+    # ladder, which overflowed a recursive search
+    n = 1500
+    edges = [(2 * i, 2 * i + 1) for i in range(n)]
+    edges += [(2 * i + r, 2 * i + 2 + r) for i in range(n - 1) for r in (0, 1)]
+    assert len(bipartite_max_independent_set(Graph(2 * n, edges))) == n
+
+
 def test_eivc_examples():
     p4 = path_graph(4)
     wit = edge_induced_vertex_cut(p4, 0, 3, 1)

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import random
+import time
+import warnings
 
 import pytest
 
 from sepkit.graphs import DomainError, Graph, induced_subgraph
 from sepkit.oracle import (FIXTURES, RandomModel, enumerate_minimal_separators,
                            path_graph, random_graph)
-from sepkit.reduction import (GADGET, cover_set, layer_system,
-                              reduce_instance, torso, tw_bound)
+from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
+                              cover_set, layer_system, reduce_instance, torso,
+                              tw_bound)
 from sepkit.chains import build_chain
 from sepkit.separation import is_separator, min_vertex_separator
 
@@ -44,6 +48,36 @@ def test_tw_bound_saturates_with_warning():
     with pytest.warns(UserWarning):
         tb = tw_bound(6, 12)
     assert tb.saturated and tb.g_value == 2 ** 63 - 1
+
+
+def test_tw_bound_stops_once_saturated():
+    # one pass per unit of excess took about a second per million before the
+    # loop stopped at saturation
+    start = time.perf_counter()
+    with pytest.warns(UserWarning):
+        tb = tw_bound(2, 10 ** 7)
+    assert time.perf_counter() - start < 2.0
+    assert tb.saturated and tb.g_value == tb.f_value == SATURATION_LIMIT
+
+
+def test_treewidth_bounds_fields():
+    names = [f.name for f in dataclasses.fields(TreewidthBounds)]
+    assert names == ["ell", "excess", "g_value", "f_value", "saturated"]
+
+
+def test_reduce_width_bound_saturates():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert reduce_instance(C4, (0, 2), 64).width_bound == SATURATION_LIMIT
+        assert reduce_instance(C4, (0, 2), 8).width_bound < SATURATION_LIMIT
+
+
+def test_cover_reuses_given_flow():
+    for G, s, t, k in ((PP, 0, 5, 3), (Q3, 0, 7, 4), (C4, 0, 2, 2)):
+        flow = min_vertex_separator(G, (s,), (t,), cap=k)
+        assert cover_set(G, s, t, k, flow=flow) == cover_set(G, s, t, k)
+    with pytest.raises(DomainError):
+        cover_set(PP, 0, 5, 3, flow=min_vertex_separator(PP, (0,), (4,)))
 
 
 def test_tw_bound_domain():

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit.graphs import DomainError, Graph
+from sepkit.graphs import DomainError, Graph, delete_vertices
 from sepkit.oracle import (FIXTURES, bf_max_disjoint_paths,
                            bf_min_separator_size, enumerate_minimal_separators)
-from sepkit.separation import (INFINITE, is_separator, min_separator_containing,
-                               min_vertex_separator, minimalize_separator)
+from sepkit.separation import (INFINITE, SeparatorResult, is_separator,
+                               min_separator_containing, min_vertex_separator,
+                               minimalize_separator)
 
-from strategies import graphs, seeded_graphs
+from strategies import graphs, nonadjacent_pair, seeded_graphs
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -169,3 +170,71 @@ def test_membership_test_agrees_with_enumeration():
             if got is not None:
                 assert got.size == ell and v in got.witness
                 assert is_separator(G, got.witness, (s,), (t,))
+
+
+def test_residual_is_outside_equality_and_repr():
+    r = min_vertex_separator(PP, (0,), (5,))
+    assert r.residual is not None and "residual" not in repr(r)
+    assert r == SeparatorResult(2, (1, 3), r.source_side)
+    # a flow stopped at its cap is not a maximum flow and keeps no residual
+    assert min_vertex_separator(PP, (0,), (5,), cap=1).residual is None
+    assert min_vertex_separator(C4, (0, 1), (1, 2)).residual is None
+
+
+def _separator_through_by_deletion(G, A, B, v):
+    """Reference twin of ``Residual.separator_through``, by definition: v lies
+    on a minimum A-B separator iff deleting v lowers the minimum separator
+    size by one, and the separator closest to A among those containing v is
+    then the one closest to A in G minus v, plus v."""
+    ell = min_vertex_separator(G, A, B).size
+    sub = delete_vertices(G, (v,))
+    r = min_vertex_separator(sub.graph, [sub.to_new(a) for a in A],
+                             [sub.to_new(b) for b in B])
+    if not r.is_finite or r.size != ell - 1:
+        return None
+    return tuple(sorted(sub.map_back(r.witness) + (v,)))
+
+
+def test_residual_membership_matches_deletion_definition():
+    found = checked = 0
+    for G, rng in seeded_graphs(40, seed=11, n_lo=10, n_hi=40, ps=(0.08, 0.12, 0.2)):
+        pair = nonadjacent_pair(G, rng)
+        if pair is None:
+            continue
+        A, B = (pair[0],), (pair[1],)
+        if G.n >= 20:
+            # set terminals: add a second vertex to each side when it keeps
+            # the sides disjoint and non-adjacent
+            a2, b2 = rng.sample([v for v in range(G.n) if v not in pair], 2)
+            if not (G.has_edge(a2, b2) or G.has_edge(a2, pair[1])
+                    or G.has_edge(pair[0], b2)):
+                A, B = A + (a2,), B + (b2,)
+        flow = min_vertex_separator(G, A, B)
+        for v in range(G.n):
+            if v in A or v in B:
+                assert flow.residual.separator_through(v) is None
+                continue
+            expected = _separator_through_by_deletion(G, A, B, v)
+            assert flow.residual.separator_through(v) == expected
+            checked += 1
+            found += expected is not None
+    assert checked > 500 and found > 100
+
+
+def test_min_separator_size_matches_networkx_past_oracle_cap():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for G, rng in seeded_graphs(8, seed=12, n_lo=100, n_hi=300, ps=(0.015, 0.025)):
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        hubs = [v for v in range(G.n) if G.degree(v) >= 3]
+        s, t = rng.sample(hubs, 2)
+        if G.has_edge(s, t):
+            continue
+        expected = len(nx.minimum_node_cut(H, s, t)) if nx.has_path(H, s, t) else 0
+        r = min_vertex_separator(G, (s,), (t,))
+        assert r.size == expected
+        assert is_separator(G, r.witness, (s,), (t,))
+        checked += 1
+    assert checked >= 6

@@ -147,3 +147,13 @@ def test_pace_parse_errors():
         parse_td("b 1 2\n")
     with pytest.raises(ParseError):
         parse_td("s td 2 1 1\nb 1 1\nb 1 1\n1 2\n")
+
+
+def test_pace_non_integer_fields():
+    from sepkit.graphs import ParseError
+    for text, line in (("s td 1 2 3\nb x 1 2\n", 2), ("s td 1 x 3\n", 1),
+                       ("s td 1 2 3\nb 1 1 y\n", 2),
+                       ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 z\n", 4)):
+        with pytest.raises(ParseError) as info:
+            parse_td(text)
+        assert info.value.line == line
