@@ -6,6 +6,7 @@ stderr."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -38,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """Built on the first command and shared by the later ones: parsing
+    leaves the parser unchanged and fills a fresh namespace each time."""
     parser = _Parser(prog="sepkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     needs_graph = ("minsep", "chain", "cover", "reduce", "decompose", "gmincut",

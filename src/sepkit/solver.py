@@ -18,6 +18,19 @@ both endpoints of a cut pair, or when two distinct finalized components split
 an uncut pair. Edges between deleted vertices are recorded when the later
 endpoint is introduced, which by the decomposition axioms reconstructs the
 exact induced subgraph.
+
+Every transition is a pure function of the state components it reads:
+introducing a kept vertex of the blocks, introducing a deleted vertex of the
+deleted set and the form, and a join of each component pair (forms, closed
+partitions, blocks) separately. Many states share components, and the chains
+of join nodes that the nice form builds over one bag meet the same pairs
+again, so one ``dp_constrained_cut`` call keeps each transition's result,
+pruning verdict included, in dicts that live as long as the call. The states
+visited, their order and the back-pointers are those of the plain loop.
+
+The budget k is first clamped to the number of deletable vertices, since no
+accumulated graph can have more; only then is it held against the class's
+``max_check``.
 """
 
 from __future__ import annotations
@@ -184,9 +197,11 @@ def decode_graph6(token: str) -> Graph:
     return Graph(n, edges)
 
 
+@lru_cache(maxsize=32)
 def parse_class(selector: str) -> HereditaryClass:
     """CLI class selectors: edgeless, any, forest, bipartite, maxdeg:<d>,
-    matchdef:<k>, forbid:<comma-separated graph6 tokens>."""
+    matchdef:<k>, forbid:<comma-separated graph6 tokens>. A selector seen
+    before returns the same class object, membership cache included."""
     sel = selector.strip()
     simple = {"edgeless": EDGELESS, "any": ANY, "forest": FOREST, "bipartite": BIPARTITE}
     if sel in simple:
@@ -344,6 +359,9 @@ def _blocks_join(left: tuple, right: tuple) -> tuple:
 
 # -- the DP proper ----------------------------------------------------------------
 
+_MISSING = object()
+
+
 def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                        cls: HereditaryClass, undeletable: Iterable[int] = (),
                        prune_hereditary: bool = True,
@@ -351,10 +369,12 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
     """Search for a valid deletion set over a nice decomposition of G."""
     if not validate_nice(G, nice):
         raise DomainError("nice decomposition does not match the graph")
-    if k > cls.max_check:
-        raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
     terminals = frozenset(G.check_vertices(cons.terminals))
     forbidden = terminals | frozenset(G.check_vertices(undeletable))
+    # no accumulated graph can outgrow the deletable vertices
+    k = min(k, G.n - len(forbidden))
+    if k > cls.max_check:
+        raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
     nbr_sets = G.neighbor_sets()
     cut_pairs = tuple(cons.cut_pairs)
     uncut_pairs = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
@@ -386,6 +406,31 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                 return False
         return True
 
+    def delete_vertex(deleted: tuple, form: tuple, v: int) -> tuple:
+        rank = sum(1 for d in deleted if d < v)
+        nbr_ranks = [i for i, d in enumerate(deleted) if d in nbr_sets[v]]
+        nform = _form_add_pin(form, rank, nbr_ranks)
+        return nform, class_ok(nform), tuple(sorted(deleted + (v,)))
+
+    def join_forms(lform: tuple, rform: tuple) -> Optional[tuple]:
+        nform = _form_join(lform, rform)
+        if nform[0] > k or not class_ok(nform):
+            return None
+        return nform
+
+    def join_closed(lclosed: tuple, rclosed: tuple) -> Optional[tuple]:
+        nclosed = tuple(sorted(lclosed + rclosed))
+        return nclosed if cross_closed_ok(nclosed) else None
+
+    # transition memos for this call (module docstring): introduce memos by
+    # vertex, then component; join memos by left, then right component;
+    # None marks a pruned join
+    keep_memos: dict = {}
+    del_memos: dict = {}
+    form_joins: dict = {}
+    closed_joins: dict = {}
+    block_joins: dict = {}
+
     tables: list[dict] = []
     total_states = 0
     peak = 0
@@ -404,18 +449,23 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
         elif nd.kind == INTRODUCE:
             v = nd.vertex
             child = nd.children[0]
+            keep_memo = keep_memos.setdefault(v, {})
+            del_memo = del_memos.setdefault(v, {})
             for key in tables[child]:
                 deleted, blocks, closed, form = key
                 # keep v
-                put((deleted, _blocks_introduce(blocks, v, G, terminals), closed, form),
-                    ("keep", key))
+                nblocks = keep_memo.get(blocks)
+                if nblocks is None:
+                    nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, terminals)
+                put((deleted, nblocks, closed, form), ("keep", key))
                 # delete v
                 if v not in forbidden and form[0] < k:
-                    rank = sum(1 for d in deleted if d < v)
-                    nbr_ranks = [i for i, d in enumerate(deleted) if d in nbr_sets[v]]
-                    nform = _form_add_pin(form, rank, nbr_ranks)
-                    if class_ok(nform):
-                        ndel = tuple(sorted(deleted + (v,)))
+                    dk = (deleted, form)
+                    out = del_memo.get(dk)
+                    if out is None:
+                        out = del_memo[dk] = delete_vertex(deleted, form, v)
+                    nform, ok, ndel = out
+                    if ok:
                         put((ndel, blocks, closed, nform), ("del", key))
 
         elif nd.kind == FORGET:
@@ -454,15 +504,24 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                 by_deleted.setdefault(rkey[0], []).append(rkey)
             for lkey in tables[lchild]:
                 deleted, lblocks, lclosed, lform = lkey
+                form_memo = form_joins.setdefault(lform, {})
+                closed_memo = closed_joins.setdefault(lclosed, {})
+                block_memo = block_joins.setdefault(lblocks, {})
                 for rkey in by_deleted.get(deleted, ()):
                     _, rblocks, rclosed, rform = rkey
-                    nform = _form_join(lform, rform)
-                    if nform[0] > k or not class_ok(nform):
+                    nform = form_memo.get(rform, _MISSING)
+                    if nform is _MISSING:
+                        nform = form_memo[rform] = join_forms(lform, rform)
+                    if nform is None:
                         continue
-                    nclosed = tuple(sorted(lclosed + rclosed))
-                    if not cross_closed_ok(nclosed):
+                    nclosed = closed_memo.get(rclosed, _MISSING)
+                    if nclosed is _MISSING:
+                        nclosed = closed_memo[rclosed] = join_closed(lclosed, rclosed)
+                    if nclosed is None:
                         continue
-                    nblocks = _blocks_join(lblocks, rblocks)
+                    nblocks = block_memo.get(rblocks)
+                    if nblocks is None:
+                        nblocks = block_memo[rblocks] = _blocks_join(lblocks, rblocks)
                     put((deleted, nblocks, nclosed, nform), ("join", lkey, rkey))
 
         tables.append(table)

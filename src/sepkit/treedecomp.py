@@ -81,12 +81,25 @@ def _decomposition_from_order(G: Graph, order: list[int]) -> TreeDecomposition:
 
 
 def min_fill_order(G: Graph) -> list[int]:
+    """Greedy elimination order: least fill-in first, ties by lowest id.
+
+    Eliminating v changes the neighbourhood of v's neighbours and the
+    adjacency inside the neighbourhood of their neighbours, so only those
+    fill counts are recomputed."""
     adj = {v: set(G.adj[v]) for v in range(G.n)}
+    fill = {v: _fill_in(adj, v) for v in adj}
     order = []
     while adj:
-        v = min(adj, key=lambda u: (_fill_in(adj, u), u))
+        v = min(fill, key=lambda u: (fill[u], u))
         order.append(v)
+        nbrs = adj[v]
         _eliminate(adj, v)
+        del fill[v]
+        stale = set(nbrs)
+        for u in nbrs:
+            stale.update(adj[u])
+        for u in stale:
+            fill[u] = _fill_in(adj, u)
     return order
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sepkit.cli import run_command
+from sepkit.cli import _build_parser, run_command
 from sepkit.graphs import serialize_graph
 from sepkit.oracle import FIXTURES
 from sepkit.treedecomp import parse_td, validate_decomposition
@@ -185,3 +185,36 @@ def test_cli_json_deterministic(graph_files, capsys):
                                   "--class", "forest"]), None, None
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
+
+
+def test_parser_reused_without_leaking_values(graph_files, capsys):
+    # the parser is built once per process; flags given to one command must
+    # not become the defaults of the next
+    code, doc, _ = _run(capsys, ["gmincut", "--graph", graph_files["D4"],
+                                 "--s", "1", "--t", "3", "--k", "2",
+                                 "--class", "any"])
+    assert code == 0 and doc["answer"] == "YES" and doc["witness"] == [2, 4]
+    code, doc, _ = _run(capsys, ["stable-cut", "--graph", graph_files["D4"],
+                                 "--s", "1", "--t", "3", "--k", "2"])
+    assert code == 0 and doc["answer"] == "NO"
+    code, doc, _ = _run(capsys, ["gmincut", "--graph", graph_files["D4"],
+                                 "--s", "1", "--t", "3", "--k", "2"])
+    assert code == 0 and doc["answer"] == "NO"
+    parser = _build_parser()
+    assert parser is _build_parser()
+    parser.parse_args(["selfcheck", "--seed", "9", "--trials", "3", "--class", "any"])
+    args = parser.parse_args(["stable-cut", "--graph", graph_files["C4"]])
+    assert (args.cls, args.seed, args.trials, args.k) == ("edgeless", 0, 50, None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stable-cut", "--s", "1", "--t", "3", "--k", "65"],
+    ["gmincut", "--s", "1", "--t", "3", "--k", "70", "--class", "any"],
+    ["multicut", "--cut", "1:3", "--k", "65", "--class", "any"],
+])
+def test_budget_above_class_max_check(graph_files, capsys, argv):
+    # a budget above the class's max_check is clamped to the deletable
+    # vertices instead of being refused
+    code, doc, err = _run(capsys, argv[:1] + ["--graph", graph_files["C4"]] + argv[1:])
+    assert code == 0, err
+    assert doc["answer"] == "YES" and doc["witness"] == [2, 4]

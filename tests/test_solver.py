@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
-                           bf_multicut_uncut, complete_graph, cycle_graph)
+                           bf_multicut_uncut, complete_graph, cycle_graph,
+                           path_graph)
 from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
@@ -149,8 +152,12 @@ def test_check_hereditary_detects_violations():
 
 def test_budget_cannot_exceed_class_max_check():
     cramped = HereditaryClass("cramped", lambda H: True, max_check=2)
+    P5 = path_graph(5)
     with pytest.raises(DomainError):
-        dp_constrained_cut(P3, _nice(P3), CutConstraints(((0, 2),)), 3, cramped)
+        dp_constrained_cut(P5, _nice(P5), CutConstraints(((0, 4),)), 3, cramped)
+    # the budget is first clamped to the deletable vertices (one, on P3)
+    wit = dp_constrained_cut(P3, _nice(P3), CutConstraints(((0, 2),)), 3, cramped)
+    assert wit.deletion_set == (1,)
     with pytest.raises(DomainError):
         cramped.contains(complete_graph(4))
 
@@ -189,10 +196,46 @@ def test_parse_class():
     assert parse_class("edgeless") is EDGELESS
     assert parse_class("forest") is FOREST
     assert parse_class("maxdeg:2").contains(cycle_graph(4))
+    assert parse_class("maxdeg:1") is parse_class("maxdeg:1")
     assert parse_class("matchdef:1").name == "matchdef:1"
     assert not parse_class("forbid:Bw").contains(decode_graph6("Bw"))
     with pytest.raises(DomainError):
         parse_class("nosuch")
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < p])
+
+
+def _grid(rows, cols):
+    return Graph(rows * cols,
+                 [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+                 + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
+
+
+Q3 = FIXTURES["Q3"].graph
+
+
+# (graph, s, t, k, class) -> (dp_states, width, witness), recorded before the
+# DP memoised its transitions; any change to a state count is a bug
+@pytest.mark.parametrize("G, s, t, k, cls, want", [
+    (Q3, 0, 7, 5, "any", (452, 3, (3, 5, 6))),
+    (Q3, 0, 7, 5, "forest", (452, 3, (3, 5, 6))),
+    (Q3, 0, 7, 5, "bipartite", (452, 3, (3, 5, 6))),
+    (Q3, 0, 7, 5, "maxdeg:1", (301, 3, (3, 5, 6))),
+    (_gnp(12, 0.4, 123), 5, 9, 5, "any", (4679, 6, (7, 8, 10))),
+    (_gnp(12, 0.4, 123), 5, 9, 5, "bipartite", (3021, 6, (7, 8, 10))),
+    (_gnp(12, 0.4, 123), 5, 9, 4, "maxdeg:1", (783, 5, None)),
+    (_gnp(12, 0.4, 121), 2, 4, 5, "any", (2248, 4, (3, 5, 9, 10))),
+    (_grid(3, 6), 0, 17, 4, "any", (4546, 3, (2, 8, 14))),
+])
+def test_dp_state_counts_pinned(G, s, t, k, cls, want):
+    stats = {}
+    wit = g_mincut(G, s, t, k, parse_class(cls), stats_out=stats)
+    got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
+    assert got == want
 
 
 @settings(max_examples=50, deadline=None)

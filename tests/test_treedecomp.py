@@ -3,9 +3,9 @@ import pytest
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import FIXTURES, complete_graph, cycle_graph, hypercube
 from sepkit.treedecomp import (INTRODUCE, JOIN, LEAF, TreeDecomposition,
-                               decompose, exact_treewidth, format_td,
-                               make_nice, parse_td, validate_decomposition,
-                               validate_nice)
+                               _eliminate, _fill_in, decompose, exact_treewidth,
+                               format_td, make_nice, min_fill_order, parse_td,
+                               validate_decomposition, validate_nice)
 
 from strategies import seeded_graphs
 
@@ -157,3 +157,21 @@ def test_pace_non_integer_fields():
         with pytest.raises(ParseError) as info:
             parse_td(text)
         assert info.value.line == line
+
+
+def _min_fill_rescan(G):
+    """Reference twin of min_fill_order: every fill count recomputed at
+    every step."""
+    adj = {v: set(G.adj[v]) for v in range(G.n)}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (_fill_in(adj, u), u))
+        order.append(v)
+        _eliminate(adj, v)
+    return order
+
+
+def test_min_fill_order_matches_full_rescan():
+    for G, _rng in seeded_graphs(1000, seed=53, n_lo=0, n_hi=30,
+                                 ps=(0.05, 0.1, 0.2, 0.3, 0.5)):
+        assert min_fill_order(G) == _min_fill_rescan(G)
