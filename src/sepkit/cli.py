@@ -10,6 +10,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from typing import Optional
 
 from .chains import build_chain
@@ -151,8 +152,8 @@ def _dispatch(args) -> dict:
     if cmd == "cover":
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         k = _need_k(args)
-        cov = cover_set(G, s, t, k)
         r = min_vertex_separator(G, (s,), (t,))
+        cov = cover_set(G, s, t, k, flow=r)
         if r.is_finite:
             stats["ell"] = int(r.size)
             stats["excess"] = k - int(r.size)
@@ -248,13 +249,19 @@ def _dispatch(args) -> dict:
 
 
 def run_command(argv) -> int:
+    """Run one command. Warnings the library raises along the way are
+    collected and written to stderr as one ``warning: <message>`` line each,
+    so neither stdout nor the exit code depends on the warning filters."""
     parser = _build_parser()
     started = time.perf_counter()
+    caught: list = []
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required")
-        result = _dispatch(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _dispatch(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -264,6 +271,9 @@ def run_command(argv) -> int:
     except (DomainError, OracleCapError, GraphError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
     ms = (time.perf_counter() - started) * 1000.0
     print(json.dumps(result, sort_keys=True))
     print(f"{result['command']}: {result['answer']} (time_ms={ms:.1f})", file=sys.stderr)

@@ -10,6 +10,20 @@ max-flow: the flow that decides whether a pair has a separator within budget
 is handed to ``cover_set`` and on to ``build_chain``, which reads the chain
 from its residual network.
 
+The layer recursion solves each distinct contracted subproblem once. A pair
+(A, B) with an edge between A and B is skipped before contracting: the
+contraction would have the edge a-b, for which no separator exists. Any other
+pair is keyed by (contracted graph, k, excess); ``Graph`` equality compares n
+and the adjacency, and a and b are always the last two ids of a contraction.
+The value is the sub-cover in contracted ids, or None when the capped flow
+exceeds k, and each pair maps it back through its own contraction. This is
+exact: ``cover_set`` on a contracted graph is a deterministic function of the
+graph and the budget, and the capped flow and the sub-budget
+``min(k, size + excess - 1)`` are fixed by the key, so a hit returns what
+recomputing would. The table is made by the top-level call, shared by its
+whole recursion and dropped when it returns; relabelled inputs would never
+hit across calls.
+
 ``reduce_instance`` unions the covers over all terminal pairs, takes the
 torso, and replaces every torso-added edge by k+1 parallel two-edge paths
 through fresh undeletable gadget vertices, so that small separators can never
@@ -30,6 +44,7 @@ from .separation import SeparatorResult, min_vertex_separator, st_flow
 
 GADGET = "gadget"
 SATURATION_LIMIT = 2 ** 63 - 1
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -138,12 +153,14 @@ def _disjoint_subset_pairs(pool: tuple[int, ...]):
 
 
 def cover_set(G: Graph, s: int, t: int, k: int,
-              flow: Optional[SeparatorResult] = None) -> tuple[int, ...]:
+              flow: Optional[SeparatorResult] = None,
+              memo: Optional[dict] = None) -> tuple[int, ...]:
     """All vertices on minimal s-t separators of size <= k, plus s and t.
 
     Degrades to {s, t} when the terminals are adjacent or no separator of
     size <= k exists. ``flow``, a finished s-t flow of G, is reused instead
-    of running a new one.
+    of running a new one. ``memo`` is the recursion's table of contracted
+    subproblems; callers leave it unset and the top-level call makes it.
     """
     G.check_vertices((s, t))
     if s == t:
@@ -163,18 +180,29 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     if excess == 0:
         return tuple(sorted(cover))
 
+    if memo is None:
+        memo = {}
     system = layer_system(chain)
     for layer, pool in zip(system.layers, system.pools):
         if not layer:
             continue
         for A, B in _disjoint_subset_pairs(pool):
-            con = contract_terminal_sets(G, layer, A, B)
-            rr = min_vertex_separator(con.graph, (con.a,), (con.b,), cap=k)
-            if not rr.within(k):
+            # an A-B edge becomes the edge a-b: no separator at all
+            if any(G.has_edge(u, v) for u in A for v in B):
                 continue
-            sub_budget = min(k, int(rr.size) + excess - 1)
-            sub = cover_set(con.graph, con.a, con.b, sub_budget, flow=rr)
-            cover.update(con.map_back(sub))
+            con = contract_terminal_sets(G, layer, A, B)
+            key = (con.graph, k, excess)
+            sub = memo.get(key, _MISSING)
+            if sub is _MISSING:
+                sub = None
+                rr = min_vertex_separator(con.graph, (con.a,), (con.b,), cap=k)
+                if rr.within(k):
+                    sub_budget = min(k, int(rr.size) + excess - 1)
+                    sub = cover_set(con.graph, con.a, con.b, sub_budget,
+                                    flow=rr, memo=memo)
+                memo[key] = sub
+            if sub is not None:
+                cover.update(con.map_back(sub))
     return tuple(sorted(cover))
 
 

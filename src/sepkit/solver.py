@@ -30,7 +30,8 @@ visited, their order and the back-pointers are those of the plain loop.
 
 The budget k is first clamped to the number of deletable vertices, since no
 accumulated graph can have more; only then is it held against the class's
-``max_check``.
+``max_check``. Only the classes whose membership test is exponential carry
+one (``matchdef:`` and ``forbid:``); the others decide any size.
 """
 
 from __future__ import annotations
@@ -50,17 +51,21 @@ from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, val
 # -- hereditary classes -------------------------------------------------------
 
 class HereditaryClass:
-    """Decidable graph class closed under induced subgraphs."""
+    """Decidable graph class closed under induced subgraphs.
+
+    ``max_check``, when set, is the largest graph the membership test is
+    asked to decide; None means no limit.
+    """
 
     def __init__(self, name: str, membership: Callable[[Graph], bool],
-                 max_check: int = 64):
+                 max_check: Optional[int] = None):
         self.name = name
         self.membership = membership
         self.max_check = max_check
         self._cache: dict = {}
 
     def contains(self, G: Graph) -> bool:
-        if G.n > self.max_check:
+        if self.max_check is not None and G.n > self.max_check:
             raise DomainError(f"class {self.name} only decides up to {self.max_check} vertices")
         return bool(self.membership(G))
 
@@ -258,15 +263,22 @@ class DPWitness:
 # form = (m, p, edges): vertices 0..m-1, pins 0..p-1 (the bag-deleted vertices
 # in ascending id order), edges a sorted tuple of ordered pairs. Free vertices
 # are relabeled to the permutation minimizing the edge encoding.
+#
+# Only the r free vertices that touch an edge are permuted, over the labels
+# p..p+r-1; the isolated ones take the labels above. That loses nothing:
+# moving a touched vertex to a lower unused label lowers every pair it is
+# in, so the sorted edge tuple can only fall.
 
 @lru_cache(maxsize=None)
 def _canon(m: int, p: int, edges: tuple) -> tuple:
-    free = list(range(p, m))
-    if len(free) <= 1:
+    touched = sorted({x for e in edges for x in e if x >= p})
+    if not touched:
         return (m, p, tuple(sorted(edges)))
     best = None
-    for perm in itertools.permutations(free):
-        remap = list(range(p)) + list(perm)
+    for perm in itertools.permutations(range(p, p + len(touched))):
+        remap = list(range(m))
+        for x, y in zip(touched, perm):
+            remap[x] = y
         cand = tuple(sorted(tuple(sorted((remap[a], remap[b]))) for a, b in edges))
         if best is None or cand < best:
             best = cand
@@ -373,7 +385,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
     forbidden = terminals | frozenset(G.check_vertices(undeletable))
     # no accumulated graph can outgrow the deletable vertices
     k = min(k, G.n - len(forbidden))
-    if k > cls.max_check:
+    if cls.max_check is not None and k > cls.max_check:
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
     nbr_sets = G.neighbor_sets()
     cut_pairs = tuple(cons.cut_pairs)

@@ -17,6 +17,13 @@ def graphs(draw, min_n=1, max_n=8):
     return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
 
 
+def grid(rows, cols):
+    """The rows x cols grid, vertex i * cols + j at row i, column j."""
+    return Graph(rows * cols,
+                 [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+                 + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
+
+
 def seeded_graphs(count, seed, n_lo, n_hi, ps=(0.2, 0.3, 0.45)):
     """Deterministic stream of (graph, rng) pairs."""
     for i in range(count):

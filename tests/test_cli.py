@@ -1,7 +1,11 @@
 import json
+import time
+import warnings
 
 import pytest
 
+import sepkit.cli
+import sepkit.separation
 from sepkit.cli import _build_parser, run_command
 from sepkit.graphs import serialize_graph
 from sepkit.oracle import FIXTURES
@@ -218,3 +222,48 @@ def test_budget_above_class_max_check(graph_files, capsys, argv):
     code, doc, err = _run(capsys, argv[:1] + ["--graph", graph_files["C4"]] + argv[1:])
     assert code == 0, err
     assert doc["answer"] == "YES" and doc["witness"] == [2, 4]
+
+
+def test_saturation_warning_is_one_clean_line(graph_files, capsys):
+    argv = ["stable-cut", "--graph", graph_files["C4"], "--s", "1", "--t", "3",
+            "--k", "65"]
+    code, doc, err = _run(capsys, argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # as under python -W error
+        code_strict, doc_strict, err_strict = _run(capsys, argv)
+    assert code == code_strict == 0
+    assert doc == doc_strict and doc["answer"] == "YES"
+    for text in (err, err_strict):
+        assert "UserWarning" not in text and ".py:" not in text
+        lines = [ln for ln in text.splitlines() if ln.startswith("warning: ")]
+        assert lines == ["warning: treewidth bound saturated for ell=2, excess=63"]
+
+
+def test_stable_cut_complete_bipartite_is_fast(tmp_path, capsys):
+    # K_{2,12}: the DP's forms carry up to 12 forgotten isolated deleted
+    # vertices, which the canonical form used to permute (about 16 minutes)
+    p = tmp_path / "k2_12.gr"
+    p.write_text("p 14 24\n" + "".join(f"e {a} {v}\n" for a in (1, 2)
+                                        for v in range(3, 15)))
+    start = time.perf_counter()
+    code, doc, err = _run(capsys, ["stable-cut", "--graph", str(p), "--s", "1",
+                                   "--t", "2", "--k", "12"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    assert doc["answer"] == "YES" and doc["witness"] == list(range(3, 15))
+
+
+def test_cover_command_runs_one_flow(graph_files, capsys, monkeypatch):
+    calls = []
+    flow = sepkit.separation.min_vertex_separator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.separation, "min_vertex_separator", counted)
+    monkeypatch.setattr(sepkit.cli, "min_vertex_separator", counted)
+    code, doc, _ = _run(capsys, ["cover", "--graph", graph_files["Q3"],
+                                 "--s", "1", "--t", "8", "--k", "3"])
+    assert code == 0 and doc["stats"]["cover_size"] == 8
+    assert len(calls) == 1

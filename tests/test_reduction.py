@@ -6,16 +6,18 @@ import warnings
 
 import pytest
 
-from sepkit.graphs import DomainError, Graph, induced_subgraph
+import sepkit.reduction
+from sepkit.graphs import (DomainError, Graph, contract_terminal_sets,
+                           induced_subgraph)
 from sepkit.oracle import (FIXTURES, RandomModel, enumerate_minimal_separators,
                            path_graph, random_graph)
 from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
-                              cover_set, layer_system, reduce_instance, torso,
-                              tw_bound)
+                              _disjoint_subset_pairs, cover_set, layer_system,
+                              reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
 from sepkit.separation import is_separator, min_vertex_separator
 
-from strategies import nonadjacent_pair, seeded_graphs
+from strategies import grid, nonadjacent_pair, seeded_graphs
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -124,6 +126,68 @@ def test_cover_completeness_random():
             assert set(S) <= cov
         checked += 1
     assert checked >= 100
+
+
+def _cover_reference(G, s, t, k):
+    """``cover_set`` as the plain recursion: every (A, B) pair of every layer
+    is contracted, flowed and recursed on, adjacent or repeated."""
+    if G.has_edge(s, t):
+        return (min(s, t), max(s, t))
+    r = min_vertex_separator(G, (s,), (t,), cap=k)
+    if not r.within(k):
+        return (min(s, t), max(s, t))
+    excess = k - int(r.size)
+    chain = build_chain(G, s, t, flow=r)
+    cover = {s, t}
+    for S in chain.boundaries:
+        cover.update(S)
+    if excess == 0:
+        return tuple(sorted(cover))
+    system = layer_system(chain)
+    for layer, pool in zip(system.layers, system.pools):
+        if not layer:
+            continue
+        for A, B in _disjoint_subset_pairs(pool):
+            con = contract_terminal_sets(G, layer, A, B)
+            rr = min_vertex_separator(con.graph, (con.a,), (con.b,), cap=k)
+            if not rr.within(k):
+                continue
+            sub_budget = min(k, int(rr.size) + excess - 1)
+            cover.update(con.map_back(
+                _cover_reference(con.graph, con.a, con.b, sub_budget)))
+    return tuple(sorted(cover))
+
+
+def test_cover_matches_unmemoised_recursion():
+    cases = [(grid(r, c), 0, r * c - 1, k)
+             for r, c in ((2, 5), (3, 3), (3, 5), (4, 4)) for k in range(1, 6)]
+    for G, grng in seeded_graphs(200, seed=53, n_lo=5, n_hi=22,
+                                 ps=(0.15, 0.25, 0.35)):
+        pair = nonadjacent_pair(G, grng)
+        if pair is not None:
+            cases.append((G, *pair, grng.randint(1, 5)))
+    assert len(cases) >= 200
+    positive = 0
+    for G, s, t, k in cases:
+        want = _cover_reference(G, s, t, k)
+        assert cover_set(G, s, t, k) == want
+        positive += len(want) > 2
+    assert positive >= 100
+
+
+def test_cover_flows_once_per_distinct_subproblem(monkeypatch):
+    # the plain recursion runs 4,328 flows here: one per (A, B) pair, most of
+    # them adjacent pairs or repeats of a contracted graph already solved
+    calls = []
+    flow = sepkit.reduction.min_vertex_separator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.reduction, "min_vertex_separator", counted)
+    assert cover_set(grid(4, 4), 0, 15, 5) == tuple(range(16))
+    assert len(calls) <= 250
 
 
 def test_separation_preservation_in_torso():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,11 +13,12 @@ from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
                            HereditaryClass, check_hereditary, decode_graph6,
-                           dp_constrained_cut, g_mincut, g_multicut_uncut,
-                           matching_deficiency, maximum_matching, parse_class)
+                           _canon, dp_constrained_cut, g_mincut,
+                           g_multicut_uncut, matching_deficiency,
+                           maximum_matching, parse_class)
 from sepkit.treedecomp import decompose, make_nice
 
-from strategies import graphs, seeded_graphs
+from strategies import graphs, grid, seeded_graphs
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -162,6 +164,43 @@ def test_budget_cannot_exceed_class_max_check():
         cramped.contains(complete_graph(4))
 
 
+def test_only_exponential_checkers_cap_their_graphs():
+    for sel in ("edgeless", "any", "forest", "bipartite", "maxdeg:2"):
+        assert parse_class(sel).max_check is None, sel
+    assert parse_class("matchdef:1").max_check == 20
+    assert parse_class("forbid:Bw").max_check == 12
+
+
+def test_budget_above_64_on_uncapped_class():
+    # K_{2,70}: the only separator is all 70 middle vertices; this raised
+    # "budget 70 exceeds class max_check 64" while every class had a cap
+    G = Graph(72, [(a, v) for a in (0, 1) for v in range(2, 72)])
+    wit = g_mincut(G, 0, 1, 70, EDGELESS)
+    assert wit is not None and wit.deletion_set == tuple(range(2, 72))
+
+
+def _canon_reference(m, p, edges):
+    """The canonical form by brute force over every permutation of the
+    free vertices, isolated ones included."""
+    best = None
+    for perm in itertools.permutations(range(p, m)):
+        remap = list(range(p)) + list(perm)
+        cand = tuple(sorted(tuple(sorted((remap[a], remap[b]))) for a, b in edges))
+        if best is None or cand < best:
+            best = cand
+    return (m, p, best)
+
+
+def test_canon_matches_full_permutation_search():
+    rng = random.Random(59)
+    for _ in range(5000):
+        m = rng.randint(0, 7)
+        p = rng.randint(0, m)
+        pairs = list(itertools.combinations(range(m), 2))
+        edges = tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 7))))
+        assert _canon.__wrapped__(m, p, edges) == _canon_reference(m, p, edges)
+
+
 def test_forbidden_induced():
     no_triangle = FORBIDDEN_INDUCED([cycle_graph(3)])
     assert no_triangle.contains(C4)
@@ -209,12 +248,6 @@ def _gnp(n, p, seed):
                      if rng.random() < p])
 
 
-def _grid(rows, cols):
-    return Graph(rows * cols,
-                 [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
-                 + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
-
-
 Q3 = FIXTURES["Q3"].graph
 
 
@@ -229,7 +262,7 @@ Q3 = FIXTURES["Q3"].graph
     (_gnp(12, 0.4, 123), 5, 9, 5, "bipartite", (3021, 6, (7, 8, 10))),
     (_gnp(12, 0.4, 123), 5, 9, 4, "maxdeg:1", (783, 5, None)),
     (_gnp(12, 0.4, 121), 2, 4, 5, "any", (2248, 4, (3, 5, 9, 10))),
-    (_grid(3, 6), 0, 17, 4, "any", (4546, 3, (2, 8, 14))),
+    (grid(3, 6), 0, 17, 4, "any", (4546, 3, (2, 8, 14))),
 ])
 def test_dp_state_counts_pinned(G, s, t, k, cls, want):
     stats = {}
