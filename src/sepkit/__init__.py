@@ -60,6 +60,7 @@ from .solver import (
     CutConstraints,
     DPWitness,
     HereditaryClass,
+    VerificationError,
     dp_constrained_cut,
     g_mincut,
     g_multicut_uncut,
@@ -80,8 +81,9 @@ __all__ = [
     "FORBIDDEN_INDUCED", "FOREST", "GADGET", "Graph", "GraphError",
     "HereditaryClass", "INFINITE", "MATCH_DEFICIENCY", "MAX_DEGREE",
     "NiceDecomposition", "ParseError", "ReducedInstance", "SeparatorChain",
-    "SeparatorResult", "TreeDecomposition", "TreewidthBounds", "boundary",
-    "build_chain", "components", "contract_terminal_sets", "cover_set",
+    "SeparatorResult", "TreeDecomposition", "TreewidthBounds",
+    "VerificationError", "boundary", "build_chain", "components",
+    "contract_terminal_sets", "cover_set",
     "decompose", "dp_constrained_cut", "edge_induced_vertex_cut",
     "exact_separator_union", "exact_stable_bipartization", "exact_treewidth",
     "g_mincut", "g_multicut_uncut", "induced_subgraph", "is_separator",

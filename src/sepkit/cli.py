@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shlex
 import sys
 import time
 import warnings
@@ -21,7 +22,8 @@ from .problems import (edge_induced_vertex_cut, exact_separator_union,
                        stable_bipartization)
 from .reduction import cover_set, reduce_instance
 from .separation import is_separator, min_vertex_separator
-from .solver import CutConstraints, g_mincut, g_multicut_uncut, parse_class
+from .solver import (CutConstraints, VerificationError, g_mincut,
+                     g_multicut_uncut, parse_class)
 from .treedecomp import decompose, format_td, validate_decomposition
 
 STAT_KEYS = ("ell", "excess", "cover_size", "width", "width_bound", "dp_states")
@@ -271,6 +273,10 @@ def run_command(argv) -> int:
     except (DomainError, OracleCapError, GraphError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except VerificationError as exc:
+        print(f"verification error: {exc}; replay: sepkit {shlex.join(argv)}",
+              file=sys.stderr)
+        return 3
     finally:
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"warning: {message}", file=sys.stderr)

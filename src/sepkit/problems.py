@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
                      shortest_odd_cycle, two_coloring, vset)
 from .separation import is_separator, min_vertex_separator
-from .solver import (ANY, EDGELESS, MATCH_DEFICIENCY, CutConstraints,
+from .solver import (ANY, EDGELESS, MATCH_DEFICIENCY, CutConstraints, VerificationError,
                      g_mincut, g_multicut_uncut, maximum_matching)
 
 
@@ -386,7 +386,7 @@ def edge_induced_vertex_cut(G: Graph, s: int, t: int, k: int,
     F.sort()
     deleted = vset(v for e in F for v in e if v not in (s, t))
     if len(F) > k or not is_separator(G, deleted, (s,), (t,)):
-        raise AssertionError("edge witness failed re-verification")
+        raise VerificationError("edge witness failed re-verification")
     return EdgeCutWitness(tuple(F), deleted)
 
 

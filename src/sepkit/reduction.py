@@ -24,10 +24,12 @@ recomputing would. The table is made by the top-level call, shared by its
 whole recursion and dropped when it returns; relabelled inputs would never
 hit across calls.
 
-``reduce_instance`` unions the covers over all terminal pairs, takes the
-torso, and replaces every torso-added edge by k+1 parallel two-edge paths
-through fresh undeletable gadget vertices, so that small separators can never
-use shortcuts that do not exist in the original graph.
+``reduce_instance`` unions the covers over all terminal pairs and returns
+the torso of that cover C. A set inside C separates two terminals in G
+exactly when it separates them in the torso, so every minimal terminal
+separator of size <= k survives. A torso-added edge carries connectivity
+only: the graph of a deleted set is judged on G[C]. Gadget vertices exist
+only in the serialised form that ``reduce`` prints.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable, Optional
 
 from .chains import SeparatorChain, build_chain
 from .graphs import (DomainError, Graph, components, contract_terminal_sets,
-                     vset)
+                     induced_subgraph, vset)
 from .separation import SeparatorResult, min_vertex_separator, st_flow
 
 GADGET = "gadget"
@@ -184,9 +186,10 @@ def cover_set(G: Graph, s: int, t: int, k: int,
         memo = {}
     system = layer_system(chain)
     for layer, pool in zip(system.layers, system.pools):
-        if not layer:
-            continue
         for A, B in _disjoint_subset_pairs(pool):
+            # a sub-cover maps back into the layer: nothing left to add
+            if cover.issuperset(layer):
+                break
             # an A-B edge becomes the edge a-b: no separator at all
             if any(G.has_edge(u, v) for u in A for v in B):
                 continue
@@ -208,36 +211,35 @@ def cover_set(G: Graph, s: int, t: int, k: int,
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Replacement graph preserving the minimal terminal-pair separators of
-    size <= k, with bookkeeping to map answers back."""
-    gstar: Graph
+    """Torso of the cover, which keeps the minimal terminal-pair separators
+    of size <= k, with bookkeeping to map answers back."""
+    gstar: Graph                             # torso(G, cover), cover ascending
+    induced: Graph                           # G[cover], for the class check
     cover: tuple[int, ...]                   # C', original ids
     terminals: tuple[int, ...]               # original ids
     k: int
-    origin: tuple                            # per gstar vertex: orig id or GADGET
-    undeletable: tuple[int, ...]             # gstar ids of gadget vertices
     width_bound: int
 
     def to_gstar(self, v: int) -> int:
         return self.cover.index(v)
 
     def map_back(self, vs: Iterable[int]) -> tuple[int, ...]:
-        out = []
-        for v in vs:
-            o = self.origin[v]
-            if o == GADGET:
-                raise DomainError("gadget vertex has no original id")
-            out.append(o)
-        return tuple(sorted(out))
+        return tuple(sorted(self.cover[v] for v in vs))
 
     def to_jsonable(self) -> dict:
+        """G[cover] plus k+1 undeletable gadget vertices adjacent to u and v
+        for each torso-added edge uv: no separator within k can cut it."""
+        base, edges = self.gstar.n, self.induced.edges()
+        gadgets = [e for e in sorted(set(self.gstar.edges()) - set(edges))
+                   for _ in range(self.k + 1)]
+        edges += [(x, base + i) for i, e in enumerate(gadgets) for x in e]
         return {
-            "n": self.gstar.n,
-            "edges": [[u + 1, v + 1] for u, v in self.gstar.edges()],
+            "n": base + len(gadgets),
+            "edges": [[u + 1, v + 1] for u, v in sorted(edges)],
             "cover": [v + 1 for v in self.cover],
             "terminals": [v + 1 for v in self.terminals],
             "k": self.k,
-            "origin": [GADGET if o == GADGET else o + 1 for o in self.origin],
+            "origin": [v + 1 for v in self.cover] + [GADGET] * len(gadgets),
             "width_bound": self.width_bound,
         }
 
@@ -246,7 +248,7 @@ class ReducedInstance:
 
 
 def reduce_instance(G: Graph, terminals: Iterable[int], k: int) -> ReducedInstance:
-    """Build the replacement graph for the given terminal set and budget."""
+    """Reduce G to the torso of the union of the terminal-pair covers."""
     terms = G.check_vertices(terminals)
     if len(terms) < 2:
         raise DomainError("need at least two terminals")
@@ -264,23 +266,8 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int) -> ReducedInstan
             contributing += 1
             if r.size >= 1:
                 g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)
-    # one extra for the degree-2 gadget attachments
+    # bounds the serialised graph: one extra for the degree-2 gadgets
     width_bound = min(3 * contributing * (g_max + 1) + 1, SATURATION_LIMIT)
-
     tor = torso(G, cover)
-    added_new = {(tor.to_new(u), tor.to_new(v)) for u, v in tor.added_edges}
-    base = len(tor.orig)
-    edges = [e for e in tor.graph.edges() if e not in added_new]
-    origin: list = list(tor.orig)
-    gadgets = []
-    nxt = base
-    for u, v in sorted(added_new):
-        for _ in range(k + 1):
-            edges.append((u, nxt))
-            edges.append((v, nxt))
-            origin.append(GADGET)
-            gadgets.append(nxt)
-            nxt += 1
-    gstar = Graph(nxt, edges)
-    return ReducedInstance(gstar, tor.orig, terms, k, tuple(origin),
-                           tuple(gadgets), width_bound)
+    return ReducedInstance(tor.graph, induced_subgraph(G, tor.orig).graph,
+                           tor.orig, terms, k, width_bound)

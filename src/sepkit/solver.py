@@ -3,6 +3,8 @@
 The DP searches for a deletion set S of at most k non-terminal vertices such
 that the graph induced on S belongs to a hereditary class, every cut pair
 ends up in different components and every uncut pair in the same component.
+On a reduced instance G is the torso of the cover: blocks merge along all of
+its edges, but the deleted set's graph comes from G[cover] (``induced``).
 
 A state at a decomposition node consists of
   * which bag vertices are deleted,
@@ -211,10 +213,11 @@ def parse_class(selector: str) -> HereditaryClass:
     simple = {"edgeless": EDGELESS, "any": ANY, "forest": FOREST, "bipartite": BIPARTITE}
     if sel in simple:
         return simple[sel]
-    if sel.startswith("maxdeg:"):
-        return MAX_DEGREE(int(sel.split(":", 1)[1]))
-    if sel.startswith("matchdef:"):
-        return MATCH_DEFICIENCY(int(sel.split(":", 1)[1]))
+    head, colon, arg = sel.partition(":")
+    if colon and head in ("maxdeg", "matchdef"):
+        if not arg.strip().isdecimal():
+            raise DomainError(f"class selector {selector!r} needs a non-negative integer")
+        return (MAX_DEGREE if head == "maxdeg" else MATCH_DEFICIENCY)(int(arg))
     if sel.startswith("forbid:"):
         return FORBIDDEN_INDUCED([decode_graph6(tok) for tok in sel.split(":", 1)[1].split(",")])
     raise DomainError(f"unknown class selector {selector!r}")
@@ -375,19 +378,21 @@ _MISSING = object()
 
 
 def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
-                       cls: HereditaryClass, undeletable: Iterable[int] = (),
+                       cls: HereditaryClass, induced: Optional[Graph] = None,
                        prune_hereditary: bool = True,
                        stats_out: Optional[dict] = None) -> Optional[DPWitness]:
-    """Search for a valid deletion set over a nice decomposition of G."""
+    """Search for a valid deletion set over a nice decomposition of G.
+    Blocks merge along every edge of G; the class judges the deleted set in
+    ``induced`` (default G), a spanning subgraph of G."""
     if not validate_nice(G, nice):
         raise DomainError("nice decomposition does not match the graph")
+    induced = G if induced is None else induced
     terminals = frozenset(G.check_vertices(cons.terminals))
-    forbidden = terminals | frozenset(G.check_vertices(undeletable))
     # no accumulated graph can outgrow the deletable vertices
-    k = min(k, G.n - len(forbidden))
+    k = min(k, G.n - len(terminals))
     if cls.max_check is not None and k > cls.max_check:
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
-    nbr_sets = G.neighbor_sets()
+    nbr_sets = induced.neighbor_sets()
     cut_pairs = tuple(cons.cut_pairs)
     uncut_pairs = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
 
@@ -471,7 +476,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                     nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, terminals)
                 put((deleted, nblocks, closed, form), ("keep", key))
                 # delete v
-                if v not in forbidden and form[0] < k:
+                if v not in terminals and form[0] < k:
                     dk = (deleted, form)
                     out = del_memo.get(dk)
                     if out is None:
@@ -557,7 +562,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
         return None
 
     deletion = _reconstruct(tables, nice, answer[0])
-    sub = induced_subgraph(G, deletion)
+    sub = induced_subgraph(induced, deletion)
     if __debug__:
         got = _canon(sub.graph.n, 0, tuple(sub.graph.edges()))
         want = _canon(answer[0][3][0], 0, answer[0][3][2])
@@ -590,6 +595,10 @@ def _reconstruct(tables, nice, root_key) -> tuple[int, ...]:
 
 
 # -- pipelines ---------------------------------------------------------------------
+
+class VerificationError(Exception):
+    """A witness failed its re-verification against the original graph."""
+
 
 def verify_solution(G: Graph, S: Iterable[int], cons: CutConstraints, k: int,
                     cls: HereditaryClass) -> bool:
@@ -630,22 +639,13 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass,
         if not cls.contains(Graph(0)):
             return None
         return DPWitness((), Graph(0), dict(stats))
-    ri = reduce_instance(G, (s, t), k)
-    stats["cover_size"] = len(ri.cover)
-    stats["width_bound"] = ri.width_bound
-    td = decompose(ri.gstar)
-    nice = make_nice(td, ri.gstar, root_vertex=ri.to_gstar(min(s, t)))
-    cons = CutConstraints(((ri.to_gstar(s), ri.to_gstar(t)),))
-    wit = dp_constrained_cut(ri.gstar, nice, cons, k, cls, ri.undeletable,
-                             stats_out=stats)
+    final = CutConstraints(((s, t),))
+    wit = g_multicut_uncut(G, final, k, cls, stats_out=stats)
     if wit is None:
         return None
-    smin = minimalize_separator(ri.gstar, wit.deletion_set,
-                                (ri.to_gstar(s),), (ri.to_gstar(t),))
-    S = ri.map_back(smin)
-    final = CutConstraints(((s, t),))
+    S = minimalize_separator(G, wit.deletion_set, (s,), (t,))
     if not verify_solution(G, S, final, k, cls):
-        raise AssertionError("reduced-instance witness failed re-verification")
+        raise VerificationError("reduced-instance witness failed re-verification")
     return DPWitness(S, induced_subgraph(G, S).graph, dict(stats))
 
 
@@ -675,11 +675,11 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
     mapped = CutConstraints(
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.cut_pairs),
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.uncut_pairs))
-    wit = dp_constrained_cut(ri.gstar, nice, mapped, k, cls, ri.undeletable,
+    wit = dp_constrained_cut(ri.gstar, nice, mapped, k, cls, ri.induced,
                              stats_out=stats)
     if wit is None:
         return None
     S = ri.map_back(wit.deletion_set)
     if not verify_solution(G, S, norm, k, cls):
-        raise AssertionError("reduced-instance witness failed re-verification")
+        raise VerificationError("reduced-instance witness failed re-verification")
     return DPWitness(S, induced_subgraph(G, S).graph, dict(stats))

@@ -1,11 +1,14 @@
 import json
+import shlex
 import time
 import warnings
 
 import pytest
 
 import sepkit.cli
+import sepkit.problems
 import sepkit.separation
+import sepkit.solver
 from sepkit.cli import _build_parser, run_command
 from sepkit.graphs import serialize_graph
 from sepkit.oracle import FIXTURES
@@ -267,3 +270,35 @@ def test_cover_command_runs_one_flow(graph_files, capsys, monkeypatch):
                                  "--s", "1", "--t", "8", "--k", "3"])
     assert code == 0 and doc["stats"]["cover_size"] == 8
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("selector", ["maxdeg:x", "matchdef:", "maxdeg:-1", "matchdef:-2"])
+def test_bad_class_parameter_is_a_usage_error(graph_files, capsys, selector):
+    code, _, err = _run(capsys, ["gmincut", "--graph", graph_files["C4"], "--s", "1",
+                                 "--t", "3", "--k", "2", "--class", selector])
+    assert code == 1
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gmincut", ["--s", "1", "--t", "3", "--k", "2", "--class", "any"]),
+    ("stable-cut", ["--s", "1", "--t", "3", "--k", "2"]),
+    ("multicut", ["--cut", "1:3", "--k", "2"]),
+    ("eivc", ["--s", "1", "--t", "3", "--k", "2"]),
+])
+def test_failed_reverification_exit_3(graph_files, capsys, monkeypatch, command, flags):
+    monkeypatch.setattr(sepkit.solver, "verify_solution", lambda *args: False)
+    argv = [command, "--graph", graph_files["C4"]] + flags
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err.startswith("verification error: ") and err.count("\n") == 1
+    assert err.endswith(f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def test_failed_edge_witness_check_exit_3(graph_files, capsys, monkeypatch):
+    monkeypatch.setattr(sepkit.problems, "is_separator", lambda *args: False)
+    argv = ["eivc", "--graph", graph_files["C4"], "--s", "1", "--t", "3", "--k", "2"]
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err == (f"verification error: edge witness failed re-verification; "
+                   f"replay: sepkit {shlex.join(argv)}\n")

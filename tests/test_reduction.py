@@ -212,16 +212,17 @@ def test_separation_preservation_in_torso():
 
 def test_reduce_examples():
     ri = reduce_instance(P3, (0, 2), 1)
-    assert ri.gstar == P3 and ri.undeletable == ()
+    assert ri.gstar == P3 == ri.induced
     ri = reduce_instance(C4, (0, 2), 2)
     assert ri.gstar == C4
 
     ri = reduce_instance(PP, (0, 5), 1)
     assert ri.cover == (0, 5)
-    assert ri.gstar.n == 4 and len(ri.undeletable) == 2
-    for g in ri.undeletable:
-        assert ri.origin[g] == GADGET
-        assert ri.gstar.degree(g) == 2
+    # the torso joins the terminals; the class graph G[cover] has no edge
+    assert ri.gstar == Graph(2, [(0, 1)]) and ri.induced == Graph(2)
+    # serialised, the torso edge becomes k+1 = 2 gadget vertices of degree 2
+    data = ri.to_jsonable()
+    assert data["n"] == 4 and data["edges"] == [[1, 3], [1, 4], [2, 3], [2, 4]]
     # no s-t separator of size <= 1 on either side
     assert enumerate_minimal_separators(PP, 0, 5, 1) == []
     assert enumerate_minimal_separators(ri.gstar, 0, 1, 1) == []
@@ -236,11 +237,9 @@ def test_reduce_induced_subgraph_identity():
     for G, rng in seeded_graphs(40, seed=17, n_lo=5, n_hi=10):
         terms = tuple(rng.sample(range(G.n), 2))
         ri = reduce_instance(G, terms, 2)
-        # the non-gadget part of gstar is exactly G restricted to the cover
-        originals = [i for i, o in enumerate(ri.origin) if o != GADGET]
-        sub_star = induced_subgraph(ri.gstar, originals).graph
-        sub_orig = induced_subgraph(G, ri.cover).graph
-        assert sub_star == sub_orig
+        # the solve graph is the torso of the cover, the class graph G[cover]
+        assert ri.gstar == torso(G, ri.cover).graph
+        assert ri.induced == induced_subgraph(G, ri.cover).graph
 
 
 def test_reduce_preserves_minimal_separator_family():
@@ -256,11 +255,65 @@ def test_reduce_preserves_minimal_separator_family():
         fam_star = set()
         if not ri.gstar.has_edge(ss, tt):
             for S in enumerate_minimal_separators(ri.gstar, ss, tt, k):
-                assert all(ri.origin[v] != GADGET for v in S)
-                fam_star.add(frozenset(ri.origin[v] for v in S))
+                fam_star.add(frozenset(ri.cover[v] for v in S))
         assert fam_g == fam_star
         checked += 1
     assert checked >= 50
+
+
+def _gadget_reduction_jsonable(G, terminals, k):
+    """Reference twin: the replacement graph as reduce_instance built it when
+    every torso-added edge was replaced by k+1 undeletable two-edge gadget
+    paths inside the solve graph."""
+    terms = G.check_vertices(terminals)
+    cover = set(terms)
+    contributing = 0
+    g_max = 0
+    for i, s in enumerate(terms):
+        for t in terms[i + 1:]:
+            if G.has_edge(s, t):
+                continue
+            r = min_vertex_separator(G, (s,), (t,), cap=k)
+            if not r.within(k):
+                continue
+            cover.update(cover_set(G, s, t, k, flow=r))
+            contributing += 1
+            if r.size >= 1:
+                g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)
+    width_bound = min(3 * contributing * (g_max + 1) + 1, SATURATION_LIMIT)
+    tor = torso(G, cover)
+    added_new = {(tor.to_new(u), tor.to_new(v)) for u, v in tor.added_edges}
+    edges = [e for e in tor.graph.edges() if e not in added_new]
+    origin = list(tor.orig)
+    nxt = len(tor.orig)
+    for u, v in sorted(added_new):
+        for _ in range(k + 1):
+            edges += [(u, nxt), (v, nxt)]
+            origin.append(GADGET)
+            nxt += 1
+    gstar = Graph(nxt, edges)
+    return {
+        "n": gstar.n,
+        "edges": [[u + 1, v + 1] for u, v in gstar.edges()],
+        "cover": [v + 1 for v in tor.orig],
+        "terminals": [v + 1 for v in terms],
+        "k": k,
+        "origin": [GADGET if o == GADGET else o + 1 for o in origin],
+        "width_bound": width_bound,
+    }
+
+
+def test_reduce_jsonable_matches_gadget_construction():
+    cases = [(fx.graph, (fx.s, fx.t), k) for fx in FIXTURES.values() for k in (1, 2, 3)]
+    for G, rng in seeded_graphs(220, seed=53, n_lo=5, n_hi=12):
+        cases.append((G, tuple(rng.sample(range(G.n), rng.randint(2, 3))),
+                      rng.randint(1, 3)))
+    with_gadgets = 0
+    for G, terms, k in cases:
+        data = reduce_instance(G, terms, k).to_jsonable()
+        assert data == _gadget_reduction_jsonable(G, terms, k)
+        with_gadgets += GADGET in data["origin"]
+    assert with_gadgets >= 50
 
 
 def test_reduced_instance_json_roundtrip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepkit.solver
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
@@ -12,8 +13,8 @@ from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
 from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
-                           HereditaryClass, check_hereditary, decode_graph6,
-                           _canon, dp_constrained_cut, g_mincut,
+                           HereditaryClass, VerificationError, check_hereditary,
+                           decode_graph6, _canon, dp_constrained_cut, g_mincut,
                            g_multicut_uncut, matching_deficiency,
                            maximum_matching, parse_class)
 from sepkit.treedecomp import decompose, make_nice
@@ -37,10 +38,13 @@ def test_dp_examples():
     assert dp_constrained_cut(D4, _nice(D4), CutConstraints(((0, 2),)), 2, EDGELESS) is None
 
 
-def test_dp_respects_undeletable():
-    wit = dp_constrained_cut(P3, _nice(P3), CutConstraints(((0, 2),)), 1, EDGELESS,
-                             undeletable=(1,))
-    assert wit is None
+def test_dp_judges_class_on_induced_graph():
+    # D4 is C4 plus the chord 1-3, which joins blocks but is no edge of the
+    # class graph C4
+    cons = CutConstraints(((0, 2),))
+    assert dp_constrained_cut(D4, _nice(D4), cons, 2, EDGELESS) is None
+    wit = dp_constrained_cut(D4, _nice(D4), cons, 2, EDGELESS, C4)
+    assert wit.deletion_set == (1, 3) and wit.induced_graph == Graph(2)
 
 
 def test_dp_validates_decomposition():
@@ -113,9 +117,9 @@ def test_heredity_prune_differential():
         cons = CutConstraints(((ri.to_gstar(s), ri.to_gstar(t)),))
         for cls in (EDGELESS, FOREST, MAX_DEGREE(1)):
             pruned = dp_constrained_cut(ri.gstar, nice, cons, k, cls,
-                                        ri.undeletable, prune_hereditary=True)
+                                        ri.induced, prune_hereditary=True)
             lazy = dp_constrained_cut(ri.gstar, nice, cons, k, cls,
-                                      ri.undeletable, prune_hereditary=False)
+                                      ri.induced, prune_hereditary=False)
             assert (pruned is None) == (lazy is None)
 
 
@@ -242,6 +246,21 @@ def test_parse_class():
         parse_class("nosuch")
 
 
+@pytest.mark.parametrize("selector", ["maxdeg:x", "maxdeg:", "maxdeg:-1",
+                                      "matchdef:", "matchdef:1.5", "matchdef:-2"])
+def test_parse_class_rejects_bad_parameter(selector):
+    with pytest.raises(DomainError):
+        parse_class(selector)
+
+
+def test_failed_reverification_raises_verification_error(monkeypatch):
+    monkeypatch.setattr(sepkit.solver, "verify_solution", lambda *args: False)
+    with pytest.raises(VerificationError):
+        g_mincut(C4, 0, 2, 2, EDGELESS)
+    with pytest.raises(VerificationError):
+        g_multicut_uncut(C4, CutConstraints(((0, 2),)), 2, EDGELESS)
+
+
 def _gnp(n, p, seed):
     rng = random.Random(seed)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -252,15 +271,19 @@ Q3 = FIXTURES["Q3"].graph
 
 
 # (graph, s, t, k, class) -> (dp_states, width, witness), recorded before the
-# DP memoised its transitions; any change to a state count is a bug
+# DP memoised its transitions; on a fixed decomposed graph any change to a
+# state count is a bug. The _gnp(12, 0.4, 123) rows were re-recorded when the
+# DP moved from the gadget replacement graph to the torso of the cover: their
+# covers add torso edges, so the decomposed graph lost its gadget vertices.
+# Their widths and witnesses stayed the same.
 @pytest.mark.parametrize("G, s, t, k, cls, want", [
     (Q3, 0, 7, 5, "any", (452, 3, (3, 5, 6))),
     (Q3, 0, 7, 5, "forest", (452, 3, (3, 5, 6))),
     (Q3, 0, 7, 5, "bipartite", (452, 3, (3, 5, 6))),
     (Q3, 0, 7, 5, "maxdeg:1", (301, 3, (3, 5, 6))),
-    (_gnp(12, 0.4, 123), 5, 9, 5, "any", (4679, 6, (7, 8, 10))),
-    (_gnp(12, 0.4, 123), 5, 9, 5, "bipartite", (3021, 6, (7, 8, 10))),
-    (_gnp(12, 0.4, 123), 5, 9, 4, "maxdeg:1", (783, 5, None)),
+    (_gnp(12, 0.4, 123), 5, 9, 5, "any", (1484, 6, (7, 8, 10))),
+    (_gnp(12, 0.4, 123), 5, 9, 5, "bipartite", (781, 6, (7, 8, 10))),
+    (_gnp(12, 0.4, 123), 5, 9, 4, "maxdeg:1", (240, 5, None)),
     (_gnp(12, 0.4, 121), 2, 4, 5, "any", (2248, 4, (3, 5, 9, 10))),
     (grid(3, 6), 0, 17, 4, "any", (4546, 3, (2, 8, 14))),
 ])
