@@ -4,11 +4,18 @@ A chain is a strictly nested family X_1 c ... c X_q of s-sides whose
 boundaries all have minimum-separator size and together cover every minimum
 s-t separator. It is read off one maximum flow: for every vertex v on some
 minimum separator, the residual network gives the minimum separator closest
-to s that contains v (``Residual.separator_through``), and its s-side joins
-the collection. The collection is made laminar by uncrossing: a crossing
-pair is replaced by intersection and union, which keeps boundary sizes and
-coverage intact and strictly improves the (collection size, -sum of squared
-sizes) measure.
+to s that contains v (``Residual.separator_through``), and X_v, its s-side,
+joins the collection. The collection is sorted by (size, sorted ids) and the
+chain is the sequence of its running unions, one set each time the union
+grows.
+
+This is exact. The union of two minimum-separator s-sides is again one, by
+submodularity of |N(.)|, so every running union has a minimum boundary.
+Suppose v lies on a minimum separator and inside another vertex u's side
+X_u. Then u's residual closure holds both copies of v, so it holds v's
+closure too and X_u strictly contains X_v; X_u sorts after X_v. So no set
+before X_v contains v, and v is on the boundary of the first union that
+takes in X_v.
 """
 
 from __future__ import annotations
@@ -60,49 +67,20 @@ def build_chain(G: Graph, s: int, t: int,
     sides: dict[tuple[int, ...], frozenset[int]] = {}
     for v in range(G.n):
         witness = r.residual.separator_through(v)
-        if witness is None or witness in sides:
+        if witness is not None and witness not in sides:
+            sides[witness] = frozenset(reachable_from(G, (s,), witness))
+    sets: list[tuple[int, ...]] = []
+    bounds: list[tuple[int, ...]] = []
+    union: frozenset[int] = frozenset()
+    for X in sorted(sides.values(), key=lambda X: (len(X), sorted(X))):
+        if X <= union:
             continue
-        X = frozenset(reachable_from(G, (s,), witness))
-        assert len(boundary(G, X)) == ell
-        sides[witness] = X
-    collection = sorted(sides.values(), key=lambda X: (len(X), sorted(X)))
-
-    q0 = len(collection)
-    max_steps = G.n * q0 * q0
-    steps = 0
-    while True:
-        replaced = False
-        for i in range(len(collection)):
-            for j in range(i + 1, len(collection)):
-                Xi, Xj = collection[i], collection[j]
-                if Xi <= Xj or Xj <= Xi:
-                    continue
-                steps += 1
-                assert steps <= max_steps, "uncrossing failed to make progress"
-                inter, union = Xi & Xj, Xi | Xj
-                d_inter = set(boundary(G, inter))
-                d_union = set(boundary(G, union))
-                # submodular equality and coverage preservation must hold
-                assert len(d_inter) == len(d_union) == ell
-                assert d_inter | d_union == set(boundary(G, Xi)) | set(boundary(G, Xj))
-                rest = [X for p, X in enumerate(collection) if p not in (i, j)]
-                for X in (inter, union):
-                    if X not in rest:
-                        rest.append(X)
-                rest.sort(key=lambda X: (len(X), sorted(X)))
-                collection = rest
-                replaced = True
-                break
-            if replaced:
-                break
-        if not replaced:
-            break
-
-    collection.sort(key=len)
-    sets = tuple(tuple(sorted(X)) for X in collection)
-    bounds = tuple(boundary(G, X) for X in sets)
+        union |= X
+        sets.append(tuple(sorted(union)))
+        bounds.append(boundary(G, union))
+        assert len(bounds[-1]) == ell
     x_hi = tuple(v for v in range(G.n) if v != t)
-    return SeparatorChain(ell, sets, bounds, (), x_hi, (s,), (t,))
+    return SeparatorChain(ell, tuple(sets), tuple(bounds), (), x_hi, (s,), (t,))
 
 
 def validate_chain(G: Graph, s: int, t: int, chain: SeparatorChain,

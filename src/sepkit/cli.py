@@ -14,7 +14,7 @@ import time
 import warnings
 from typing import Optional
 
-from .chains import build_chain
+from .chains import build_chain, validate_chain
 from .graphs import DomainError, Graph, GraphError, ParseError, parse_graph
 from .oracle import ALL_SUITES, CheckConfig, OracleCapError, cross_check
 from .problems import (edge_induced_vertex_cut, exact_separator_union,
@@ -135,7 +135,8 @@ def _dispatch(args) -> dict:
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         r = min_vertex_separator(G, (s,), (t,))
         if r.is_finite:
-            assert is_separator(G, r.witness, (s,), (t,))
+            if not is_separator(G, r.witness, (s,), (t,)):
+                raise VerificationError("minimum separator failed re-verification")
             stats["ell"] = int(r.size)
             return _result(cmd, int(r.size), _ids(r.witness), stats, notes)
         return _result(cmd, "INFINITE", None, stats, notes)
@@ -143,9 +144,8 @@ def _dispatch(args) -> dict:
     if cmd == "chain":
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         ch = build_chain(G, s, t)
-        for lo, hi in zip(ch.sets, ch.sets[1:]):
-            assert set(lo) < set(hi)
-        assert all(len(S) == ch.ell for S in ch.boundaries)
+        if not validate_chain(G, s, t, ch, ()):
+            raise VerificationError("separator chain failed re-verification")
         stats["ell"] = ch.ell
         witness = {"ell": ch.ell, "sets": [_ids(X) for X in ch.sets],
                    "boundaries": [_ids(S) for S in ch.boundaries]}
@@ -178,7 +178,8 @@ def _dispatch(args) -> dict:
 
     if cmd == "decompose":
         td = decompose(G)
-        assert validate_decomposition(G, td)
+        if not validate_decomposition(G, td):
+            raise VerificationError("tree decomposition failed validation")
         stats["width"] = td.width
         if args.td_out:
             with open(args.td_out, "w") as fh:

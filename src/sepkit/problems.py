@@ -93,7 +93,8 @@ def _compress_oct(G: Graph, S0: tuple[int, ...], k: int) -> Optional[tuple[int, 
         r = min_vertex_separator(H, (s,), (t,), cap=k - len(R))
         if r.within(k - len(R)):
             out = vset(R + rest.map_back(r.witness))
-            assert _bipartite_without(G, out)
+            if not _bipartite_without(G, out):
+                raise VerificationError("odd cycle transversal failed re-verification")
             return out
     return None
 
@@ -346,7 +347,8 @@ def _exact_solve(inst: AnnotatedInstance) -> Optional[tuple[int, ...]]:
         S = vset(S + tuple(free[0:2 * missing:2]))
     out = vset(inst.chosen + S)
     assert len(out) == len(inst.chosen) + inst.budget
-    assert _is_independent(G, out) and _bipartite_without(G, out)
+    if not (_is_independent(G, out) and _bipartite_without(G, out)):
+        raise VerificationError("stable bipartization failed re-verification")
     return out
 
 

@@ -8,7 +8,8 @@ boundaries is handled by contracting boundary subsets onto two fresh
 terminals and recursing with a smaller excess. Each terminal pair costs one
 max-flow: the flow that decides whether a pair has a separator within budget
 is handed to ``cover_set`` and on to ``build_chain``, which reads the chain
-from its residual network.
+from its residual network; ``g_mincut`` hands its own flow, run for ``ell``
+and ``excess``, to ``reduce_instance``.
 
 The layer recursion solves each distinct contracted subproblem once. A pair
 (A, B) with an edge between A and B is skipped before contracting: the
@@ -247,8 +248,13 @@ class ReducedInstance:
         return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
-def reduce_instance(G: Graph, terminals: Iterable[int], k: int) -> ReducedInstance:
-    """Reduce G to the torso of the union of the terminal-pair covers."""
+def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
+                    flow: Optional[SeparatorResult] = None) -> ReducedInstance:
+    """Reduce G to the torso of the union of the terminal-pair covers.
+
+    ``flow``, the flow capped at k from the lowest terminal to the next one,
+    such as ``g_mincut`` holds, is used for that pair instead of a new one.
+    """
     terms = G.check_vertices(terminals)
     if len(terms) < 2:
         raise DomainError("need at least two terminals")
@@ -259,7 +265,10 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int) -> ReducedInstan
         for t in terms[i + 1:]:
             if G.has_edge(s, t):
                 continue
-            r = min_vertex_separator(G, (s,), (t,), cap=k)
+            if flow is not None and (s, t) == terms[:2]:
+                r = flow
+            else:
+                r = min_vertex_separator(G, (s,), (t,), cap=k)
             if not r.within(k):
                 continue
             cover.update(cover_set(G, s, t, k, flow=r))

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Optional
 from .graphs import (DomainError, Graph, components, induced_subgraph,
                      two_coloring, vset)
 from .reduction import reduce_instance
-from .separation import minimalize_separator, min_vertex_separator
+from .separation import SeparatorResult, minimalize_separator, min_vertex_separator
 from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, validate_nice
 
 
@@ -628,7 +628,8 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass,
     if s == t:
         raise DomainError("terminals must be distinct")
     stats = {} if stats_out is None else stats_out
-    r = min_vertex_separator(G, (s,), (t,), cap=k)
+    # oriented as reduce_instance meets the pair, which then reuses it
+    r = min_vertex_separator(G, (min(s, t),), (max(s, t),), cap=k)
     stats["ell"] = None if not r.is_finite else int(r.size)
     stats["excess"] = None if not r.is_finite else k - int(r.size)
     if G.has_edge(s, t):
@@ -640,7 +641,7 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass,
             return None
         return DPWitness((), Graph(0), dict(stats))
     final = CutConstraints(((s, t),))
-    wit = g_multicut_uncut(G, final, k, cls, stats_out=stats)
+    wit = g_multicut_uncut(G, final, k, cls, flow=r, stats_out=stats)
     if wit is None:
         return None
     S = minimalize_separator(G, wit.deletion_set, (s,), (t,))
@@ -650,9 +651,11 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass,
 
 
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
+                     flow: Optional[SeparatorResult] = None,
                      stats_out: Optional[dict] = None) -> Optional[DPWitness]:
     """Deletion set separating every cut pair, keeping every uncut pair
-    connected, inducing a member of cls."""
+    connected, inducing a member of cls. ``flow`` is handed to
+    ``reduce_instance``."""
     stats = {} if stats_out is None else stats_out
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
@@ -667,7 +670,7 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         if verify_solution(G, (), norm, k, cls):
             return DPWitness((), Graph(0), dict(stats))
         return None
-    ri = reduce_instance(G, terms, k)
+    ri = reduce_instance(G, terms, k, flow=flow)
     stats["cover_size"] = len(ri.cover)
     stats["width_bound"] = ri.width_bound
     td = decompose(ri.gstar)

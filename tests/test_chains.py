@@ -1,7 +1,7 @@
 import pytest
 
 from sepkit.chains import SeparatorChain, build_chain, validate_chain
-from sepkit.graphs import DomainError, Graph
+from sepkit.graphs import DomainError, Graph, boundary, reachable_from
 from sepkit.oracle import FIXTURES, enumerate_minimal_separators
 from sepkit.separation import min_vertex_separator
 
@@ -31,8 +31,8 @@ def test_chain_c4():
 
 def test_chain_pp():
     ch = build_chain(PP, 0, 5)
-    assert ch.sets == ((0,), (0, 1, 3))
-    assert ch.boundaries == ((1, 3), (2, 4))
+    assert ch.sets == ((0,), (0, 1), (0, 1, 3))
+    assert ch.boundaries == ((1, 3), (2, 3), (2, 4))
     assert validate_chain(PP, 0, 5, ch, _minimum_seps(PP, 0, 5))
 
 
@@ -94,3 +94,68 @@ def test_chain_reuses_given_flow():
         build_chain(PP, 0, 5, flow=min_vertex_separator(PP, (5,), (0,)))
     with pytest.raises(DomainError):
         build_chain(PP, 0, 5, flow=min_vertex_separator(C4, (0,), (2,)))
+
+
+def _uncrossed_chain(G, s, t):
+    """Reference twin: the same per-vertex s-sides made laminar by pairwise
+    uncrossing (a crossing pair is replaced by intersection and union)."""
+    r = min_vertex_separator(G, (s,), (t,))
+    ell = int(r.size)
+    sides = {}
+    for v in range(G.n):
+        witness = r.residual.separator_through(v)
+        if witness is not None and witness not in sides:
+            sides[witness] = frozenset(reachable_from(G, (s,), witness))
+    collection = sorted(sides.values(), key=lambda X: (len(X), sorted(X)))
+    max_steps = G.n * len(collection) ** 2
+    steps = 0
+    crossing = True
+    while crossing:
+        crossing = False
+        for i, Xi in enumerate(collection):
+            Xj = next((Y for Y in collection[i + 1:] if not (Xi <= Y or Y <= Xi)), None)
+            if Xj is None:
+                continue
+            steps += 1
+            assert steps <= max_steps, "uncrossing failed to make progress"
+            inter, union = Xi & Xj, Xi | Xj
+            d_inter, d_union = set(boundary(G, inter)), set(boundary(G, union))
+            assert len(d_inter) == len(d_union) == ell
+            assert d_inter | d_union == set(boundary(G, Xi)) | set(boundary(G, Xj))
+            rest = [X for X in collection if X not in (Xi, Xj)]
+            rest += [X for X in dict.fromkeys((inter, union)) if X not in rest]
+            collection = sorted(rest, key=lambda X: (len(X), sorted(X)))
+            crossing = True
+            break
+    return ell, [boundary(G, X) for X in collection]
+
+
+def _chain_cases():
+    for name, fx in FIXTURES.items():
+        G = fx.graph
+        for s in range(G.n):
+            for t in range(s + 1, G.n):
+                if not G.has_edge(s, t):
+                    yield f"{name}-{s}-{t}", G, s, t
+    for i, (G, rng) in enumerate(seeded_graphs(320, seed=23, n_lo=5, n_hi=30)):
+        pair = nonadjacent_pair(G, rng)
+        if pair is not None:
+            yield f"seeded-{i}", G, pair[0], pair[1]
+
+
+def test_chain_matches_uncrossing_twin():
+    checked = 0
+    for name, G, s, t in _chain_cases():
+        ch = build_chain(G, s, t)
+        ell, twin_bounds = _uncrossed_chain(G, s, t)
+        assert ch.ell == ell, name
+        covered = set().union(*map(set, ch.boundaries))
+        assert covered == set().union(*map(set, twin_bounds)), name
+        assert all(set(a) < set(b) for a, b in zip(ch.sets, ch.sets[1:])), name
+        assert all(len(S) == ell for S in ch.boundaries), name
+        if G.n <= 14:
+            assert validate_chain(G, s, t, ch, _minimum_seps(G, s, t)), name
+        else:
+            assert validate_chain(G, s, t, ch, ()), name
+        checked += 1
+    assert checked >= 300

@@ -1,5 +1,8 @@
+import ast
 import json
+import pathlib
 import shlex
+import sys
 import time
 import warnings
 
@@ -7,8 +10,10 @@ import pytest
 
 import sepkit.cli
 import sepkit.problems
+import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
+from sepkit.chains import SeparatorChain
 from sepkit.cli import _build_parser, run_command
 from sepkit.graphs import serialize_graph
 from sepkit.oracle import FIXTURES
@@ -256,7 +261,7 @@ def test_stable_cut_complete_bipartite_is_fast(tmp_path, capsys):
     assert doc["answer"] == "YES" and doc["witness"] == list(range(3, 15))
 
 
-def test_cover_command_runs_one_flow(graph_files, capsys, monkeypatch):
+def _count_flows(monkeypatch) -> list:
     calls = []
     flow = sepkit.separation.min_vertex_separator
 
@@ -264,11 +269,30 @@ def test_cover_command_runs_one_flow(graph_files, capsys, monkeypatch):
         calls.append(1)
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(sepkit.separation, "min_vertex_separator", counted)
-    monkeypatch.setattr(sepkit.cli, "min_vertex_separator", counted)
+    for module in (sepkit.separation, sepkit.reduction, sepkit.solver, sepkit.cli):
+        monkeypatch.setattr(module, "min_vertex_separator", counted)
+    return calls
+
+
+def test_cover_command_runs_one_flow(graph_files, capsys, monkeypatch):
+    calls = _count_flows(monkeypatch)
     code, doc, _ = _run(capsys, ["cover", "--graph", graph_files["Q3"],
                                  "--s", "1", "--t", "8", "--k", "3"])
     assert code == 0 and doc["stats"]["cover_size"] == 8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, graph, flags, answer", [
+    ("stable-cut", "Q3", ["--s", "1", "--t", "8", "--k", "3"], "YES"),
+    ("stable-cut", "Q3", ["--s", "8", "--t", "1", "--k", "3"], "YES"),
+    ("stable-cut", "C4", ["--s", "1", "--t", "3", "--k", "1"], "NO"),
+    ("eivc", "PP", ["--s", "1", "--t", "6", "--k", "1"], "NO"),
+])
+def test_mincut_commands_run_one_flow(graph_files, capsys, monkeypatch,
+                                      command, graph, flags, answer):
+    calls = _count_flows(monkeypatch)
+    code, doc, _ = _run(capsys, [command, "--graph", graph_files[graph]] + flags)
+    assert code == 0 and doc["answer"] == answer
     assert len(calls) == 1
 
 
@@ -302,3 +326,63 @@ def test_failed_edge_witness_check_exit_3(graph_files, capsys, monkeypatch):
     assert code == 3
     assert err == (f"verification error: edge witness failed re-verification; "
                    f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def _crossed_chain(G, s, t):
+    return SeparatorChain(2, ((0, 1), (0, 3)), ((2, 3), (1, 4)), (), (0, 1, 2, 3, 4), (s,), (t,))
+
+
+def _fails_in(function_name, real):
+    """``real``, except that calls made from ``function_name`` answer False."""
+    def patched(*args):
+        if sys._getframe(1).f_code.co_name == function_name:
+            return False
+        return real(*args)
+    return patched
+
+
+@pytest.mark.parametrize("command, graph, flags, target, replacement", [
+    ("minsep", "C4", ["--s", "1", "--t", "3"], "is_separator", lambda *args: False),
+    ("chain", "PP", ["--s", "1", "--t", "6"], "build_chain", _crossed_chain),
+    ("decompose", "Q3", [], "validate_decomposition", lambda *args: False),
+])
+def test_failed_cli_result_check_exit_3(graph_files, capsys, monkeypatch, command,
+                                        graph, flags, target, replacement):
+    monkeypatch.setattr(sepkit.cli, target, replacement)
+    argv = [command, "--graph", graph_files[graph]] + flags
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err.startswith("verification error: ") and err.count("\n") == 1
+    assert err.endswith(f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def test_failed_oct_check_exit_3(graph_files, capsys, monkeypatch):
+    monkeypatch.setattr(sepkit.problems, "_bipartite_without", lambda *args: False)
+    argv = ["oct", "--graph", graph_files["D4"], "--k", "1"]
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err == ("verification error: odd cycle transversal failed re-verification; "
+                   f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def test_failed_exact_stable_bip_check_exit_3(tmp_path, capsys, monkeypatch):
+    # C7 at k=1 takes the long-odd-cycle path, whose result is re-checked
+    p = tmp_path / "c7.gr"
+    p.write_text("p 7 7\n" + "".join(f"e {i + 1} {(i + 1) % 7 + 1}\n" for i in range(7)))
+    argv = ["exact-stable-bip", "--graph", str(p), "--k", "1"]
+    code, doc, _ = _run(capsys, argv)
+    assert code == 0 and doc["answer"] == "YES"
+    monkeypatch.setattr(sepkit.problems, "_is_independent",
+                        _fails_in("_exact_solve", sepkit.problems._is_independent))
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err == ("verification error: stable bipartization failed re-verification; "
+                   f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def test_cli_has_no_assert_statements():
+    # a result check written as assert vanishes under python -O
+    source = pathlib.Path(sepkit.cli.__file__).read_text(encoding="utf-8")
+    found = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Assert)]
+    assert found == []

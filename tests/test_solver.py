@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepkit.reduction
+import sepkit.separation
 import sepkit.solver
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
@@ -330,3 +332,30 @@ def test_multicut_matches_oracle():
         fast = g_multicut_uncut(G, CutConstraints(tuple(cut), tuple(uncut)), k, EDGELESS)
         slow = bf_multicut_uncut(G, cut, uncut, k, EDGELESS.membership)
         assert (fast is None) == (slow is None)
+
+
+def test_g_mincut_runs_one_flow(monkeypatch):
+    calls = []
+    flow = sepkit.separation.min_vertex_separator
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return flow(*args, **kwargs)
+
+    for module in (sepkit.separation, sepkit.reduction, sepkit.solver):
+        monkeypatch.setattr(module, "min_vertex_separator", counted)
+    stats = {}
+    assert g_mincut(FIXTURES["Q3"].graph, 0, 7, 3, ANY, stats_out=stats) is not None
+    assert calls == [((0,), (7,))]
+    assert stats["ell"] == 3 and stats["excess"] == 0
+
+
+def test_reduce_instance_reuses_given_flow():
+    PP = FIXTURES["PP"].graph
+    for cap in (1, 2):
+        flow = sepkit.separation.min_vertex_separator(PP, (0,), (5,), cap=cap)
+        assert reduce_instance(PP, (0, 5), cap, flow=flow) == reduce_instance(PP, (0, 5), cap)
+    with pytest.raises(DomainError):
+        reduce_instance(PP, (0, 5), 2, flow=sepkit.separation.min_vertex_separator(PP, (5,), (0,)))
+    with pytest.raises(DomainError):
+        reduce_instance(PP, (0, 5), 2, flow=sepkit.separation.min_vertex_separator(C4, (0,), (2,)))
