@@ -347,14 +347,27 @@ def _nonadjacent_pair(G: Graph, rng: random.Random) -> Optional[tuple[int, int]]
     return rng.choice(pairs) if pairs else None
 
 
+GMINCUT_CLASSES = ("edgeless", "any", "forest", "bipartite", "maxdeg:1", "matchdef:1")
+
+
 def cross_check(config: CheckConfig) -> CheckReport:
     """Run every selected fast/oracle pair over the fixtures plus random
-    instances; per-trial seeds derive from the config seed by counter."""
+    instances; per-trial seeds derive from the config seed by counter.
+
+    An exception in a trial is recorded as a mismatch whose ``fast`` is the
+    exception's repr (type and message), with the trial's params so far, and
+    the run goes on."""
     from . import chains, problems, separation, solver
     from .reduction import cover_set
 
     report = CheckReport()
     edgeless = solver.EDGELESS
+    # the running trial's params, for a trial that raises
+    current = [{}]
+
+    def trial(**params) -> dict:
+        current[0] = params
+        return params
 
     def sample(counter: int, lo: int = 4) -> tuple[Graph, random.Random, int]:
         seed = config.seed * 1_000_003 + counter
@@ -366,23 +379,25 @@ def cross_check(config: CheckConfig) -> CheckReport:
     def run_minsep(G, rng, tag):
         s = rng.randrange(G.n)
         t = rng.choice([v for v in range(G.n) if v != s])
+        params = trial(s=s, t=t)
         fast = separation.min_vertex_separator(G, (s,), (t,)).size
         if config.inject_fault and tag == 0:
             fast = fast + 1 if fast != INF else 0
         slow = bf_min_separator_size(G, (s,), (t,))
         if fast != slow:
-            report.record("minsep", G, {"s": s, "t": t}, fast, slow)
+            report.record("minsep", G, params, fast, slow)
 
     def run_chain(G, rng, tag):
         pair = _nonadjacent_pair(G, rng)
         if pair is None:
             return
         s, t = pair
+        params = trial(s=s, t=t)
         ch = chains.build_chain(G, s, t)
         ell = int(separation.min_vertex_separator(G, (s,), (t,)).size)
         seps = [S for S in enumerate_minimal_separators(G, s, t, ell) if len(S) == ell]
         if not chains.validate_chain(G, s, t, ch, seps):
-            report.record("chain", G, {"s": s, "t": t}, ch, seps)
+            report.record("chain", G, params, ch, seps)
 
     def run_cover(G, rng, tag):
         pair = _nonadjacent_pair(G, rng)
@@ -391,20 +406,24 @@ def cross_check(config: CheckConfig) -> CheckReport:
         s, t = pair
         ell = separation.min_vertex_separator(G, (s,), (t,)).size
         k = int(ell) + rng.randint(0, 2) if ell != INF else rng.randint(1, config.k_max)
+        params = trial(s=s, t=t, k=k)
         cov = set(cover_set(G, s, t, k))
         missing = [S for S in enumerate_minimal_separators(G, s, t, k)
                    if not set(S) <= cov]
         if missing or not {s, t} <= cov:
-            report.record("cover", G, {"s": s, "t": t, "k": k}, sorted(cov), missing)
+            report.record("cover", G, params, sorted(cov), missing)
 
     def run_gmincut(G, rng, tag):
         s = rng.randrange(G.n)
         t = rng.choice([v for v in range(G.n) if v != s])
         k = rng.randint(0, config.k_max)
-        fast = problems.stable_st_cut(G, s, t, k)
-        slow = bf_g_mincut(G, s, t, k, edgeless.membership)
+        name = rng.choice(GMINCUT_CLASSES)
+        params = trial(s=s, t=t, k=k, cls=name)
+        cls = solver.parse_class(name)
+        fast = solver.g_mincut(G, s, t, k, cls)
+        slow = bf_g_mincut(G, s, t, k, cls.membership)
         if (fast is None) != (slow is None):
-            report.record("gmincut", G, {"s": s, "t": t, "k": k}, fast, slow)
+            report.record("gmincut", G, params, fast, slow)
 
     def run_multicut(G, rng, tag):
         if G.n < 4:
@@ -413,41 +432,46 @@ def cross_check(config: CheckConfig) -> CheckReport:
         cut = [(vs[0], vs[1])]
         uncut = [(vs[2], vs[3])]
         k = rng.randint(0, config.k_max)
+        params = trial(cut=cut, uncut=uncut, k=k)
         cons = solver.CutConstraints(tuple(cut), tuple(uncut))
         fast = solver.g_multicut_uncut(G, cons, k, edgeless)
         slow = bf_multicut_uncut(G, cut, uncut, k, edgeless.membership)
         if (fast is None) != (slow is None):
-            report.record("multicut", G, {"cut": cut, "uncut": uncut, "k": k}, fast, slow)
+            report.record("multicut", G, params, fast, slow)
 
     def run_oct(G, rng, tag):
         k = rng.randint(0, config.k_max)
+        params = trial(k=k)
         fast = problems.odd_cycle_transversal(G, k)
         slow = bf_odd_cycle_transversal(G, k)
         if (fast is None) != (slow is None):
-            report.record("oct", G, {"k": k}, fast, slow)
+            report.record("oct", G, params, fast, slow)
 
     def run_stablebip(G, rng, tag):
         k = rng.randint(0, config.k_max)
+        params = trial(k=k)
         fast = problems.stable_bipartization(G, k)
         slow = bf_stable_bipartization(G, k)
         if (fast is None) != (slow is None):
-            report.record("stablebip", G, {"k": k}, fast, slow)
+            report.record("stablebip", G, params, fast, slow)
 
     def run_exactbip(G, rng, tag):
         k = rng.randint(0, config.k_max)
+        params = trial(k=k)
         fast = problems.exact_stable_bipartization(G, k)
         slow = bf_exact_stable_bipartization(G, k)
         if (fast is None) != (slow is None):
-            report.record("exactbip", G, {"k": k}, fast, slow)
+            report.record("exactbip", G, params, fast, slow)
 
     def run_eivc(G, rng, tag):
         s = rng.randrange(G.n)
         t = rng.choice([v for v in range(G.n) if v != s])
         k = rng.randint(0, min(2, config.k_max))
+        params = trial(s=s, t=t, k=k)
         fast = problems.edge_induced_vertex_cut(G, s, t, k)
         slow = bf_edge_induced_vertex_cut(G, s, t, k)
         if (fast is None) != (slow is None):
-            report.record("eivc", G, {"s": s, "t": t, "k": k}, fast, slow)
+            report.record("eivc", G, params, fast, slow)
 
     def run_exactc(G, rng, tag):
         pair = _nonadjacent_pair(G, rng)
@@ -455,10 +479,11 @@ def cross_check(config: CheckConfig) -> CheckReport:
             return
         s, t = pair
         k = rng.randint(1, config.k_max)
+        params = trial(s=s, t=t, k=k)
         fast = problems.exact_separator_union(G, s, t, k)
         slow = bf_separator_union(G, s, t, k)
         if tuple(fast) != tuple(slow):
-            report.record("exactc", G, {"s": s, "t": t, "k": k}, fast, slow)
+            report.record("exactc", G, params, fast, slow)
 
     runners = {
         "minsep": run_minsep, "chain": run_chain, "cover": run_cover,
@@ -470,11 +495,17 @@ def cross_check(config: CheckConfig) -> CheckReport:
     if not selected or config.trials <= 0:
         return report
 
+    def run(name: str, G: Graph, rng: random.Random, tag: int) -> None:
+        current[0] = {}
+        try:
+            runners[name](G, rng, tag)
+        except Exception as exc:    # a crash is a mismatch, not the end
+            report.record(name, G, dict(current[0]), exc, None)
+
     t0 = time.perf_counter()
     for fx in FIXTURES.values():
-        rng = random.Random(config.seed)
         for name in selected:
-            runners[name](fx.graph, random.Random(config.seed), -1)
+            run(name, fx.graph, random.Random(config.seed), -1)
             report.trials += 1
     report.elapsed["fixtures"] = time.perf_counter() - t0
 
@@ -484,7 +515,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         t0 = time.perf_counter()
         G, rng, seed = sample(counter)
         before = len(report.mismatches)
-        runners[name](G, rng, counter // len(selected))
+        run(name, G, rng, counter // len(selected))
         for entry in report.mismatches[before:]:
             entry["params"]["seed"] = seed   # replay: same model seed and params
         report.trials += 1

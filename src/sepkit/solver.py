@@ -7,12 +7,36 @@ On a reduced instance G is the torso of the cover: blocks merge along all of
 its edges, but the deleted set's graph comes from G[cover] (``induced``).
 
 A state at a decomposition node consists of
-  * which bag vertices are deleted,
+  * which bag vertices are deleted (the pins, ranked by id),
   * the partition of the kept bag vertices into connectivity blocks, each
     block carrying the set of terminals attached to it,
   * the partition of terminals whose components are already finalized, and
-  * a canonically labeled copy of the graph induced on all deleted vertices,
-    with the currently-in-bag deleted vertices pinned.
+  * the class's summary of the graph induced on all deleted vertices so far.
+
+A summary (``ClassSummary``) keeps of that graph only what decides how it can
+still be extended. The DP changes the graph in three ways: a new pin with
+edges to some pins, a pin turning free (its edges are then final), and the
+gluing of two graphs along the same pins at a join. A summary must be a right
+congruence for these operations: two graphs with equal summaries (and the
+same pins) stay in or out of the class together under every sequence of
+them, and the summary of the result depends only on the summary. Merging
+states with equal summaries is then exact. This is the usual feedback vertex
+set and odd cycle transversal over treewidth argument (Cygan et al.,
+*Parameterized Algorithms*, 2015, ch. 7). The built-in summaries: the count m
+and pin count for ``any`` and ``edgeless``; the pins' degrees for
+``maxdeg:d`` (a free vertex's degree is final); the pins' partition by
+component for ``forest``, where a glued graph is acyclic iff its number of
+parts is c_L + c_R + |pin-pin edges| - p; the pins' partition with a colour
+parity per pin for ``bipartite``. A class given by a membership test alone
+keeps a canonically labeled copy of the whole graph, with the pins fixed,
+and judges it by membership (``matchdef:``, ``forbid:``).
+
+Element 0 of every summary is m, the size of the deleted set, which the
+budget checks read: a join glues mL + mR - p deleted vertices. Every
+summary also fixes the pin count p. The join memo below is keyed by the two
+summaries, so a summary of m alone would let joins with different pin counts
+share an entry. Fields fixed by the pins, such as the pin-pin edges, never
+split states, since the deleted bag vertices are part of the state anyway.
 
 Pruning: a state dies when its accumulated induced graph leaves the class
 (sound because the class is hereditary), when a finalized component contains
@@ -23,12 +47,13 @@ exact induced subgraph.
 
 Every transition is a pure function of the state components it reads:
 introducing a kept vertex of the blocks, introducing a deleted vertex of the
-deleted set and the form, and a join of each component pair (forms, closed
-partitions, blocks) separately. Many states share components, and the chains
-of join nodes that the nice form builds over one bag meet the same pairs
-again, so one ``dp_constrained_cut`` call keeps each transition's result,
-pruning verdict included, in dicts that live as long as the call. The states
-visited, their order and the back-pointers are those of the plain loop.
+deleted set and the summary, and a join of each component pair (summaries,
+closed partitions, blocks) separately. Many states share components, and the
+chains of join nodes that the nice form builds over one bag meet the same
+pairs again, so one ``dp_constrained_cut`` call keeps each transition's
+result, pruning verdict included, in dicts that live as long as the call.
+The states visited, their order and the back-pointers are those of the plain
+loop.
 
 The budget k is first clamped to the number of deletable vertices, since no
 accumulated graph can have more; only then is it held against the class's
@@ -41,7 +66,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import (DomainError, Graph, components, induced_subgraph,
                      two_coloring, vset)
@@ -52,19 +77,41 @@ from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, val
 
 # -- hereditary classes -------------------------------------------------------
 
+class ClassSummary(NamedTuple):
+    """What the DP keeps of the deleted set's graph (module docstring).
+
+    Pins are the deleted bag vertices, named by rank 0..p-1. ``empty`` is the
+    summary of the empty graph. ``add_pin(s, rank, nbr_ranks)`` inserts a pin
+    at ``rank`` adjacent to the pins ``nbr_ranks`` (ranks before the insert);
+    ``unpin(s, rank)`` makes that pin free; ``join(l, r)`` glues two graphs
+    with the same pins. ``add_pin`` and ``join`` return None when the result
+    leaves the class. Summaries are hashable tuples whose element 0 is the
+    vertex count m and which determine p; all four operations are pure.
+    """
+    empty: tuple
+    add_pin: Callable[[tuple, int, Sequence[int]], Optional[tuple]]
+    unpin: Callable[[tuple, int], tuple]
+    join: Callable[[tuple, tuple], Optional[tuple]]
+
+
 class HereditaryClass:
     """Decidable graph class closed under induced subgraphs.
 
     ``max_check``, when set, is the largest graph the membership test is
-    asked to decide; None means no limit.
+    asked to decide; None means no limit. ``summary`` is what the DP tracks
+    of a deleted set's graph; it must accept exactly the graphs that
+    ``membership`` accepts. Without one the DP keeps a canonical form of
+    the whole graph and judges it with ``membership``.
     """
 
     def __init__(self, name: str, membership: Callable[[Graph], bool],
-                 max_check: Optional[int] = None):
+                 max_check: Optional[int] = None,
+                 summary: Optional[ClassSummary] = None):
         self.name = name
         self.membership = membership
         self.max_check = max_check
         self._cache: dict = {}
+        self.summary = _form_summary(self) if summary is None else summary
 
     def contains(self, G: Graph) -> bool:
         if self.max_check is not None and G.n > self.max_check:
@@ -79,6 +126,165 @@ class HereditaryClass:
 
     def __repr__(self):
         return f"HereditaryClass({self.name})"
+
+
+# -- built-in class summaries ------------------------------------------------------
+#
+# Pins keep their rank order: inserting at rank r moves ranks >= r up by one,
+# removing rank r moves ranks > r down. A partition of the pins is a tuple
+# naming each pin's part by its lowest pin; pin-pin edges are a sorted tuple
+# of rank pairs.
+
+def _pin_edges_add(edges: tuple, rank: int, nbr_ranks: Sequence[int]) -> tuple:
+    def lift(x):
+        return x + (x >= rank)
+    return tuple(sorted([(lift(a), lift(b)) for a, b in edges]
+                        + [tuple(sorted((rank, lift(r)))) for r in nbr_ranks]))
+
+
+def _pin_edges_drop(edges: tuple, rank: int) -> tuple:
+    return tuple((a - (a > rank), b - (b > rank)) for a, b in edges
+                 if a != rank and b != rank)
+
+
+def _unite(p: int, relations: Iterable[tuple[int, int, int]]) -> Optional[tuple]:
+    """Union-find with parity over pins 0..p-1. A relation (a, b, x) says the
+    colours of a and b differ by x. Returns (parts, parity): the partition,
+    and each pin's colour relative to the lowest pin of its part; None when
+    the relations contradict each other (an odd cycle)."""
+    parent, rel = list(range(p)), [0] * p
+
+    def find(x):
+        par = 0
+        while parent[x] != x:
+            par ^= rel[x]
+            x = parent[x]
+        return x, par
+
+    for a, b, x in relations:
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            if pa ^ pb != x:
+                return None
+        else:
+            parent[ra], rel[ra] = rb, pa ^ pb ^ x
+    parts, parity, lowest = [], [], {}
+    for i in range(p):
+        root, pi = find(i)
+        j, pj = lowest.setdefault(root, (i, pi))
+        parts.append(j)
+        parity.append(pi ^ pj)
+    return tuple(parts), tuple(parity)
+
+
+def _relations(parts: tuple, parity: tuple, insert_at: Optional[int] = None) -> list:
+    """A partition with parity as ``_unite`` relations, in the ranks after
+    a pin is inserted at ``insert_at`` (None: no insert)."""
+    at = len(parts) if insert_at is None else insert_at
+    return [(i + (i >= at), c + (c >= at), q)
+            for i, (c, q) in enumerate(zip(parts, parity))]
+
+
+def _dropped(parts: tuple, parity: tuple, rank: int) -> tuple:
+    """A partition with parity after the pin at ``rank`` is removed."""
+    anchor: dict = {}
+    relations = []
+    for i, (c, q) in enumerate(zip(parts, parity)):
+        if i != rank:
+            j = i - (i > rank)
+            a, qa = anchor.setdefault(c, (j, q))
+            relations.append((j, a, q ^ qa))
+    return _unite(len(parts) - 1, relations)
+
+
+def _count_summary(edgeless: bool) -> ClassSummary:
+    """(m, p): ``any`` needs nothing more, ``edgeless`` refuses every edge."""
+    def add_pin(s, rank, nbr_ranks):
+        if edgeless and nbr_ranks:
+            return None
+        return (s[0] + 1, s[1] + 1)
+
+    return ClassSummary((0, 0), add_pin, lambda s, rank: (s[0], s[1] - 1),
+                        lambda l, r: (l[0] + r[0] - l[1], l[1]))
+
+
+def _degree_summary(d: int) -> ClassSummary:
+    """(m, pin degrees, pin-pin edges); a join counts each pin-pin edge once."""
+    def add_pin(s, rank, nbr_ranks):
+        m, degs, edges = s
+        degs = list(degs)
+        for r in nbr_ranks:
+            degs[r] += 1
+        degs.insert(rank, len(nbr_ranks))
+        if max(degs) > d:
+            return None
+        return (m + 1, tuple(degs), _pin_edges_add(edges, rank, nbr_ranks))
+
+    def unpin(s, rank):
+        m, degs, edges = s
+        return (m, degs[:rank] + degs[rank + 1:], _pin_edges_drop(edges, rank))
+
+    def join(l, r):
+        m, degs, edges = l
+        both = list(degs)
+        for a, b in edges:
+            both[a] -= 1
+            both[b] -= 1
+        degs = tuple(x + y for x, y in zip(both, r[1]))
+        if degs and max(degs) > d:
+            return None
+        return (m + r[0] - len(degs), degs, edges)
+
+    return ClassSummary((0, (), ()), add_pin, unpin, join)
+
+
+def _forest_summary() -> ClassSummary:
+    """(m, pin-pin edges, pins' partition by component)."""
+    def add_pin(s, rank, nbr_ranks):
+        m, edges, parts = s
+        if len({parts[r] for r in nbr_ranks}) < len(nbr_ranks):
+            return None     # two edges into one tree close a cycle
+        relations = _relations(parts, (0,) * len(parts), rank)
+        relations += [(rank, r + (r >= rank), 0) for r in nbr_ranks]
+        return (m + 1, _pin_edges_add(edges, rank, nbr_ranks),
+                _unite(len(parts) + 1, relations)[0])
+
+    def unpin(s, rank):
+        m, edges, parts = s
+        return (m, _pin_edges_drop(edges, rank),
+                _dropped(parts, (0,) * len(parts), rank)[0])
+
+    def join(l, r):
+        m, edges, parts = l
+        p = len(parts)
+        zeros = (0,) * p
+        glued = _unite(p, _relations(parts, zeros) + _relations(r[2], zeros))[0]
+        # acyclic iff the glued graph has |V| - |E| components
+        if len(set(glued)) != len(set(parts)) + len(set(r[2])) + len(edges) - p:
+            return None
+        return (m + r[0] - p, edges, glued)
+
+    return ClassSummary((0, (), ()), add_pin, unpin, join)
+
+
+def _bipartite_summary() -> ClassSummary:
+    """(m, pins' partition by component, colour parity per pin)."""
+    def add_pin(s, rank, nbr_ranks):
+        m, parts, parity = s
+        relations = _relations(parts, parity, rank)
+        relations += [(rank, r + (r >= rank), 1) for r in nbr_ranks]
+        out = _unite(len(parts) + 1, relations)
+        return None if out is None else (m + 1,) + out
+
+    def unpin(s, rank):
+        return (s[0],) + _dropped(s[1], s[2], rank)
+
+    def join(l, r):
+        p = len(l[1])
+        out = _unite(p, _relations(l[1], l[2]) + _relations(r[1], r[2]))
+        return None if out is None else (l[0] + r[0] - p,) + out
+
+    return ClassSummary((0, (), ()), add_pin, unpin, join)
 
 
 def _is_forest(G: Graph) -> bool:
@@ -147,14 +353,17 @@ def matching_deficiency(G: Graph) -> int:
     return G.n - len(maximum_matching(G))
 
 
-EDGELESS = HereditaryClass("edgeless", lambda H: H.m == 0)
-ANY = HereditaryClass("any", lambda H: True)
-FOREST = HereditaryClass("forest", _is_forest)
-BIPARTITE = HereditaryClass("bipartite", lambda H: two_coloring(H) is not None)
+EDGELESS = HereditaryClass("edgeless", lambda H: H.m == 0,
+                           summary=_count_summary(edgeless=True))
+ANY = HereditaryClass("any", lambda H: True, summary=_count_summary(edgeless=False))
+FOREST = HereditaryClass("forest", _is_forest, summary=_forest_summary())
+BIPARTITE = HereditaryClass("bipartite", lambda H: two_coloring(H) is not None,
+                            summary=_bipartite_summary())
 
 
 def MAX_DEGREE(d: int) -> HereditaryClass:
-    return HereditaryClass(f"maxdeg:{d}", lambda H: all(H.degree(v) <= d for v in range(H.n)))
+    return HereditaryClass(f"maxdeg:{d}", lambda H: all(H.degree(v) <= d for v in range(H.n)),
+                           summary=_degree_summary(d))
 
 
 def MATCH_DEFICIENCY(k: int) -> HereditaryClass:
@@ -332,6 +541,17 @@ def _form_join(left: tuple, right: tuple) -> Optional[tuple]:
     return _canon(mL + mR - p, p, tuple(merged))
 
 
+def _form_summary(cls: HereditaryClass) -> ClassSummary:
+    """The default summary: the canonical form, judged by membership."""
+    def judged(form: tuple) -> Optional[tuple]:
+        return form if cls.contains_key(form[0], form[2]) else None
+
+    return ClassSummary(_canon(0, 0, ()),
+                        lambda form, rank, nbr_ranks: judged(_form_add_pin(form, rank, nbr_ranks)),
+                        _form_unpin,
+                        lambda left, right: judged(_form_join(left, right)))
+
+
 # -- block bookkeeping -----------------------------------------------------------
 
 def _blocks_introduce(blocks: tuple, v: int, G: Graph, terminals: frozenset) -> tuple:
@@ -379,7 +599,6 @@ _MISSING = object()
 
 def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                        cls: HereditaryClass, induced: Optional[Graph] = None,
-                       prune_hereditary: bool = True,
                        stats_out: Optional[dict] = None) -> Optional[DPWitness]:
     """Search for a valid deletion set over a nice decomposition of G.
     Blocks merge along every edge of G; the class judges the deleted set in
@@ -393,14 +612,9 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
     if cls.max_check is not None and k > cls.max_check:
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
     nbr_sets = induced.neighbor_sets()
+    summary = cls.summary
     cut_pairs = tuple(cons.cut_pairs)
     uncut_pairs = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
-
-    def class_ok(form):
-        if not prune_hereditary:
-            return True
-        m, _p, edges = form
-        return cls.contains_key(m, edges)
 
     def close_checks(group: tuple, closed: tuple) -> bool:
         gs = set(group)
@@ -423,17 +637,15 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                 return False
         return True
 
-    def delete_vertex(deleted: tuple, form: tuple, v: int) -> tuple:
+    def delete_vertex(deleted: tuple, summ: tuple, v: int) -> tuple:
         rank = sum(1 for d in deleted if d < v)
         nbr_ranks = [i for i, d in enumerate(deleted) if d in nbr_sets[v]]
-        nform = _form_add_pin(form, rank, nbr_ranks)
-        return nform, class_ok(nform), tuple(sorted(deleted + (v,)))
+        return summary.add_pin(summ, rank, nbr_ranks), tuple(sorted(deleted + (v,)))
 
-    def join_forms(lform: tuple, rform: tuple) -> Optional[tuple]:
-        nform = _form_join(lform, rform)
-        if nform[0] > k or not class_ok(nform):
+    def join_summaries(lsumm: tuple, rsumm: tuple, p: int) -> Optional[tuple]:
+        if lsumm[0] + rsumm[0] - p > k:
             return None
-        return nform
+        return summary.join(lsumm, rsumm)
 
     def join_closed(lclosed: tuple, rclosed: tuple) -> Optional[tuple]:
         nclosed = tuple(sorted(lclosed + rclosed))
@@ -444,7 +656,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
     # None marks a pruned join
     keep_memos: dict = {}
     del_memos: dict = {}
-    form_joins: dict = {}
+    summary_joins: dict = {}
     closed_joins: dict = {}
     block_joins: dict = {}
 
@@ -452,7 +664,6 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
     total_states = 0
     peak = 0
 
-    empty_form = _canon(0, 0, ())
     for idx, nd in enumerate(nice.nodes):
         table: dict = {}
 
@@ -461,7 +672,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                 table[key] = (len(table), back)
 
         if nd.kind == LEAF:
-            put(((), (), (), empty_form), ("leaf",))
+            put(((), (), (), summary.empty), ("leaf",))
 
         elif nd.kind == INTRODUCE:
             v = nd.vertex
@@ -469,32 +680,31 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
             keep_memo = keep_memos.setdefault(v, {})
             del_memo = del_memos.setdefault(v, {})
             for key in tables[child]:
-                deleted, blocks, closed, form = key
+                deleted, blocks, closed, summ = key
                 # keep v
                 nblocks = keep_memo.get(blocks)
                 if nblocks is None:
                     nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, terminals)
-                put((deleted, nblocks, closed, form), ("keep", key))
+                put((deleted, nblocks, closed, summ), ("keep", key))
                 # delete v
-                if v not in terminals and form[0] < k:
-                    dk = (deleted, form)
+                if v not in terminals and summ[0] < k:
+                    dk = (deleted, summ)
                     out = del_memo.get(dk)
                     if out is None:
-                        out = del_memo[dk] = delete_vertex(deleted, form, v)
-                    nform, ok, ndel = out
-                    if ok:
-                        put((ndel, blocks, closed, nform), ("del", key))
+                        out = del_memo[dk] = delete_vertex(deleted, summ, v)
+                    nsumm, ndel = out
+                    if nsumm is not None:
+                        put((ndel, blocks, closed, nsumm), ("del", key))
 
         elif nd.kind == FORGET:
             v = nd.vertex
             child = nd.children[0]
             for key in tables[child]:
-                deleted, blocks, closed, form = key
+                deleted, blocks, closed, summ = key
                 if v in deleted:
-                    rank = deleted.index(v)
-                    nform = _form_unpin(form, rank)
+                    nsumm = summary.unpin(summ, deleted.index(v))
                     ndel = tuple(d for d in deleted if d != v)
-                    put((ndel, blocks, closed, nform), ("fd", key))
+                    put((ndel, blocks, closed, nsumm), ("fd", key))
                 else:
                     nblocks = []
                     group = None
@@ -512,7 +722,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                         if not close_checks(group, closed):
                             continue
                         nclosed = tuple(sorted(closed + (group,)))
-                    put((deleted, tuple(sorted(nblocks)), nclosed, form), ("fk", key))
+                    put((deleted, tuple(sorted(nblocks)), nclosed, summ), ("fk", key))
 
         elif nd.kind == JOIN:
             lchild, rchild = nd.children
@@ -520,16 +730,16 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
             for rkey in tables[rchild]:
                 by_deleted.setdefault(rkey[0], []).append(rkey)
             for lkey in tables[lchild]:
-                deleted, lblocks, lclosed, lform = lkey
-                form_memo = form_joins.setdefault(lform, {})
+                deleted, lblocks, lclosed, lsumm = lkey
+                summary_memo = summary_joins.setdefault(lsumm, {})
                 closed_memo = closed_joins.setdefault(lclosed, {})
                 block_memo = block_joins.setdefault(lblocks, {})
                 for rkey in by_deleted.get(deleted, ()):
-                    _, rblocks, rclosed, rform = rkey
-                    nform = form_memo.get(rform, _MISSING)
-                    if nform is _MISSING:
-                        nform = form_memo[rform] = join_forms(lform, rform)
-                    if nform is None:
+                    _, rblocks, rclosed, rsumm = rkey
+                    nsumm = summary_memo.get(rsumm, _MISSING)
+                    if nsumm is _MISSING:
+                        nsumm = summary_memo[rsumm] = join_summaries(lsumm, rsumm, len(deleted))
+                    if nsumm is None:
                         continue
                     nclosed = closed_memo.get(rclosed, _MISSING)
                     if nclosed is _MISSING:
@@ -539,7 +749,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
                     nblocks = block_memo.get(rblocks)
                     if nblocks is None:
                         nblocks = block_memo[rblocks] = _blocks_join(lblocks, rblocks)
-                    put((deleted, nblocks, nclosed, nform), ("join", lkey, rkey))
+                    put((deleted, nblocks, nclosed, nsumm), ("join", lkey, rkey))
 
         tables.append(table)
         total_states += len(table)
@@ -551,23 +761,11 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
         stats_out["width"] = nice.width
 
     root = tables[-1]
-    answer = None
-    for key, (index, _back) in root.items():
-        _deleted, _blocks, closed, form = key
-        if not prune_hereditary and not cls.contains_key(form[0], form[2]):
-            continue
-        if answer is None or index < answer[1]:
-            answer = (key, index)
-    if answer is None:
+    if not root:
         return None
-
-    deletion = _reconstruct(tables, nice, answer[0])
-    sub = induced_subgraph(induced, deletion)
-    if __debug__:
-        got = _canon(sub.graph.n, 0, tuple(sub.graph.edges()))
-        want = _canon(answer[0][3][0], 0, answer[0][3][2])
-        assert got == want, "accumulated graph must match the true induced subgraph"
-    wit = DPWitness(deletion, sub.graph)
+    # the first root state reached; re-verified by the callers
+    deletion = _reconstruct(tables, nice, next(iter(root)))
+    wit = DPWitness(deletion, induced_subgraph(induced, deletion).graph)
     if stats_out is not None:
         wit.stats.update(stats_out)
     return wit

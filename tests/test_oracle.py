@@ -5,7 +5,7 @@ from sepkit.oracle import (ALL_SUITES, DEFAULT_CAP, CheckConfig, FIXTURES,
                            OracleCapError, RandomModel, brute_force_solve,
                            bf_separator_union, cross_check,
                            enumerate_minimal_separators, random_graph,
-                           subsets_by_size, _separates)
+                           serialize_graph, subsets_by_size, _separates)
 
 P3 = FIXTURES["P3"].graph
 PP = FIXTURES["PP"].graph
@@ -93,3 +93,46 @@ def test_cross_check_reproducible():
 def test_all_suites_run_one_trial():
     report = cross_check(CheckConfig(trials=len(ALL_SUITES), seed=2, n_max=7, k_max=2))
     assert report.ok
+
+
+def test_cross_check_records_a_crash_and_goes_on(monkeypatch):
+    import sepkit.problems
+    real = sepkit.problems.odd_cycle_transversal
+    calls = []
+
+    def crash_once(G, k):
+        calls.append(G)
+        if len(calls) == len(FIXTURES) + 1:     # the first random oct trial
+            raise RuntimeError("boom")
+        return real(G, k)
+
+    monkeypatch.setattr(sepkit.problems, "odd_cycle_transversal", crash_once)
+    config = CheckConfig(trials=9, seed=7, suites=("minsep", "oct", "cover"))
+    report = cross_check(config)
+    assert report.trials == 3 * len(FIXTURES) + 9
+    assert len(calls) == len(FIXTURES) + 3
+    [entry] = report.mismatches
+    assert entry["suite"] == "oct" and entry["fast"] == "RuntimeError('boom')"
+    seed = entry["params"]["seed"]
+    assert seed == 7 * 1_000_003 + 1 and "k" in entry["params"]
+    # the seed replays the graph: the sampler's model with that seed
+    assert entry["graph"] == serialize_graph(calls[len(FIXTURES)])
+    assert set(report.elapsed) == {"fixtures", "minsep", "oct", "cover"}
+
+
+def test_cross_check_gmincut_runs_every_class(monkeypatch):
+    import sepkit.solver
+    from sepkit.oracle import GMINCUT_CLASSES
+    assert cross_check(CheckConfig(trials=60, seed=3, suites=("gmincut",))).ok
+    seen = set()
+
+    def always_no(G, s, t, k, cls):
+        seen.add(cls.name)
+        return None
+
+    monkeypatch.setattr(sepkit.solver, "g_mincut", always_no)
+    report = cross_check(CheckConfig(trials=60, seed=3, suites=("gmincut",)))
+    assert seen == set(GMINCUT_CLASSES)
+    assert report.mismatches
+    for entry in report.mismatches:
+        assert entry["params"]["cls"] in GMINCUT_CLASSES

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
-from sepkit.graphs import DomainError, Graph
+from sepkit.graphs import DomainError, Graph, induced_subgraph
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
                            path_graph)
@@ -18,8 +18,8 @@ from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            HereditaryClass, VerificationError, check_hereditary,
                            decode_graph6, _canon, dp_constrained_cut, g_mincut,
                            g_multicut_uncut, matching_deficiency,
-                           maximum_matching, parse_class)
-from sepkit.treedecomp import decompose, make_nice
+                           maximum_matching, parse_class, verify_solution)
+from sepkit.treedecomp import INTRODUCE, JOIN, LEAF, decompose, make_nice
 
 from strategies import graphs, grid, seeded_graphs
 
@@ -108,21 +108,78 @@ def test_g_multicut_shared_terminals_evaluated_independently():
     assert wit is not None and wit.deletion_set == (2,)
 
 
-def test_heredity_prune_differential():
-    for G, rng in seeded_graphs(25, seed=31, n_lo=5, n_hi=9):
+BUILTIN_CLASSES = (EDGELESS, ANY, FOREST, BIPARTITE, MAX_DEGREE(0), MAX_DEGREE(1),
+                   MAX_DEGREE(2))
+
+
+def test_class_summaries_match_form_twin():
+    # a class built from its membership test alone keeps the canonical form
+    # of the deleted set's graph: the reference twin of each summary
+    twins = [HereditaryClass(cls.name, cls.membership) for cls in BUILTIN_CLASSES]
+    graphs = itertools.chain(seeded_graphs(320, seed=31, n_lo=5, n_hi=14),
+                             seeded_graphs(80, seed=32, n_lo=15, n_hi=40,
+                                           ps=(0.08, 0.12, 0.18)))
+    for G, rng in graphs:
         s, t = rng.sample(range(G.n), 2)
-        if G.has_edge(s, t):
-            continue
-        k = rng.randint(1, 3)
-        ri = reduce_instance(G, (s, t), k)
-        nice = make_nice(decompose(ri.gstar), ri.gstar)
-        cons = CutConstraints(((ri.to_gstar(s), ri.to_gstar(t)),))
-        for cls in (EDGELESS, FOREST, MAX_DEGREE(1)):
-            pruned = dp_constrained_cut(ri.gstar, nice, cons, k, cls,
-                                        ri.induced, prune_hereditary=True)
-            lazy = dp_constrained_cut(ri.gstar, nice, cons, k, cls,
-                                      ri.induced, prune_hereditary=False)
-            assert (pruned is None) == (lazy is None)
+        k = rng.randint(1, 5 if G.n <= 14 else 4)
+        for cls, twin in zip(BUILTIN_CLASSES, twins):
+            fast = g_mincut(G, s, t, k, cls)
+            assert (fast is None) == (g_mincut(G, s, t, k, twin) is None), (cls, G, s, t, k)
+            if fast is not None:
+                assert verify_solution(G, fast.deletion_set, CutConstraints(((s, t),)), k, cls)
+            if G.n <= 14:
+                assert (fast is None) == (bf_g_mincut(G, s, t, k, cls.membership) is None)
+
+
+def _summaries_along(H, nice, cls):
+    """Run the summary operations of cls over a nice decomposition of H with
+    every vertex deleted: per node, the vertices introduced below it and
+    their summary (None once rejected)."""
+    ops, nbrs = cls.summary, H.neighbor_sets()
+    out = []
+    for nd in nice.nodes:
+        kids = [out[c] for c in nd.children]
+        if nd.kind == LEAF:
+            seen, summ = frozenset(), ops.empty
+        elif nd.kind == JOIN:
+            (lseen, lsumm), (rseen, rsumm) = kids
+            seen = lseen | rseen
+            summ = None if None in (lsumm, rsumm) else ops.join(lsumm, rsumm)
+        else:
+            [(seen, summ)] = kids
+            child_bag = nice.nodes[nd.children[0]].bag
+            if nd.kind == INTRODUCE:
+                seen = seen | {nd.vertex}
+                if summ is not None:
+                    rank = sum(1 for u in child_bag if u < nd.vertex)
+                    ranks = [i for i, u in enumerate(child_bag) if u in nbrs[nd.vertex]]
+                    summ = ops.add_pin(summ, rank, ranks)
+            elif summ is not None:
+                summ = ops.unpin(summ, child_bag.index(nd.vertex))
+        out.append((seen, summ))
+    return out
+
+
+def test_class_summaries_decide_membership_at_every_node():
+    # each node's summary rejects exactly when the graph introduced below it
+    # leaves the class; at joins both sides hold the pin-pin edges
+    for G, rng in seeded_graphs(150, seed=53, n_lo=1, n_hi=9, ps=(0.2, 0.35, 0.5)):
+        nice = make_nice(decompose(G), G, root_vertex=rng.randrange(G.n))
+        for cls in BUILTIN_CLASSES:
+            for seen, summ in _summaries_along(G, nice, cls):
+                assert (summ is not None) == cls.contains(induced_subgraph(G, seen).graph)
+                assert summ is None or summ[0] == len(seen)
+
+
+def test_class_summaries_fix_the_pin_count():
+    # the join memo is keyed by the two summaries, so equal vertex counts
+    # with different pin counts must give different summaries
+    for cls in BUILTIN_CLASSES:
+        ops = cls.summary
+        two_pins = ops.add_pin(ops.add_pin(ops.empty, 0, []), 1, [])
+        no_pins = ops.unpin(ops.unpin(two_pins, 1), 0)
+        assert two_pins[0] == no_pins[0] == 2 and two_pins != no_pins
+        assert ops.join(two_pins, two_pins)[0] == 2
 
 
 def test_gadget_vertices_never_in_witnesses():
@@ -272,22 +329,26 @@ def _gnp(n, p, seed):
 Q3 = FIXTURES["Q3"].graph
 
 
-# (graph, s, t, k, class) -> (dp_states, width, witness), recorded before the
-# DP memoised its transitions; on a fixed decomposed graph any change to a
-# state count is a bug. The _gnp(12, 0.4, 123) rows were re-recorded when the
-# DP moved from the gadget replacement graph to the torso of the cover: their
-# covers add torso edges, so the decomposed graph lost its gadget vertices.
-# Their widths and witnesses stayed the same.
+# (graph, s, t, k, class) -> (dp_states, width, witness); on a fixed
+# decomposed graph any change to a state count is a bug. The rows were
+# re-recorded when the DP moved from the gadget replacement graph to the torso
+# of the cover, and again when class summaries replaced canonical forms: the
+# summary of `any` is the deleted count alone, and those of forest, bipartite
+# and maxdeg:1 forget the free vertices' edges, so equal summaries merge
+# states the forms kept apart. Widths and witnesses stayed the same. The two
+# grid 3x6 k=7 rows had 30,462 (`any`) and 23,928 (`forest`) states with forms.
 @pytest.mark.parametrize("G, s, t, k, cls, want", [
-    (Q3, 0, 7, 5, "any", (452, 3, (3, 5, 6))),
-    (Q3, 0, 7, 5, "forest", (452, 3, (3, 5, 6))),
-    (Q3, 0, 7, 5, "bipartite", (452, 3, (3, 5, 6))),
-    (Q3, 0, 7, 5, "maxdeg:1", (301, 3, (3, 5, 6))),
-    (_gnp(12, 0.4, 123), 5, 9, 5, "any", (1484, 6, (7, 8, 10))),
-    (_gnp(12, 0.4, 123), 5, 9, 5, "bipartite", (781, 6, (7, 8, 10))),
-    (_gnp(12, 0.4, 123), 5, 9, 4, "maxdeg:1", (240, 5, None)),
-    (_gnp(12, 0.4, 121), 2, 4, 5, "any", (2248, 4, (3, 5, 9, 10))),
-    (grid(3, 6), 0, 17, 4, "any", (4546, 3, (2, 8, 14))),
+    (Q3, 0, 7, 5, "any", (351, 3, (3, 5, 6))),
+    (Q3, 0, 7, 5, "forest", (373, 3, (3, 5, 6))),
+    (Q3, 0, 7, 5, "bipartite", (373, 3, (3, 5, 6))),
+    (Q3, 0, 7, 5, "maxdeg:1", (299, 3, (3, 5, 6))),
+    (_gnp(12, 0.4, 123), 5, 9, 5, "any", (796, 6, (7, 8, 10))),
+    (_gnp(12, 0.4, 123), 5, 9, 5, "bipartite", (596, 6, (7, 8, 10))),
+    (_gnp(12, 0.4, 123), 5, 9, 4, "maxdeg:1", (235, 5, None)),
+    (_gnp(12, 0.4, 121), 2, 4, 5, "any", (1009, 4, (3, 5, 9, 10))),
+    (grid(3, 6), 0, 17, 4, "any", (1835, 3, (2, 8, 14))),
+    (grid(3, 6), 0, 17, 7, "any", (3245, 3, (2, 8, 14))),
+    (grid(3, 6), 0, 17, 7, "forest", (3319, 3, (2, 8, 14))),
 ])
 def test_dp_state_counts_pinned(G, s, t, k, cls, want):
     stats = {}

@@ -3,9 +3,11 @@ import pytest
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import FIXTURES, complete_graph, cycle_graph, hypercube
 from sepkit.treedecomp import (INTRODUCE, JOIN, LEAF, TreeDecomposition,
-                               _eliminate, _fill_in, decompose, exact_treewidth,
-                               format_td, make_nice, min_fill_order, parse_td,
-                               validate_decomposition, validate_nice)
+                               _decomposition_from_order, _eliminate, _fill_in,
+                               decompose, exact_treewidth, exact_treewidth_order,
+                               format_td, make_nice, min_fill_order,
+                               minor_min_width, parse_td, validate_decomposition,
+                               validate_nice)
 
 from strategies import seeded_graphs
 
@@ -175,3 +177,45 @@ def test_min_fill_order_matches_full_rescan():
     for G, _rng in seeded_graphs(1000, seed=53, n_lo=0, n_hi=30,
                                  ps=(0.05, 0.1, 0.2, 0.3, 0.5)):
         assert min_fill_order(G) == _min_fill_rescan(G)
+
+
+def _decompose_always_exact(G):
+    """Reference twin of decompose without the lower-bound skip: the exact
+    order whenever min-fill's width exceeds n / 2."""
+    td = _decomposition_from_order(G, min_fill_order(G))
+    if G.n <= 12 and td.width > G.n / 2:
+        width, order = exact_treewidth_order(G)
+        if width < td.width:
+            td = _decomposition_from_order(G, order)
+    return td
+
+
+def test_decompose_matches_always_exact_twin():
+    for G, _rng in seeded_graphs(400, seed=61, n_lo=0, n_hi=12,
+                                 ps=(0.15, 0.3, 0.5, 0.7, 0.9)):
+        assert decompose(G) == _decompose_always_exact(G)
+
+
+def test_minor_min_width_is_a_lower_bound():
+    for G, _rng in seeded_graphs(400, seed=67, n_lo=1, n_hi=10,
+                                 ps=(0.15, 0.3, 0.5, 0.7, 0.9)):
+        assert minor_min_width(G) <= exact_treewidth(G)
+    assert minor_min_width(complete_graph(5)) == 4
+    assert minor_min_width(cycle_graph(6)) == 2
+    assert minor_min_width(Graph(3)) == 0
+
+
+def test_decompose_skips_exact_width_on_q4_torso(monkeypatch):
+    # the torso of Q4 0->15 at k=4 has 10 vertices and min-fill width 6 > 5,
+    # which the minor-min-width bound meets
+    import sepkit.treedecomp
+    from sepkit.reduction import reduce_instance
+    torso = reduce_instance(hypercube(4), (0, 15), 4).gstar
+    want = _decompose_always_exact(torso)
+    assert torso.n == 10 and want.width == 6 == minor_min_width(torso)
+
+    def refuse(G):
+        raise AssertionError("exact treewidth run although the bound proves min-fill optimal")
+
+    monkeypatch.setattr(sepkit.treedecomp, "exact_treewidth_order", refuse)
+    assert decompose(torso) == want
