@@ -61,6 +61,7 @@ from .solver import (
     DPWitness,
     HereditaryClass,
     VerificationError,
+    collect,
     dp_constrained_cut,
     g_mincut,
     g_multicut_uncut,
@@ -82,7 +83,7 @@ __all__ = [
     "HereditaryClass", "INFINITE", "MATCH_DEFICIENCY", "MAX_DEGREE",
     "NiceDecomposition", "ParseError", "ReducedInstance", "SeparatorChain",
     "SeparatorResult", "TreeDecomposition", "TreewidthBounds",
-    "VerificationError", "boundary", "build_chain", "components",
+    "VerificationError", "boundary", "build_chain", "collect", "components",
     "contract_terminal_sets", "cover_set",
     "decompose", "dp_constrained_cut", "edge_induced_vertex_cut",
     "exact_separator_union", "exact_stable_bipartization", "exact_treewidth",

@@ -22,7 +22,7 @@ from .problems import (edge_induced_vertex_cut, exact_separator_union,
                        stable_bipartization)
 from .reduction import cover_set, reduce_instance
 from .separation import is_separator, min_vertex_separator
-from .solver import (CutConstraints, VerificationError, g_mincut,
+from .solver import (CutConstraints, VerificationError, collect, g_mincut,
                      g_multicut_uncut, parse_class)
 from .treedecomp import decompose, format_td, validate_decomposition
 
@@ -110,6 +110,11 @@ def _result(command: str, answer, witness, stats: dict, notes: list[str]) -> dic
             "stats": full_stats, "witness": witness}
 
 
+def _decision(command: str, witness, stats: dict, notes: list[str]) -> dict:
+    """YES with the witness, or NO when there is none."""
+    return _result(command, "NO" if witness is None else "YES", witness, stats, notes)
+
+
 def _dispatch(args) -> dict:
     cmd = args.command
     if cmd == "selfcheck":
@@ -192,10 +197,9 @@ def _dispatch(args) -> dict:
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         k = _need_k(args)
         cls = parse_class("edgeless" if cmd == "stable-cut" else args.cls)
-        wit = g_mincut(G, s, t, k, cls, stats_out=stats)
-        if wit is None:
-            return _result(cmd, "NO", None, stats, notes)
-        return _result(cmd, "YES", _ids(wit.deletion_set), stats, notes)
+        with collect() as stats:
+            wit = g_mincut(G, s, t, k, cls)
+        return _decision(cmd, None if wit is None else _ids(wit.deletion_set), stats, notes)
 
     if cmd == "multicut":
         cut = _pairs(G, args.cut, "--cut")
@@ -204,43 +208,36 @@ def _dispatch(args) -> dict:
             raise UsageError("multicut needs --cut or --uncut pairs")
         k = _need_k(args)
         cls = parse_class(args.cls)
-        wit = g_multicut_uncut(G, CutConstraints(cut, uncut), k, cls, stats_out=stats)
-        if wit is None:
-            return _result(cmd, "NO", None, stats, notes)
-        return _result(cmd, "YES", _ids(wit.deletion_set), stats, notes)
+        with collect() as stats:
+            wit = g_multicut_uncut(G, CutConstraints(cut, uncut), k, cls)
+        return _decision(cmd, None if wit is None else _ids(wit.deletion_set), stats, notes)
 
     if cmd == "eivc":
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         k = _need_k(args)
         notes.append("witness edges may touch s or t; their endpoint set "
                      "minus the terminals is what separates")
-        wit = edge_induced_vertex_cut(G, s, t, k, stats_out=stats)
-        if wit is None:
-            return _result(cmd, "NO", None, stats, notes)
-        witness = {"edges": [[u + 1, v + 1] for u, v in wit.edges],
-                   "deleted": _ids(wit.deleted)}
-        return _result(cmd, "YES", witness, stats, notes)
+        with collect() as stats:
+            wit = edge_induced_vertex_cut(G, s, t, k)
+        witness = None if wit is None else {"edges": [[u + 1, v + 1] for u, v in wit.edges],
+                                            "deleted": _ids(wit.deleted)}
+        return _decision(cmd, witness, stats, notes)
 
     if cmd == "oct":
         k = _need_k(args)
         out = odd_cycle_transversal(G, k)
-        if out is None:
-            return _result(cmd, "NO", None, stats, notes)
-        return _result(cmd, "YES", _ids(out), stats, notes)
+        return _decision(cmd, None if out is None else _ids(out), stats, notes)
 
     if cmd == "stable-bip":
         k = _need_k(args)
-        out = stable_bipartization(G, k, stats_out=stats)
-        if out is None:
-            return _result(cmd, "NO", None, stats, notes)
-        return _result(cmd, "YES", _ids(out), stats, notes)
+        with collect() as stats:
+            out = stable_bipartization(G, k)
+        return _decision(cmd, None if out is None else _ids(out), stats, notes)
 
     if cmd == "exact-stable-bip":
         k = _need_k(args)
         out = exact_stable_bipartization(G, k)
-        if out is None:
-            return _result(cmd, "NO", None, stats, notes)
-        return _result(cmd, "YES", _ids(out), stats, notes)
+        return _decision(cmd, None if out is None else _ids(out), stats, notes)
 
     if cmd == "exact-c":
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class GraphError(Exception):
@@ -35,17 +35,14 @@ def vset(vertices: Iterable[int]) -> tuple[int, ...]:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    ``adj[v]`` is a sorted tuple of neighbors. ``labels``, when present, carries
-    one annotation per vertex (used to remember vertex origins across
-    rewritings). Neighbor sets for hashed lookups are built on first use
-    (``neighbor_sets``), so a graph that is only walked stores its adjacency
-    once.
+    ``adj[v]`` is a sorted tuple of neighbors. Neighbor sets for hashed
+    lookups are built on first use (``neighbor_sets``), so a graph that is
+    only walked stores its adjacency once.
     """
 
-    __slots__ = ("n", "adj", "_nbr_sets", "labels")
+    __slots__ = ("n", "adj", "_nbr_sets")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Optional[Sequence] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise DomainError("vertex count must be non-negative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -59,9 +56,6 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self._nbr_sets = None
-        if labels is not None and len(labels) != n:
-            raise DomainError("labels length must equal vertex count")
-        self.labels = tuple(labels) if labels is not None else None
 
     # -- basic queries ----------------------------------------------------
 
@@ -99,7 +93,7 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
-                and self.adj == other.adj and self.labels == other.labels)
+                and self.adj == other.adj)
 
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
@@ -241,8 +235,7 @@ def induced_subgraph(G: Graph, X: Iterable[int]) -> InducedSubgraph:
     xs = G.check_vertices(X)
     index = {v: i for i, v in enumerate(xs)}
     edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
-    labels = tuple(G.labels[v] for v in xs) if G.labels is not None else None
-    return InducedSubgraph(Graph(len(xs), edges, labels), xs)
+    return InducedSubgraph(Graph(len(xs), edges), xs)
 
 
 def delete_vertices(G: Graph, X: Iterable[int]) -> InducedSubgraph:

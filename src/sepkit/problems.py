@@ -29,10 +29,9 @@ def _bipartite_without(G: Graph, S: Iterable[int]) -> bool:
 
 # -- stable s-t cut -----------------------------------------------------------
 
-def stable_st_cut(G: Graph, s: int, t: int, k: int,
-                  stats_out: Optional[dict] = None) -> Optional[tuple[int, ...]]:
+def stable_st_cut(G: Graph, s: int, t: int, k: int) -> Optional[tuple[int, ...]]:
     """Independent s-t separator of size at most k."""
-    wit = g_mincut(G, s, t, k, EDGELESS, stats_out=stats_out)
+    wit = g_mincut(G, s, t, k, EDGELESS)
     return None if wit is None else wit.deletion_set
 
 
@@ -167,8 +166,7 @@ def bipartization_branches(G: Graph, S0: tuple[int, ...]):
                                   Gp, s, t, rest.orig)
 
 
-def stable_bipartization(G: Graph, k: int,
-                         stats_out: Optional[dict] = None) -> Optional[tuple[int, ...]]:
+def stable_bipartization(G: Graph, k: int) -> Optional[tuple[int, ...]]:
     """Independent set of size at most k whose removal makes G bipartite."""
     S0 = odd_cycle_transversal(G, k)
     if S0 is None:
@@ -176,8 +174,7 @@ def stable_bipartization(G: Graph, k: int,
     for branch in bipartization_branches(G, S0):
         if len(branch.R) > k or not _is_independent(G, branch.R):
             continue
-        wit = g_mincut(branch.graph, branch.s, branch.t, k, EDGELESS,
-                       stats_out=stats_out)
+        wit = g_mincut(branch.graph, branch.s, branch.t, k, EDGELESS)
         if wit is None:
             continue
         S = branch.map_back(wit.deletion_set)
@@ -360,15 +357,14 @@ class EdgeCutWitness:
     deleted: tuple[int, ...]
 
 
-def edge_induced_vertex_cut(G: Graph, s: int, t: int, k: int,
-                            stats_out: Optional[dict] = None) -> Optional[EdgeCutWitness]:
+def edge_induced_vertex_cut(G: Graph, s: int, t: int, k: int) -> Optional[EdgeCutWitness]:
     """At most k edges whose endpoint set, terminals excluded, separates s
     from t. Decided through the matching-deficiency mincut at budget 2k.
     """
     G.check_vertices((s, t))
     if s == t:
         raise DomainError("terminals must be distinct")
-    wit = g_mincut(G, s, t, 2 * k, MATCH_DEFICIENCY(k), stats_out=stats_out)
+    wit = g_mincut(G, s, t, 2 * k, MATCH_DEFICIENCY(k))
     if wit is None:
         return None
     S = wit.deletion_set   # already inclusion-minimal

@@ -252,8 +252,8 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
                     flow: Optional[SeparatorResult] = None) -> ReducedInstance:
     """Reduce G to the torso of the union of the terminal-pair covers.
 
-    ``flow``, the flow capped at k from the lowest terminal to the next one,
-    such as ``g_mincut`` holds, is used for that pair instead of a new one.
+    ``flow``, a flow of G from the lowest terminal to the next one, such as
+    ``g_mincut`` holds, is used for that pair as ``st_flow`` allows.
     """
     terms = G.check_vertices(terminals)
     if len(terms) < 2:
@@ -265,10 +265,7 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
         for t in terms[i + 1:]:
             if G.has_edge(s, t):
                 continue
-            if flow is not None and (s, t) == terms[:2]:
-                r = flow
-            else:
-                r = min_vertex_separator(G, (s,), (t,), cap=k)
+            r = st_flow(G, s, t, flow if (s, t) == terms[:2] else None, cap=k)
             if not r.within(k):
                 continue
             cover.update(cover_set(G, s, t, k, flow=r))

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
-from .graphs import DomainError, Graph, components, reachable_from, vset
+from .graphs import DomainError, Graph, components, vset
 
 INFINITE = math.inf
 
@@ -35,9 +36,6 @@ class Residual:
     Node 2v is the in-copy of vertex v, 2v+1 its out-copy; the last two
     nodes are the super-source and the super-sink.
     """
-    graph: Graph
-    sources: frozenset[int]
-    sinks: frozenset[int]
     inner: tuple[int, ...]          # vertices outside both terminal sets, ascending
     adj: list[list[int]]            # node -> arc ids, ascending by head
     head: list[int]
@@ -45,20 +43,16 @@ class Residual:
     reach: bytearray                # nodes residual-reachable from the source
     witness: tuple[int, ...]        # the source-closest minimum separator
 
-    def belongs_to(self, G: Graph, A: Iterable[int], B: Iterable[int]) -> bool:
-        return self.graph is G and self.sources == frozenset(A) and self.sinks == frozenset(B)
-
     def separator_through(self, v: int) -> Optional[tuple[int, ...]]:
         """The minimum separator closest to A among those containing v, or
         None when v lies on no minimum separator (or is a terminal)."""
         v_in, v_out = 2 * v, 2 * v + 1
-        reach = self.reach
-        if v in self.sources or v in self.sinks or reach[v_out]:
+        adj, head, cap, reach = self.adj, self.head, self.cap, self.reach
+        if not adj[v_in] or reach[v_out]:   # a terminal's copies have no arcs
             return None
         if reach[v_in]:
             return self.witness
         sink = len(reach) - 1
-        adj, head, cap = self.adj, self.head, self.cap
         seen = bytearray(reach)
         seen[v_in] = 1
         stack = [v_in]
@@ -83,13 +77,16 @@ class SeparatorResult:
     cap was given and the search stopped early, ``exceeds_cap`` is set and
     ``size`` is the lower bound reached (cap + 1); this is a distinct state
     from INFINITE. A finite result from ``min_vertex_separator`` carries the
-    residual network of its maximum flow.
+    residual network of its maximum flow. Every result of it records the graph
+    and terminal sets it answers for, outside ``==`` and ``repr``.
     """
     size: float
     witness: tuple[int, ...] = ()
-    source_side: tuple[int, ...] = ()
     exceeds_cap: bool = False
     residual: Optional[Residual] = field(default=None, compare=False, repr=False)
+    graph: Optional[Graph] = field(default=None, compare=False, repr=False)
+    sources: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
+    sinks: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -101,6 +98,9 @@ class SeparatorResult:
 
     def within(self, budget: int) -> bool:
         return self.is_finite and self.size <= budget
+
+    def belongs_to(self, G: Graph, A: Iterable[int], B: Iterable[int]) -> bool:
+        return self.graph is G and self.sources == frozenset(A) and self.sinks == frozenset(B)
 
 
 _BIG = 1 << 30
@@ -118,12 +118,13 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
     B_s = frozenset(G.check_vertices(B))
     if not A_s or not B_s:
         raise DomainError("terminal sets must be non-empty")
+    result = partial(SeparatorResult, graph=G, sources=A_s, sinks=B_s)
     if A_s & B_s:
-        return SeparatorResult(INFINITE)
+        return result(INFINITE)
     for a in A_s:
         for w in G.adj[a]:
             if w in B_s:
-                return SeparatorResult(INFINITE)
+                return result(INFINITE)
 
     source = 2 * G.n
     sink = source + 1
@@ -166,7 +167,7 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
     flow = 0
     while True:
         if cap is not None and flow > cap:
-            return SeparatorResult(cap + 1, exceeds_cap=True)
+            return result(cap + 1, exceeds_cap=True)
         seen = bytearray(sink + 1)
         seen[source] = 1
         via = [0] * (sink + 1)
@@ -199,20 +200,20 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
     # min cut
     witness = tuple(v for v in inner if seen[2 * v] and not seen[2 * v + 1])
     assert len(witness) == flow
-    side = reachable_from(G, A_s, witness)
-    residual = Residual(G, A_s, B_s, inner, adj, head, res, seen, witness)
-    return SeparatorResult(flow, witness, side, residual=residual)
+    return result(flow, witness, residual=Residual(inner, adj, head, res, seen, witness))
 
 
 def st_flow(G: Graph, s: int, t: int, flow: Optional[SeparatorResult] = None,
             cap: Optional[int] = None) -> SeparatorResult:
-    """The minimum s-t separator of G: ``flow`` itself when it is a finished
-    flow of this graph and pair, else a fresh ``min_vertex_separator``."""
-    if flow is None or flow.residual is None:
-        return min_vertex_separator(G, (s,), (t,), cap=cap)
-    if not flow.residual.belongs_to(G, (s,), (t,)):
+    """The minimum s-t separator of G capped at ``cap``: ``flow``, which must
+    be of this graph and pair, when it is finished or stopped above ``cap``,
+    else a fresh ``min_vertex_separator``."""
+    if flow is not None and not flow.belongs_to(G, (s,), (t,)):
         raise DomainError("flow belongs to another graph or terminal pair")
-    return flow
+    if flow is not None and (flow.residual is not None
+                             or cap is not None and flow.exceeds_cap and flow.size > cap):
+        return flow
+    return min_vertex_separator(G, (s,), (t,), cap=cap)
 
 
 def is_separator(G: Graph, S: Iterable[int], A: Iterable[int], B: Iterable[int]) -> bool:
@@ -259,4 +260,4 @@ def min_separator_containing(G: Graph, s: int, t: int, v: int) -> Optional[Separ
     witness = r.residual.separator_through(v)
     if witness is None:
         return None
-    return SeparatorResult(int(r.size), witness, reachable_from(G, (s,), witness))
+    return SeparatorResult(int(r.size), witness)

@@ -59,14 +59,21 @@ The budget k is first clamped to the number of deletable vertices, since no
 accumulated graph can have more; only then is it held against the class's
 ``max_check``. Only the classes whose membership test is exponential carry
 one (``matchdef:`` and ``forbid:``); the others decide any size.
+
+Stats reach a caller through ``with collect() as stats:`` (a NO answer has no
+witness to carry them): the innermost block gets the last ``ell``, ``excess``,
+``cover_size``, ``width_bound`` and ``width``, and ``dp_states`` summed over
+its DP runs. Outside any block nothing is recorded.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (DomainError, Graph, components, induced_subgraph,
                      two_coloring, vset)
@@ -467,7 +474,6 @@ class CutConstraints:
 class DPWitness:
     deletion_set: tuple[int, ...]
     induced_graph: Graph
-    stats: dict = field(default_factory=dict)
 
 
 # -- canonical accumulated graphs ------------------------------------------------
@@ -592,14 +598,34 @@ def _blocks_join(left: tuple, right: tuple) -> tuple:
     return tuple(sorted((tuple(sorted(v)), tuple(sorted(t))) for v, t in groups.values()))
 
 
+# -- stats ---------------------------------------------------------------------------
+
+_active_stats: ContextVar[Optional[dict]] = ContextVar("sepkit_stats", default=None)
+
+
+@contextmanager
+def collect() -> Iterator[dict]:
+    """A fresh dict of the stats noted in the body (module docstring)."""
+    token = _active_stats.set({})
+    try:
+        yield _active_stats.get()
+    finally:
+        _active_stats.reset(token)
+
+
+def _note(key: str, value, add: bool = False) -> None:
+    stats = _active_stats.get()
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + value if add else value
+
+
 # -- the DP proper ----------------------------------------------------------------
 
 _MISSING = object()
 
 
-def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
-                       cls: HereditaryClass, induced: Optional[Graph] = None,
-                       stats_out: Optional[dict] = None) -> Optional[DPWitness]:
+def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: HereditaryClass,
+                       induced: Optional[Graph] = None) -> Optional[DPWitness]:
     """Search for a valid deletion set over a nice decomposition of G.
     Blocks merge along every edge of G; the class judges the deleted set in
     ``induced`` (default G), a spanning subgraph of G."""
@@ -662,7 +688,6 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
 
     tables: list[dict] = []
     total_states = 0
-    peak = 0
 
     for idx, nd in enumerate(nice.nodes):
         table: dict = {}
@@ -753,22 +778,16 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int,
 
         tables.append(table)
         total_states += len(table)
-        peak = max(peak, len(table))
 
-    if stats_out is not None:
-        stats_out["dp_states"] = total_states
-        stats_out["dp_peak_table"] = peak
-        stats_out["width"] = nice.width
+    _note("dp_states", total_states, add=True)
+    _note("width", nice.width)
 
     root = tables[-1]
     if not root:
         return None
     # the first root state reached; re-verified by the callers
     deletion = _reconstruct(tables, nice, next(iter(root)))
-    wit = DPWitness(deletion, induced_subgraph(induced, deletion).graph)
-    if stats_out is not None:
-        wit.stats.update(stats_out)
-    return wit
+    return DPWitness(deletion, induced_subgraph(induced, deletion).graph)
 
 
 def _reconstruct(tables, nice, root_key) -> tuple[int, ...]:
@@ -819,17 +838,15 @@ def verify_solution(G: Graph, S: Iterable[int], cons: CutConstraints, k: int,
     return True
 
 
-def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass,
-             stats_out: Optional[dict] = None) -> Optional[DPWitness]:
+def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional[DPWitness]:
     """Separator of size <= k inducing a member of cls, via the reduced graph."""
     G.check_vertices((s, t))
     if s == t:
         raise DomainError("terminals must be distinct")
-    stats = {} if stats_out is None else stats_out
     # oriented as reduce_instance meets the pair, which then reuses it
     r = min_vertex_separator(G, (min(s, t),), (max(s, t),), cap=k)
-    stats["ell"] = None if not r.is_finite else int(r.size)
-    stats["excess"] = None if not r.is_finite else k - int(r.size)
+    _note("ell", int(r.size) if r.is_finite else None)
+    _note("excess", k - int(r.size) if r.is_finite else None)
     if G.has_edge(s, t):
         return None
     if k == 0:
@@ -837,24 +854,22 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass,
             return None
         if not cls.contains(Graph(0)):
             return None
-        return DPWitness((), Graph(0), dict(stats))
+        return DPWitness((), Graph(0))
     final = CutConstraints(((s, t),))
-    wit = g_multicut_uncut(G, final, k, cls, flow=r, stats_out=stats)
+    wit = g_multicut_uncut(G, final, k, cls, flow=r)
     if wit is None:
         return None
     S = minimalize_separator(G, wit.deletion_set, (s,), (t,))
     if not verify_solution(G, S, final, k, cls):
         raise VerificationError("reduced-instance witness failed re-verification")
-    return DPWitness(S, induced_subgraph(G, S).graph, dict(stats))
+    return DPWitness(S, induced_subgraph(G, S).graph)
 
 
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
-                     flow: Optional[SeparatorResult] = None,
-                     stats_out: Optional[dict] = None) -> Optional[DPWitness]:
+                     flow: Optional[SeparatorResult] = None) -> Optional[DPWitness]:
     """Deletion set separating every cut pair, keeping every uncut pair
     connected, inducing a member of cls. ``flow`` is handed to
     ``reduce_instance``."""
-    stats = {} if stats_out is None else stats_out
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
@@ -866,21 +881,20 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         if not cls.contains(Graph(0)):
             return None
         if verify_solution(G, (), norm, k, cls):
-            return DPWitness((), Graph(0), dict(stats))
+            return DPWitness((), Graph(0))
         return None
     ri = reduce_instance(G, terms, k, flow=flow)
-    stats["cover_size"] = len(ri.cover)
-    stats["width_bound"] = ri.width_bound
+    _note("cover_size", len(ri.cover))
+    _note("width_bound", ri.width_bound)
     td = decompose(ri.gstar)
     nice = make_nice(td, ri.gstar, root_vertex=ri.to_gstar(min(terms)))
     mapped = CutConstraints(
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.cut_pairs),
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.uncut_pairs))
-    wit = dp_constrained_cut(ri.gstar, nice, mapped, k, cls, ri.induced,
-                             stats_out=stats)
+    wit = dp_constrained_cut(ri.gstar, nice, mapped, k, cls, ri.induced)
     if wit is None:
         return None
     S = ri.map_back(wit.deletion_set)
     if not verify_solution(G, S, norm, k, cls):
         raise VerificationError("reduced-instance witness failed re-verification")
-    return DPWitness(S, induced_subgraph(G, S).graph, dict(stats))
+    return DPWitness(S, induced_subgraph(G, S).graph)

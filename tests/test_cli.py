@@ -189,6 +189,48 @@ def test_json_schema_stable(graph_files, capsys):
                                     "width", "width_bound"]
 
 
+_NULL_STATS = dict.fromkeys(("cover_size", "dp_states", "ell", "excess",
+                             "width", "width_bound"))
+
+
+def _stats(**given):
+    return {**_NULL_STATS, **given}
+
+
+# the full stats object of each C12 command; exact-c, oct, exact-stable-bip
+# and selfcheck report none
+@pytest.mark.parametrize("argv, want", [
+    (["minsep", "PP", "--s", "1", "--t", "6"], _stats(ell=2)),
+    (["chain", "PP", "--s", "1", "--t", "6"], _stats(ell=2)),
+    (["cover", "Q3", "--s", "1", "--t", "8", "--k", "6"],
+     _stats(cover_size=8, ell=3, excess=3)),
+    (["reduce", "PP", "--s", "1", "--t", "6", "--k", "1"],
+     _stats(cover_size=2, width_bound=1)),
+    (["decompose", "Q3"], _stats(width=3)),
+    (["gmincut", "PP", "--s", "1", "--t", "6", "--k", "3", "--class", "forest"],
+     _stats(cover_size=6, dp_states=92, ell=2, excess=1, width=2, width_bound=9517)),
+    (["multicut", "PP", "--cut", "1:6", "--uncut", "2:4", "--k", "2", "--class", "any"],
+     _stats(cover_size=6, dp_states=34, width=2, width_bound=157)),
+    (["stable-cut", "C4", "--s", "1", "--t", "3", "--k", "2"],
+     _stats(cover_size=4, dp_states=25, ell=2, excess=0, width=2, width_bound=40)),
+    (["eivc", "C4", "--s", "1", "--t", "3", "--k", "2"],
+     _stats(cover_size=4, dp_states=25, ell=2, excess=2, width=2, width_bound=2312428)),
+    (["oct", "D4", "--k", "1"], _NULL_STATS),
+    (["stable-bip", "D4", "--k", "2"],
+     _stats(cover_size=3, dp_states=11, ell=1, excess=1, width=1, width_bound=589)),
+    (["exact-stable-bip", "C4", "--k", "2"], _NULL_STATS),
+    (["exact-c", "PP", "--s", "1", "--t", "6", "--k", "2"], _NULL_STATS),
+    (["selfcheck", "--trials", "10", "--seed", "7", "--suites", "minsep,chain,cover"],
+     _NULL_STATS),
+])
+def test_c12_command_stats_pinned(graph_files, capsys, argv, want):
+    if argv[0] != "selfcheck":
+        argv = [argv[0], "--graph", graph_files[argv[1]]] + argv[2:]
+    code, doc, err = _run(capsys, argv)
+    assert code == 0, err
+    assert doc["stats"] == want
+
+
 def test_cli_json_deterministic(graph_files, capsys):
     outputs = set()
     for _ in range(3):

@@ -231,10 +231,3 @@ def test_immutability_of_editing_operations():
     contract_terminal_sets(PP, (1, 2), (0,), (5,))
     assert PP.adj == before
 
-
-def test_labels_propagate_through_induced_subgraph():
-    g = Graph(3, [(0, 1), (1, 2)], labels=("x", "y", "z"))
-    sub = induced_subgraph(g, (0, 2))
-    assert sub.graph.labels == ("x", "z")
-    with pytest.raises(DomainError):
-        Graph(2, labels=("only-one",))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import sepkit.problems
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (FIXTURES, bf_edge_induced_vertex_cut,
                            bf_exact_stable_bipartization, bf_g_mincut,
@@ -14,7 +17,7 @@ from sepkit.problems import (AnnotatedInstance, EdgeCutWitness,
                              odd_cycle_transversal, stable_bipartization,
                              stable_st_cut)
 from sepkit.separation import is_separator
-from sepkit.solver import MATCH_DEFICIENCY
+from sepkit.solver import MATCH_DEFICIENCY, collect
 
 from strategies import nonadjacent_pair, seeded_graphs
 
@@ -60,6 +63,42 @@ def test_stable_bipartization_examples():
     for k in range(5):
         assert stable_bipartization(complete_graph(4), k) is None
     assert stable_bipartization(C4, 0) == ()
+
+
+def _near_bipartite(n, degree, odd, seed):
+    """Random bipartite graph on two halves with the given expected degree,
+    plus ``odd`` edges inside one half each (the benchmark's generator)."""
+    rng = random.Random(seed)
+    half = n // 2
+    p = degree / (n - half)
+    pairs = {(i, j) for i in range(half) for j in range(half, n) if rng.random() < p}
+    while odd:
+        lo, hi = rng.choice(((0, half), (half, n)))
+        a, b = sorted(rng.sample(range(lo, hi), 2))
+        if (a, b) not in pairs:
+            pairs.add((a, b))
+            odd -= 1
+    return Graph(n, pairs)
+
+
+def test_stable_bipartization_dp_states_sum_over_branches(monkeypatch):
+    G = _near_bipartite(20, 3.0, 3, 4)
+    with collect() as stats:
+        assert stable_bipartization(G, 3) is None
+    # reference: every branch's g_mincut read under its own collect()
+    per_branch = []
+    g_mincut = sepkit.problems.g_mincut
+
+    def counted(*args):
+        with collect() as own:
+            out = g_mincut(*args)
+        per_branch.append(own.get("dp_states", 0))
+        return out
+
+    monkeypatch.setattr(sepkit.problems, "g_mincut", counted)
+    assert stable_bipartization(G, 3) is None
+    assert sum(1 for n in per_branch if n) == 18
+    assert stats["dp_states"] == sum(per_branch) == 481
 
 
 def test_exact_stable_bipartization_examples():

@@ -55,11 +55,6 @@ def test_witness_is_source_closest():
     assert min_vertex_separator(PP, (5,), (0,)).witness == (2, 4)
 
 
-def test_source_side_field():
-    r = min_vertex_separator(PP, (0,), (5,))
-    assert r.source_side == (0,)
-
-
 def test_is_separator_examples():
     assert is_separator(P3, (1,), (0,), (2,))
     assert not is_separator(C4, (1,), (0,), (2,))
@@ -175,10 +170,23 @@ def test_membership_test_agrees_with_enumeration():
 def test_residual_is_outside_equality_and_repr():
     r = min_vertex_separator(PP, (0,), (5,))
     assert r.residual is not None and "residual" not in repr(r)
-    assert r == SeparatorResult(2, (1, 3), r.source_side)
+    assert r == SeparatorResult(2, (1, 3))
     # a flow stopped at its cap is not a maximum flow and keeps no residual
     assert min_vertex_separator(PP, (0,), (5,), cap=1).residual is None
     assert min_vertex_separator(C4, (0, 1), (1, 2)).residual is None
+
+
+def test_every_outcome_records_its_graph_and_terminals():
+    outcomes = [min_vertex_separator(PP, (0,), (5,)),               # finite
+                min_vertex_separator(PP, (0,), (5,), cap=1),        # capped
+                min_vertex_separator(PP, (0,), (1,)),               # adjacent
+                min_vertex_separator(PP, (0, 1), (1, 5))]           # overlapping
+    for r, (A, B) in zip(outcomes, [((0,), (5,))] * 2 + [((0,), (1,)), ((0, 1), (1, 5))]):
+        assert r.belongs_to(PP, A, B)
+        assert not r.belongs_to(PP, B, A) and not r.belongs_to(C4, A, B)
+        assert "graph" not in repr(r) and "sources" not in repr(r)
+    # equal outcomes of different graphs compare equal
+    assert min_vertex_separator(C4, (0,), (1,)) == outcomes[2]
 
 
 def _separator_through_by_deletion(G, A, B, v):

@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepkit
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
@@ -16,7 +20,8 @@ from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
                            HereditaryClass, VerificationError, check_hereditary,
-                           decode_graph6, _canon, dp_constrained_cut, g_mincut,
+                           collect, decode_graph6, _canon, _note,
+                           dp_constrained_cut, g_mincut,
                            g_multicut_uncut, matching_deficiency,
                            maximum_matching, parse_class, verify_solution)
 from sepkit.treedecomp import INTRODUCE, JOIN, LEAF, decompose, make_nice
@@ -55,9 +60,8 @@ def test_dp_validates_decomposition():
 
 
 def test_dp_stats_populated():
-    stats = {}
-    dp_constrained_cut(C4, _nice(C4), CutConstraints(((0, 2),)), 2, EDGELESS,
-                       stats_out=stats)
+    with collect() as stats:
+        dp_constrained_cut(C4, _nice(C4), CutConstraints(((0, 2),)), 2, EDGELESS)
     assert stats["dp_states"] > 0 and stats["width"] == 2
 
 
@@ -351,8 +355,8 @@ Q3 = FIXTURES["Q3"].graph
     (grid(3, 6), 0, 17, 7, "forest", (3319, 3, (2, 8, 14))),
 ])
 def test_dp_state_counts_pinned(G, s, t, k, cls, want):
-    stats = {}
-    wit = g_mincut(G, s, t, k, parse_class(cls), stats_out=stats)
+    with collect() as stats:
+        wit = g_mincut(G, s, t, k, parse_class(cls))
     got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
     assert got == want
 
@@ -405,8 +409,8 @@ def test_g_mincut_runs_one_flow(monkeypatch):
 
     for module in (sepkit.separation, sepkit.reduction, sepkit.solver):
         monkeypatch.setattr(module, "min_vertex_separator", counted)
-    stats = {}
-    assert g_mincut(FIXTURES["Q3"].graph, 0, 7, 3, ANY, stats_out=stats) is not None
+    with collect() as stats:
+        assert g_mincut(FIXTURES["Q3"].graph, 0, 7, 3, ANY) is not None
     assert calls == [((0,), (7,))]
     assert stats["ell"] == 3 and stats["excess"] == 0
 
@@ -420,3 +424,75 @@ def test_reduce_instance_reuses_given_flow():
         reduce_instance(PP, (0, 5), 2, flow=sepkit.separation.min_vertex_separator(PP, (5,), (0,)))
     with pytest.raises(DomainError):
         reduce_instance(PP, (0, 5), 2, flow=sepkit.separation.min_vertex_separator(C4, (0,), (2,)))
+
+
+def test_reduce_instance_refuses_a_flow_of_another_graph():
+    # a capped flow of another graph used to be taken for the pair and,
+    # having no residual to check, dropped the pair from the cover: NO
+    PP = FIXTURES["PP"].graph
+    foreign = sepkit.separation.min_vertex_separator(FIXTURES["Q3"].graph, (0,), (7,), cap=2)
+    with pytest.raises(DomainError):
+        g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY, flow=foreign)
+    with pytest.raises(DomainError):
+        reduce_instance(PP, (0, 5), 2, flow=foreign)
+    assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY).deletion_set == (1, 3)
+
+
+def test_reduce_instance_reruns_a_flow_capped_below_k():
+    # a flow that stopped above cap 1 does not decide budget 2
+    PP = FIXTURES["PP"].graph
+    low = sepkit.separation.min_vertex_separator(PP, (0,), (5,), cap=1)
+    assert low.exceeds_cap
+    assert reduce_instance(PP, (0, 5), 2, flow=low) == reduce_instance(PP, (0, 5), 2)
+
+
+# -- the stats collector ------------------------------------------------------------
+
+def test_note_outside_collect_records_nothing():
+    _note("ell", 1)
+    assert g_mincut(C4, 0, 2, 2, EDGELESS) is not None
+    assert sepkit.solver._active_stats.get() is None
+    with collect() as stats:
+        pass
+    assert stats == {}
+
+
+def test_nested_collect_scopes_do_not_leak():
+    with collect() as outer:
+        _note("ell", 1)
+        with collect() as inner:
+            g_mincut(C4, 0, 2, 2, EDGELESS)
+        _note("excess", 3)
+    assert outer == {"ell": 1, "excess": 3}
+    assert inner["ell"] == 2 and inner["dp_states"] > 0
+    # dp_states sums over the DPs of one scope; the other keys are overwritten
+    with collect() as twice:
+        g_mincut(C4, 0, 2, 2, EDGELESS)
+        g_mincut(C4, 0, 2, 2, EDGELESS)
+    assert twice == {**inner, "dp_states": 2 * inner["dp_states"]}
+
+
+def test_collect_scope_resets_when_its_body_raises():
+    with collect() as outer:
+        with pytest.raises(DomainError):
+            with collect() as inner:
+                _note("ell", 2)
+                g_mincut(C4, 0, 0, 2, EDGELESS)
+        _note("excess", 3)
+    _note("width", 4)
+    assert inner == {"ell": 2} and outer == {"excess": 3}
+
+
+def test_no_function_takes_an_out_parameter():
+    # stats travel through collect(), never through an out-parameter
+    modules = [sepkit] + [importlib.import_module(f"sepkit.{info.name}")
+                          for info in pkgutil.iter_modules(sepkit.__path__)
+                          if info.name != "__main__"]
+    assert len(modules) > 5
+    functions = [fn for module in modules
+                 for owner in [module] + [c for _, c in inspect.getmembers(module, inspect.isclass)]
+                 for _, fn in inspect.getmembers(owner, inspect.isfunction)]
+    assert sepkit.g_mincut in functions and sepkit.Graph.__init__ in functions
+    for fn in functions:
+        assert not any(name.endswith("_out") for name in inspect.signature(fn).parameters), fn
+    assert "collect" in sepkit.__all__
