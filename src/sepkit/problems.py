@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
                      shortest_odd_cycle, two_coloring, vset)
+from .reduction import cover_set
 from .separation import is_separator, min_vertex_separator
 from .solver import (ANY, EDGELESS, MATCH_DEFICIENCY, CutConstraints, VerificationError,
                      g_mincut, g_multicut_uncut, maximum_matching)
@@ -397,10 +398,13 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     A vertex v qualifies iff for some neighbors v1, v2 of v there is a set of
     at most k-1 vertices separating s from t in G minus v while keeping s
     connected to v1 and t connected to v2; decided by multicut-uncut calls
-    with the unconstrained class. Two sound shortcuts keep this affordable:
+    with the unconstrained class. Three sound shortcuts keep this
+    affordable: only vertices of ``cover_set``, which contains every
+    vertex of every minimal separator of size at most k, are tested;
     membership in a minimum separator answers immediately (read off the
-    residual network of one s-t flow), and vertices whose deletion leaves
-    the minimum separator size above k-1 can never qualify.
+    residual network of one s-t flow, which the cover reuses); and vertices
+    whose deletion leaves the minimum separator size above k-1 can never
+    qualify.
     """
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
@@ -409,7 +413,7 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     if flow.size == 0 or flow.size > k:
         return ()
     out = []
-    for v in range(G.n):
+    for v in cover_set(G, s, t, k, flow=flow):
         if v in (s, t):
             continue
         if flow.residual.separator_through(v) is not None:

@@ -2,14 +2,17 @@
 bounded-treewidth replacement graph.
 
 ``cover_set(G, s, t, k)`` returns a vertex set containing s, t, and every
-vertex of every minimal s-t separator of size at most k. At excess 0 the
-chain boundaries suffice; for positive excess, each layer between consecutive
-boundaries is handled by contracting boundary subsets onto two fresh
-terminals and recursing with a smaller excess. Each terminal pair costs one
-max-flow: the flow that decides whether a pair has a separator within budget
-is handed to ``cover_set`` and on to ``build_chain``, which reads the chain
-from its residual network; ``g_mincut`` hands its own flow, run for ``ell``
-and ``excess``, to ``reduce_instance``.
+vertex of every minimal s-t separator of size at most k. At excess 0 those
+are the vertices on some minimum separator, which the residual network of
+the s-t flow names one by one (``Residual.separator_through``); no chain is
+built. For positive excess the chain boundaries go in, and each layer
+between consecutive boundaries is handled by contracting boundary subsets
+onto two fresh terminals and recursing with a smaller excess. Each terminal
+pair costs one max-flow: the flow that decides whether a pair has a
+separator within budget is handed to ``cover_set`` and on to
+``build_chain``, which reads the chain from its residual network;
+``g_mincut`` hands its own flow, run for ``ell`` and ``excess``, to
+``reduce_instance``.
 
 The layer recursion solves each distinct contracted subproblem once. A pair
 (A, B) with an edge between A and B is skipped before contracting: the
@@ -161,9 +164,12 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     """All vertices on minimal s-t separators of size <= k, plus s and t.
 
     Degrades to {s, t} when the terminals are adjacent or no separator of
-    size <= k exists. ``flow``, a finished s-t flow of G, is reused instead
-    of running a new one. ``memo`` is the recursion's table of contracted
-    subproblems; callers leave it unset and the top-level call makes it.
+    size <= k exists. At excess 0 the minimum-separator vertices are read
+    off the flow's residual network; they are exactly the union of the
+    chain's boundaries (see ``chains``). ``flow``, a finished s-t flow of
+    G, is reused instead of running a new one. ``memo`` is the recursion's
+    table of contracted subproblems; callers leave it unset and the
+    top-level call makes it.
     """
     G.check_vertices((s, t))
     if s == t:
@@ -173,15 +179,16 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     r = st_flow(G, s, t, flow, cap=k)
     if not r.within(k):
         return vset((s, t))
-    ell = int(r.size)
-    excess = k - ell
+    excess = k - int(r.size)
+    if excess == 0:
+        # the chain's boundaries hold exactly the minimum-separator vertices
+        return vset([s, t, *(v for v in range(G.n)
+                              if r.residual.separator_through(v) is not None)])
 
     chain = build_chain(G, s, t, flow=r)
     cover: set[int] = {s, t}
     for S in chain.boundaries:
         cover.update(S)
-    if excess == 0:
-        return tuple(sorted(cover))
 
     if memo is None:
         memo = {}

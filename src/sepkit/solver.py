@@ -63,7 +63,9 @@ one (``matchdef:`` and ``forbid:``); the others decide any size.
 Stats reach a caller through ``with collect() as stats:`` (a NO answer has no
 witness to carry them): the innermost block gets the last ``ell``, ``excess``,
 ``cover_size``, ``width_bound`` and ``width``, and ``dp_states`` summed over
-its DP runs. Outside any block nothing is recorded.
+its DP runs. Outside any block nothing is recorded. ``g_mincut`` answers NO
+right after its capped s-t flow when that flow exceeds k, so such a call
+records only ``ell`` and ``excess`` (both None).
 """
 
 from __future__ import annotations
@@ -839,7 +841,8 @@ def verify_solution(G: Graph, S: Iterable[int], cons: CutConstraints, k: int,
 
 
 def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional[DPWitness]:
-    """Separator of size <= k inducing a member of cls, via the reduced graph."""
+    """Separator of size <= k inducing a member of cls, via the reduced
+    graph; NO without a reduction when the minimum separator exceeds k."""
     G.check_vertices((s, t))
     if s == t:
         raise DomainError("terminals must be distinct")
@@ -847,7 +850,8 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional
     r = min_vertex_separator(G, (min(s, t),), (max(s, t),), cap=k)
     _note("ell", int(r.size) if r.is_finite else None)
     _note("excess", k - int(r.size) if r.is_finite else None)
-    if G.has_edge(s, t):
+    # a flow above k proves that every s-t separator is larger than k
+    if r.exceeds_cap or G.has_edge(s, t):
         return None
     if k == 0:
         if any(s in comp and t in comp for comp in map(set, components(G))):

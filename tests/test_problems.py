@@ -3,7 +3,7 @@ import random
 import pytest
 
 import sepkit.problems
-from sepkit.graphs import DomainError, Graph
+from sepkit.graphs import DomainError, Graph, delete_vertices
 from sepkit.oracle import (FIXTURES, bf_edge_induced_vertex_cut,
                            bf_exact_stable_bipartization, bf_g_mincut,
                            bf_odd_cycle_transversal, bf_separator_union,
@@ -16,8 +16,8 @@ from sepkit.problems import (AnnotatedInstance, EdgeCutWitness,
                              exact_separator_union, exact_stable_bipartization,
                              odd_cycle_transversal, stable_bipartization,
                              stable_st_cut)
-from sepkit.separation import is_separator
-from sepkit.solver import MATCH_DEFICIENCY, collect
+from sepkit.separation import is_separator, min_vertex_separator
+from sepkit.solver import ANY, MATCH_DEFICIENCY, CutConstraints, collect, g_multicut_uncut
 
 from strategies import nonadjacent_pair, seeded_graphs
 
@@ -97,8 +97,9 @@ def test_stable_bipartization_dp_states_sum_over_branches(monkeypatch):
 
     monkeypatch.setattr(sepkit.problems, "g_mincut", counted)
     assert stable_bipartization(G, 3) is None
-    assert sum(1 for n in per_branch if n) == 18
-    assert stats["dp_states"] == sum(per_branch) == 481
+    # six of the 18 branches stop at a flow above k and run no DP
+    assert sum(1 for n in per_branch if n) == 12
+    assert stats["dp_states"] == sum(per_branch) == 457
 
 
 def test_exact_stable_bipartization_examples():
@@ -214,10 +215,74 @@ def test_exact_separator_union_matches_oracle():
         if pair is None:
             continue
         s, t = pair
-        k = rng.randint(1, 3)
+        k = rng.randint(0, 5)
         assert exact_separator_union(G, s, t, k) == bf_separator_union(G, s, t, k)
         checked += 1
     assert checked >= 30
+
+
+def _separator_union_reference(G, s, t, k):
+    """``exact_separator_union`` as a scan of every vertex of G, cover or
+    not: a minimum-separator vertex qualifies at once, any other v when
+    G - v has a separator of size <= k-1 cutting s from t while keeping s
+    joined to one neighbour of v and t to another."""
+    flow = min_vertex_separator(G, (s,), (t,))
+    if flow.size == 0 or flow.size > k:
+        return ()
+    out = []
+    for v in range(G.n):
+        if v in (s, t):
+            continue
+        if flow.residual.separator_through(v) is not None:
+            out.append(v)
+            continue
+        rest = delete_vertices(G, (v,))
+        ns, nt = rest.to_new(s), rest.to_new(t)
+        if not min_vertex_separator(rest.graph, (ns,), (nt,), cap=k - 1).within(k - 1):
+            continue
+        if any(g_multicut_uncut(rest.graph,
+                                CutConstraints(((ns, nt),),
+                                               ((ns, rest.to_new(v1)), (nt, rest.to_new(v2)))),
+                                k - 1, ANY) is not None
+               for v1 in G.adj[v] for v2 in G.adj[v] if v1 != v2):
+            out.append(v)
+    return tuple(out)
+
+
+def test_exact_separator_union_matches_all_vertex_scan():
+    # past the oracle's n <= 14 cap, at excess 0 or 1 where the minimum
+    # separator allows k <= 4
+    nonempty = 0
+    for G, rng in seeded_graphs(32, seed=83, n_lo=15, n_hi=24,
+                                ps=(0.15, 0.2, 0.25)):
+        pair = nonadjacent_pair(G, rng)
+        if pair is None:
+            continue
+        s, t = pair
+        ell = min_vertex_separator(G, (s,), (t,)).size
+        k = min(4, int(ell) + rng.randint(0, 1)) if 0 < ell <= 4 else rng.randint(1, 4)
+        want = _separator_union_reference(G, s, t, k)
+        assert exact_separator_union(G, s, t, k) == want
+        nonempty += bool(want)
+    assert nonempty >= 25
+
+
+def test_exact_separator_union_tests_only_cover_vertices(monkeypatch):
+    # cut-ladder's gnp12 at k=5: every candidate outside a minimum separator
+    # lies outside the cover, so no multicut-uncut call is needed
+    rng = random.Random(121)
+    G = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)
+                   if rng.random() < 0.25])
+    calls = []
+    multicut = sepkit.problems.g_multicut_uncut
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return multicut(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.problems, "g_multicut_uncut", counted)
+    assert exact_separator_union(G, 3, 5, 5) == bf_separator_union(G, 3, 5, 5)
+    assert calls == []
 
 
 def test_every_branch_separator_contains_r():

@@ -95,6 +95,20 @@ def test_cover_examples():
     assert cover_set(Graph(2, [(0, 1)]), 0, 1, 3) == (0, 1)
 
 
+def test_cover_at_excess_zero_reads_the_residual(monkeypatch):
+    # PP 0-5 has ell = 2, so k = 2 is excess 0: no chain is built
+    calls = []
+    chain = sepkit.reduction.build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.reduction, "build_chain", counted)
+    assert cover_set(PP, 0, 5, 2) == (0, 1, 2, 3, 4, 5)
+    assert calls == []
+
+
 def test_layer_system_partitions():
     ch = build_chain(PP, 0, 5)
     system = layer_system(ch)

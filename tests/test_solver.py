@@ -415,6 +415,22 @@ def test_g_mincut_runs_one_flow(monkeypatch):
     assert stats["ell"] == 3 and stats["excess"] == 0
 
 
+def test_g_mincut_stops_at_a_flow_above_k(monkeypatch):
+    # PP's minimum 0-5 separator has size 2: the capped flow proves NO at k=1
+    calls = []
+    dp = sepkit.solver.dp_constrained_cut
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dp(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.solver, "dp_constrained_cut", counted)
+    with collect() as stats:
+        assert g_mincut(FIXTURES["PP"].graph, 0, 5, 1, ANY) is None
+    assert calls == []
+    assert stats == {"ell": None, "excess": None}
+
+
 def test_reduce_instance_reuses_given_flow():
     PP = FIXTURES["PP"].graph
     for cap in (1, 2):
