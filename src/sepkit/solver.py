@@ -9,8 +9,7 @@ its edges, but the deleted set's graph comes from G[cover] (``induced``).
 A state at a decomposition node consists of
   * which bag vertices are deleted (the pins, ranked by id),
   * the partition of the kept bag vertices into connectivity blocks, each
-    block carrying the set of terminals attached to it,
-  * the partition of terminals whose components are already finalized, and
+    block carrying the set of terminals attached to it, and
   * the class's summary of the graph induced on all deleted vertices so far.
 
 A summary (``ClassSummary``) keeps of that graph only what decides how it can
@@ -39,21 +38,25 @@ share an entry. Fields fixed by the pins, such as the pin-pin edges, never
 split states, since the deleted bag vertices are part of the state anyway.
 
 Pruning: a state dies when its accumulated induced graph leaves the class
-(sound because the class is hereditary), when a finalized component contains
-both endpoints of a cut pair, or when two distinct finalized components split
-an uncut pair. Edges between deleted vertices are recorded when the later
-endpoint is introduced, which by the decomposition axioms reconstructs the
-exact induced subgraph.
+(sound because the class is hereditary), or when forgetting a kept vertex
+empties its block and that block's terminals hold both ends of a cut pair or
+exactly one end of an uncut pair. This is exact. The root bag is empty, so
+every kept vertex's block closes exactly once; a closed block cannot grow,
+since a vertex is only adjacent to vertices it shares a bag with, so its
+terminals are those of a finished component of G minus the deleted set and
+every cut and uncut verdict on it is final. Nothing about a finished
+component needs to be carried. Edges between deleted vertices are recorded
+when the later endpoint is introduced, which by the decomposition axioms
+reconstructs the exact induced subgraph.
 
 Every transition is a pure function of the state components it reads:
 introducing a kept vertex of the blocks, introducing a deleted vertex of the
 deleted set and the summary, and a join of each component pair (summaries,
-closed partitions, blocks) separately. Many states share components, and the
-chains of join nodes that the nice form builds over one bag meet the same
-pairs again, so one ``dp_constrained_cut`` call keeps each transition's
-result, pruning verdict included, in dicts that live as long as the call.
-The states visited, their order and the back-pointers are those of the plain
-loop.
+blocks) separately. Many states share components, and the chains of join
+nodes that the nice form builds over one bag meet the same pairs again, so
+one ``dp_constrained_cut`` call keeps each transition's result, pruning
+verdict included, in dicts that live as long as the call. The states
+visited, their order and the back-pointers are those of the plain loop.
 
 The budget k is first clamped to the number of deletable vertices, since no
 accumulated graph can have more; only then is it held against the class's
@@ -63,9 +66,11 @@ one (``matchdef:`` and ``forbid:``); the others decide any size.
 Stats reach a caller through ``with collect() as stats:`` (a NO answer has no
 witness to carry them): the innermost block gets the last ``ell``, ``excess``,
 ``cover_size``, ``width_bound`` and ``width``, and ``dp_states`` summed over
-its DP runs. Outside any block nothing is recorded. ``g_mincut`` answers NO
-right after its capped s-t flow when that flow exceeds k, so such a call
-records only ``ell`` and ``excess`` (both None).
+its DP runs. Outside any block nothing is recorded. ``g_mincut`` notes
+``cover_size``, ``width_bound`` and ``width`` as None right after its capped
+s-t flow, so each call overwrites every key it owns and a block describes
+the last call. When that flow exceeds k the call answers NO there, with
+``ell`` and ``excess`` None too.
 """
 
 from __future__ import annotations
@@ -641,29 +646,11 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
     nbr_sets = induced.neighbor_sets()
     summary = cls.summary
-    cut_pairs = tuple(cons.cut_pairs)
-    uncut_pairs = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
 
-    def close_checks(group: tuple, closed: tuple) -> bool:
-        gs = set(group)
-        for a, b in cut_pairs:
-            if a in gs and b in gs:
-                return False
-        done = set().union(*map(set, closed)) if closed else set()
-        for a, b in uncut_pairs:
-            if (a in gs and b in done) or (b in gs and a in done):
-                return False
-        return True
-
-    def cross_closed_ok(closed: tuple) -> bool:
-        where = {}
-        for i, grp in enumerate(closed):
-            for x in grp:
-                where[x] = i
-        for a, b in uncut_pairs:
-            if a in where and b in where and where[a] != where[b]:
-                return False
-        return True
+    def finished_ok(terms: tuple) -> bool:
+        ts = set(terms)
+        return not any(a in ts and b in ts for a, b in cons.cut_pairs) and \
+            not any((a in ts) != (b in ts) for a, b in cons.uncut_pairs)
 
     def delete_vertex(deleted: tuple, summ: tuple, v: int) -> tuple:
         rank = sum(1 for d in deleted if d < v)
@@ -675,17 +662,12 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
             return None
         return summary.join(lsumm, rsumm)
 
-    def join_closed(lclosed: tuple, rclosed: tuple) -> Optional[tuple]:
-        nclosed = tuple(sorted(lclosed + rclosed))
-        return nclosed if cross_closed_ok(nclosed) else None
-
     # transition memos for this call (module docstring): introduce memos by
     # vertex, then component; join memos by left, then right component;
     # None marks a pruned join
     keep_memos: dict = {}
     del_memos: dict = {}
     summary_joins: dict = {}
-    closed_joins: dict = {}
     block_joins: dict = {}
 
     tables: list[dict] = []
@@ -696,10 +678,10 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
 
         def put(key, back):
             if key not in table:
-                table[key] = (len(table), back)
+                table[key] = back
 
         if nd.kind == LEAF:
-            put(((), (), (), summary.empty), ("leaf",))
+            put(((), (), summary.empty), ("leaf",))
 
         elif nd.kind == INTRODUCE:
             v = nd.vertex
@@ -707,12 +689,12 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
             keep_memo = keep_memos.setdefault(v, {})
             del_memo = del_memos.setdefault(v, {})
             for key in tables[child]:
-                deleted, blocks, closed, summ = key
+                deleted, blocks, summ = key
                 # keep v
                 nblocks = keep_memo.get(blocks)
                 if nblocks is None:
                     nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, terminals)
-                put((deleted, nblocks, closed, summ), ("keep", key))
+                put((deleted, nblocks, summ), ("keep", key))
                 # delete v
                 if v not in terminals and summ[0] < k:
                     dk = (deleted, summ)
@@ -721,35 +703,30 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                         out = del_memo[dk] = delete_vertex(deleted, summ, v)
                     nsumm, ndel = out
                     if nsumm is not None:
-                        put((ndel, blocks, closed, nsumm), ("del", key))
+                        put((ndel, blocks, nsumm), ("del", key))
 
         elif nd.kind == FORGET:
             v = nd.vertex
             child = nd.children[0]
             for key in tables[child]:
-                deleted, blocks, closed, summ = key
+                deleted, blocks, summ = key
                 if v in deleted:
                     nsumm = summary.unpin(summ, deleted.index(v))
                     ndel = tuple(d for d in deleted if d != v)
-                    put((ndel, blocks, closed, nsumm), ("fd", key))
+                    put((ndel, blocks, nsumm), ("fd", key))
                 else:
                     nblocks = []
-                    group = None
                     for bv, bt in blocks:
                         if v in bv:
                             rest = tuple(u for u in bv if u != v)
                             if rest:
                                 nblocks.append((rest, bt))
-                            else:
-                                group = bt
+                            elif not finished_ok(bt):
+                                break   # v's component is finished and fails
                         else:
                             nblocks.append((bv, bt))
-                    nclosed = closed
-                    if group:
-                        if not close_checks(group, closed):
-                            continue
-                        nclosed = tuple(sorted(closed + (group,)))
-                    put((deleted, tuple(sorted(nblocks)), nclosed, summ), ("fk", key))
+                    else:
+                        put((deleted, tuple(sorted(nblocks)), summ), ("fk", key))
 
         elif nd.kind == JOIN:
             lchild, rchild = nd.children
@@ -757,26 +734,20 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
             for rkey in tables[rchild]:
                 by_deleted.setdefault(rkey[0], []).append(rkey)
             for lkey in tables[lchild]:
-                deleted, lblocks, lclosed, lsumm = lkey
+                deleted, lblocks, lsumm = lkey
                 summary_memo = summary_joins.setdefault(lsumm, {})
-                closed_memo = closed_joins.setdefault(lclosed, {})
                 block_memo = block_joins.setdefault(lblocks, {})
                 for rkey in by_deleted.get(deleted, ()):
-                    _, rblocks, rclosed, rsumm = rkey
+                    _, rblocks, rsumm = rkey
                     nsumm = summary_memo.get(rsumm, _MISSING)
                     if nsumm is _MISSING:
                         nsumm = summary_memo[rsumm] = join_summaries(lsumm, rsumm, len(deleted))
                     if nsumm is None:
                         continue
-                    nclosed = closed_memo.get(rclosed, _MISSING)
-                    if nclosed is _MISSING:
-                        nclosed = closed_memo[rclosed] = join_closed(lclosed, rclosed)
-                    if nclosed is None:
-                        continue
                     nblocks = block_memo.get(rblocks)
                     if nblocks is None:
                         nblocks = block_memo[rblocks] = _blocks_join(lblocks, rblocks)
-                    put((deleted, nblocks, nclosed, nsumm), ("join", lkey, rkey))
+                    put((deleted, nblocks, nsumm), ("join", lkey, rkey))
 
         tables.append(table)
         total_states += len(table)
@@ -797,7 +768,7 @@ def _reconstruct(tables, nice, root_key) -> tuple[int, ...]:
     stack = [(len(nice.nodes) - 1, root_key)]
     while stack:
         node_idx, key = stack.pop()
-        back = tables[node_idx][key][1]
+        back = tables[node_idx][key]
         kind = back[0]
         nd = nice.nodes[node_idx]
         if kind == "leaf":
@@ -850,12 +821,13 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional
     r = min_vertex_separator(G, (min(s, t),), (max(s, t),), cap=k)
     _note("ell", int(r.size) if r.is_finite else None)
     _note("excess", k - int(r.size) if r.is_finite else None)
+    for key in ("cover_size", "width_bound", "width"):
+        _note(key, None)
     # a flow above k proves that every s-t separator is larger than k
     if r.exceeds_cap or G.has_edge(s, t):
         return None
     if k == 0:
-        if any(s in comp and t in comp for comp in map(set, components(G))):
-            return None
+        # the flow at cap 0 left s and t disconnected
         if not cls.contains(Graph(0)):
             return None
         return DPWitness((), Graph(0))

@@ -1,7 +1,8 @@
 """Metamorphic properties of the solvers on graphs past the oracle's reach
 (n = 15..40), where no brute-force answer is available: a vertex relabelling
 keeps the answer and the minimum separator size, a pendant vertex hung off a
-non-terminal changes nothing, and a YES at budget k stays YES at k+1."""
+non-terminal changes nothing, a YES at budget k stays YES at k+1, and two
+uncut-pair sets that ask for the same component give the same answer."""
 
 import random
 
@@ -13,12 +14,12 @@ from sepkit.solver import CutConstraints, g_mincut, g_multicut_uncut, parse_clas
 CLASSES = ("any", "edgeless", "forest", "maxdeg:1")
 
 
-def _cases(count, seed, terminals):
-    """Seeded sparse graphs with n = 15..40, each with its own rng and
+def _cases(count, seed, terminals, n_hi=40):
+    """Seeded sparse graphs with n = 15..n_hi, each with its own rng and
     distinct, pairwise non-adjacent terminals from its largest component."""
     for i in range(count):
         rng = random.Random(seed * 1_000_003 + i)
-        n = rng.randint(15, 40)
+        n = rng.randint(15, n_hi)
         G = random_graph(RandomModel(n, rng.uniform(2.5, 4.0) / n, rng.getrandbits(32)))
         pool = max(components(G), key=len)
         for _ in range(50):
@@ -83,4 +84,18 @@ def test_multicut_metamorphic():
 
         v = rng.choice([x for x in range(G.n) if x not in (a, b, c, d)])
         assert (g_multicut_uncut(_with_pendant(G, v), cons, k, cls) is None) == (base is None)
+    assert min(answers.values()) >= 5, answers
+
+
+def test_uncut_pairs_with_a_shared_end_are_interchangeable():
+    # {a-b, b-c} and {a-b, a-c} both ask for a, b and c in one component
+    answers = {True: 0, False: 0}
+    for i, (G, rng, (a, b, c, d)) in enumerate(_cases(30, seed=71, terminals=4, n_hi=30)):
+        cls = parse_class(CLASSES[i % len(CLASSES)])
+        k = rng.randint(1, 4)
+        chain = CutConstraints(((a, d),), ((a, b), (b, c)))
+        star = CutConstraints(((a, d),), ((a, b), (a, c)))
+        wit = g_multicut_uncut(G, chain, k, cls)
+        answers[wit is not None] += 1
+        assert (g_multicut_uncut(G, star, k, cls) is None) == (wit is None)
     assert min(answers.values()) >= 5, answers

@@ -102,6 +102,15 @@ def test_stable_bipartization_dp_states_sum_over_branches(monkeypatch):
     assert stats["dp_states"] == sum(per_branch) == 457
 
 
+def test_stable_bipartization_stats_describe_the_last_branch():
+    # the last branch stops at its flow, so no cover, width or bound of an
+    # earlier branch's DP may stand next to its null ell and excess
+    with collect() as stats:
+        assert stable_bipartization(_near_bipartite(20, 3.0, 3, 4), 3) is None
+    assert stats == {"ell": None, "excess": None, "cover_size": None,
+                     "width_bound": None, "width": None, "dp_states": 457}
+
+
 def test_exact_stable_bipartization_examples():
     out = exact_stable_bipartization(cycle_graph(5), 2)
     assert out is not None and len(out) == 2

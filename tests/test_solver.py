@@ -12,7 +12,7 @@ import sepkit
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
-from sepkit.graphs import DomainError, Graph, induced_subgraph
+from sepkit.graphs import DomainError, Graph, components, induced_subgraph
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
                            path_graph)
@@ -399,6 +399,44 @@ def test_multicut_matches_oracle():
         assert (fast is None) == (slow is None)
 
 
+def test_multicut_with_uncut_pairs_matches_oracle():
+    # a finished component of G - S is judged once, when its block closes:
+    # it dies holding both ends of a cut pair or one end of an uncut pair
+    classes = [ANY, EDGELESS, FOREST, BIPARTITE]
+    yes = 0
+    for i, (G, rng) in enumerate(seeded_graphs(600, seed=53, n_lo=6, n_hi=11)):
+        apart = [(a, b) for a, b in itertools.combinations(range(G.n), 2)
+                 if not G.has_edge(a, b)]
+        comp = max(components(G), key=len)
+        if not apart or len(comp) < 2:
+            continue
+        cut = rng.sample(apart, rng.randint(1, min(2, len(apart))))
+        together = list(itertools.combinations(sorted(comp), 2))
+        uncut = rng.sample(together, rng.randint(1, min(3, len(together))))
+        k = rng.randint(1, 4)
+        cls = classes[i % len(classes)]
+        fast = g_multicut_uncut(G, CutConstraints(tuple(cut), tuple(uncut)), k, cls)
+        slow = bf_multicut_uncut(G, cut, uncut, k, cls.membership)
+        assert (fast is None) == (slow is None), (G.edges(), cut, uncut, k, cls)
+        yes += fast is not None
+    assert yes >= 100, yes
+
+
+# k -> (dp_states, width, witness) for a multicut with an uncut pair on grid
+# 3x5; a split uncut pair dies when the first of its components closes, so
+# a count that rises means a state outlived its verdict
+@pytest.mark.parametrize("k, want", [
+    (3, (604, 3, None)),
+    (4, (847, 3, (7, 9, 11, 13))),
+])
+def test_multicut_state_counts_pinned(k, want):
+    cons = CutConstraints(((0, 14), (2, 12)), ((0, 4),))
+    with collect() as stats:
+        wit = g_multicut_uncut(grid(3, 5), cons, k, ANY)
+    got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
+    assert got == want
+
+
 def test_g_mincut_runs_one_flow(monkeypatch):
     calls = []
     flow = sepkit.separation.min_vertex_separator
@@ -428,7 +466,7 @@ def test_g_mincut_stops_at_a_flow_above_k(monkeypatch):
     with collect() as stats:
         assert g_mincut(FIXTURES["PP"].graph, 0, 5, 1, ANY) is None
     assert calls == []
-    assert stats == {"ell": None, "excess": None}
+    assert stats == dict.fromkeys(("ell", "excess", "cover_size", "width_bound", "width"))
 
 
 def test_reduce_instance_reuses_given_flow():
