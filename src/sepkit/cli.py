@@ -168,15 +168,15 @@ def _dispatch(args) -> dict:
         return _result(cmd, "OK", _ids(cov), stats, notes)
 
     if cmd == "reduce":
-        terminals = set()
-        if args.s is not None:
-            terminals.add(_vertex(G, args.s, "--s"))
-        if args.t is not None:
-            terminals.add(_vertex(G, args.t, "--t"))
-        for a, b in _pairs(G, args.cut, "--cut") + _pairs(G, args.uncut, "--uncut"):
-            terminals.update((a, b))
+        # --s/--t is a cut pair; a lone --s or --t and the uncut ends are kept
+        # as vertices without a cover of their own
+        ends = [_vertex(G, v, flag) for v, flag in ((args.s, "--s"), (args.t, "--t"))
+                if v is not None]
+        cut = _pairs(G, args.cut, "--cut") + ((tuple(ends),) if len(ends) == 2 else ())
+        uncut = _pairs(G, args.uncut, "--uncut")
+        terminals = {*ends, *(v for pair in cut + uncut for v in pair)}
         k = _need_k(args)
-        ri = reduce_instance(G, terminals, k)
+        ri = reduce_instance(G, terminals, k, pairs=cut)
         stats["cover_size"] = len(ri.cover)
         stats["width_bound"] = ri.width_bound
         return _result(cmd, "OK", ri.to_jsonable(), stats, notes)

@@ -317,10 +317,6 @@ def two_coloring(G: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     return black, white
 
 
-def is_bipartite(G: Graph) -> bool:
-    return two_coloring(G) is not None
-
-
 def shortest_odd_cycle(G: Graph) -> Optional[tuple[int, ...]]:
     """A minimum-length odd cycle, or None if G is bipartite.
 

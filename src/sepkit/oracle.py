@@ -361,7 +361,6 @@ def cross_check(config: CheckConfig) -> CheckReport:
     from .reduction import cover_set
 
     report = CheckReport()
-    edgeless = solver.EDGELESS
     # the running trial's params, for a trial that raises
     current = [{}]
 
@@ -426,16 +425,17 @@ def cross_check(config: CheckConfig) -> CheckReport:
             report.record("gmincut", G, params, fast, slow)
 
     def run_multicut(G, rng, tag):
-        if G.n < 4:
-            return
-        vs = rng.sample(range(G.n), 4)
-        cut = [(vs[0], vs[1])]
-        uncut = [(vs[2], vs[3])]
+        # uncut ends may coincide with cut ends
+        def pairs():
+            return [tuple(rng.sample(range(G.n), 2)) for _ in range(rng.randint(1, 2))]
+        cut, uncut = pairs(), pairs()
         k = rng.randint(0, config.k_max)
-        params = trial(cut=cut, uncut=uncut, k=k)
+        name = rng.choice(GMINCUT_CLASSES)
+        params = trial(cut=cut, uncut=uncut, k=k, cls=name)
+        cls = solver.parse_class(name)
         cons = solver.CutConstraints(tuple(cut), tuple(uncut))
-        fast = solver.g_multicut_uncut(G, cons, k, edgeless)
-        slow = bf_multicut_uncut(G, cut, uncut, k, edgeless.membership)
+        fast = solver.g_multicut_uncut(G, cons, k, cls)
+        slow = bf_multicut_uncut(G, cut, uncut, k, cls.membership)
         if (fast is None) != (slow is None):
             report.record("multicut", G, params, fast, slow)
 

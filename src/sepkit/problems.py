@@ -404,7 +404,9 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     membership in a minimum separator answers immediately (read off the
     residual network of one s-t flow, which the cover reuses); and vertices
     whose deletion leaves the minimum separator size above k-1 can never
-    qualify.
+    qualify. The capped flow of G minus v that decides the last shortcut is
+    handed to every multicut-uncut call on G minus v, whose reduction covers
+    the pair s-t alone and keeps v1 and v2 as vertices.
     """
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
@@ -421,7 +423,9 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
             continue
         rest = delete_vertices(G, (v,))
         ns, nt = rest.to_new(s), rest.to_new(t)
-        r = min_vertex_separator(rest.graph, (ns,), (nt,), cap=k - 1)
+        # oriented as reduce_instance meets the cut pair, so that every
+        # neighbour-pair call below reuses it
+        r = min_vertex_separator(rest.graph, (min(ns, nt),), (max(ns, nt),), cap=k - 1)
         if not r.within(k - 1):
             continue
         nbrs = G.adj[v]
@@ -432,7 +436,7 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
                     continue
                 cons = CutConstraints(((ns, nt),),
                                       ((ns, rest.to_new(v1)), (nt, rest.to_new(v2))))
-                if g_multicut_uncut(rest.graph, cons, k - 1, ANY) is not None:
+                if g_multicut_uncut(rest.graph, cons, k - 1, ANY, flow=r) is not None:
                     hit = True
             if hit:
                 break

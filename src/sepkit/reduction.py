@@ -12,7 +12,8 @@ pair costs one max-flow: the flow that decides whether a pair has a
 separator within budget is handed to ``cover_set`` and on to
 ``build_chain``, which reads the chain from its residual network;
 ``g_mincut`` hands its own flow, run for ``ell`` and ``excess``, to
-``reduce_instance``.
+``reduce_instance``, and ``exact_separator_union`` hands the flow of G - v
+to every neighbour-pair call on G - v.
 
 The layer recursion solves each distinct contracted subproblem once. A pair
 (A, B) with an edge between A and B is skipped before contracting: the
@@ -28,10 +29,13 @@ recomputing would. The table is made by the top-level call, shared by its
 whole recursion and dropped when it returns; relabelled inputs would never
 hit across calls.
 
-``reduce_instance`` unions the covers over all terminal pairs and returns
-the torso of that cover C. A set inside C separates two terminals in G
-exactly when it separates them in the torso, so every minimal terminal
-separator of size <= k survives. A torso-added edge carries connectivity
+``reduce_instance`` unions the covers of the cut pairs only and returns the
+torso of that cover C; every other terminal, such as an uncut pair's end,
+joins C as a plain vertex. An inclusion-minimal solution lies inside C:
+each of its vertices is needed to separate some cut pair, so it lies on a
+minimal separator of that pair within the budget. A set inside C leaves two
+vertices of C connected in G exactly when it does in the torso, so every
+cut and uncut verdict carries over. A torso-added edge carries connectivity
 only: the graph of a deleted set is judged on G[C]. Gadget vertices exist
 only in the serialised form that ``reduce`` prints.
 """
@@ -219,8 +223,9 @@ def cover_set(G: Graph, s: int, t: int, k: int,
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Torso of the cover, which keeps the minimal terminal-pair separators
-    of size <= k, with bookkeeping to map answers back."""
+    """Torso of the cover, which keeps the minimal separators of size <= k
+    of the cut pairs and every other terminal, with bookkeeping to map
+    answers back."""
     gstar: Graph                             # torso(G, cover), cover ascending
     induced: Graph                           # G[cover], for the class check
     cover: tuple[int, ...]                   # C', original ids
@@ -256,31 +261,62 @@ class ReducedInstance:
 
 
 def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
+                    pairs: Optional[Iterable[tuple[int, int]]] = None,
                     flow: Optional[SeparatorResult] = None) -> ReducedInstance:
-    """Reduce G to the torso of the union of the terminal-pair covers.
+    """Reduce G to the torso of the union of the covers of ``pairs``, the
+    pairs that must be separated; every other terminal joins the cover C as
+    a plain vertex.
 
-    ``flow``, a flow of G from the lowest terminal to the next one, such as
-    ``g_mincut`` holds, is used for that pair as ``st_flow`` allows.
+    ``pairs`` default to the two lowest terminals, the single pair of a
+    two-terminal call; each pair's ends must be terminals. A pair whose ends
+    are equal or adjacent, or whose capped flow exceeds k, has no separator
+    within budget and adds only its ends. ``flow`` is used, as ``st_flow``
+    allows, for the pair (lower id, higher id) it belongs to, and must
+    belong to one of them.
+
+    This keeps every inclusion-minimal solution Z of a constrained cut with
+    these cut pairs, any uncut pairs among the terminals and a hereditary
+    class: Z - z still meets the class, the budget and every uncut pair, so
+    it must join some cut pair (a, b) through z, and z then lies on a
+    minimal a-b separator inside Z, of size <= k, which cover(a, b) holds.
+    For Z inside C two vertices of C are connected in G - Z iff they are in
+    the torso minus Z, so every cut and uncut verdict carries over.
+
+    ``width_bound`` is the paper's 3 * p * (g + 1) + 1 over the p pairs that
+    contribute a cover, with g the largest of their ``tw_bound`` values,
+    plus one for each terminal outside every such pair (put it in every
+    bag); the 1 covers the degree-2 gadgets of the serialised form. With no
+    contributing pair the torso is on the terminals alone, and the bound is
+    their number minus one.
     """
     terms = G.check_vertices(terminals)
     if len(terms) < 2:
         raise DomainError("need at least two terminals")
+    if pairs is None:
+        pairs = (terms[:2],)
+    ordered = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    if not {v for pair in ordered for v in pair} <= set(terms):
+        raise DomainError("pair ends must be terminals")
+    if flow is not None and not any(flow.belongs_to(G, (a,), (b,)) for a, b in ordered):
+        raise DomainError("flow belongs to another graph or terminal pair")
     cover: set[int] = set(terms)
-    contributing = 0
+    contributing: list[tuple[int, int]] = []
     g_max = 0
-    for i, s in enumerate(terms):
-        for t in terms[i + 1:]:
-            if G.has_edge(s, t):
-                continue
-            r = st_flow(G, s, t, flow if (s, t) == terms[:2] else None, cap=k)
-            if not r.within(k):
-                continue
-            cover.update(cover_set(G, s, t, k, flow=r))
-            contributing += 1
-            if r.size >= 1:
-                g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)
-    # bounds the serialised graph: one extra for the degree-2 gadgets
-    width_bound = min(3 * contributing * (g_max + 1) + 1, SATURATION_LIMIT)
+    for a, b in ordered:
+        if a == b or G.has_edge(a, b):
+            continue
+        own = flow is not None and flow.belongs_to(G, (a,), (b,))
+        r = st_flow(G, a, b, flow if own else None, cap=k)
+        if not r.within(k):
+            continue
+        cover.update(cover_set(G, a, b, k, flow=r))
+        contributing.append((a, b))
+        if r.size >= 1:
+            g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)
+    outside = len(set(terms).difference(*contributing))
+    width_bound = (3 * len(contributing) * (g_max + 1) + 1 + outside if contributing
+                   else outside - 1)
+    width_bound = min(width_bound, SATURATION_LIMIT)
     tor = torso(G, cover)
     return ReducedInstance(tor.graph, induced_subgraph(G, tor.orig).graph,
                            tor.orig, terms, k, width_bound)

@@ -446,25 +446,6 @@ def parse_class(selector: str) -> HereditaryClass:
     raise DomainError(f"unknown class selector {selector!r}")
 
 
-def check_hereditary(cls: HereditaryClass, max_n: int = 5) -> bool:
-    """Debug helper: verify closure under vertex deletion on all graphs with
-    at most max_n vertices."""
-    for n in range(max_n + 1):
-        all_pairs = list(itertools.combinations(range(n), 2))
-        for picks in itertools.chain.from_iterable(
-                itertools.combinations(all_pairs, r) for r in range(len(all_pairs) + 1)):
-            H = Graph(n, picks)
-            if not cls.contains(H):
-                continue
-            for v in range(n):
-                keep = [u for u in range(n) if u != v]
-                idx = {u: i for i, u in enumerate(keep)}
-                sub = Graph(n - 1, [(idx[a], idx[b]) for a, b in picks if a != v and b != v])
-                if not cls.contains(sub):
-                    return False
-    return True
-
-
 # -- constraints and witnesses --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -844,8 +825,9 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
                      flow: Optional[SeparatorResult] = None) -> Optional[DPWitness]:
     """Deletion set separating every cut pair, keeping every uncut pair
-    connected, inducing a member of cls. ``flow`` is handed to
-    ``reduce_instance``."""
+    connected, inducing a member of cls. Only the cut pairs are covered;
+    uncut ends join the cover as vertices (``reduce_instance``). ``flow``, a
+    flow of one cut pair from its lower to its higher end, is handed on."""
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
@@ -859,7 +841,7 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         if verify_solution(G, (), norm, k, cls):
             return DPWitness((), Graph(0))
         return None
-    ri = reduce_instance(G, terms, k, flow=flow)
+    ri = reduce_instance(G, terms, k, pairs=norm.cut_pairs, flow=flow)
     _note("cover_size", len(ri.cover))
     _note("width_bound", ri.width_bound)
     td = decompose(ri.gstar)

@@ -210,7 +210,7 @@ def _stats(**given):
     (["gmincut", "PP", "--s", "1", "--t", "6", "--k", "3", "--class", "forest"],
      _stats(cover_size=6, dp_states=92, ell=2, excess=1, width=2, width_bound=9517)),
     (["multicut", "PP", "--cut", "1:6", "--uncut", "2:4", "--k", "2", "--class", "any"],
-     _stats(cover_size=6, dp_states=34, width=2, width_bound=157)),
+     _stats(cover_size=6, dp_states=34, width=2, width_bound=42)),
     (["stable-cut", "C4", "--s", "1", "--t", "3", "--k", "2"],
      _stats(cover_size=4, dp_states=25, ell=2, excess=0, width=2, width_bound=40)),
     (["eivc", "C4", "--s", "1", "--t", "3", "--k", "2"],

@@ -294,6 +294,37 @@ def test_exact_separator_union_tests_only_cover_vertices(monkeypatch):
     assert calls == []
 
 
+def test_exact_separator_union_runs_one_flow_per_candidate(monkeypatch):
+    # every neighbour-pair multicut on G - v reuses the capped s-t flow of
+    # G - v instead of running its own
+    G = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 2), (1, 5), (1, 6), (2, 3),
+                  (2, 4), (2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (5, 7)])
+    rests, flows, multicuts = [], [], []
+    delete, flow, multicut = (sepkit.problems.delete_vertices, min_vertex_separator,
+                              sepkit.problems.g_multicut_uncut)
+
+    def deleted(*args):
+        rests.append(delete(*args))
+        return rests[-1]
+
+    def flowed(H, A, B, cap=None):
+        flows.append((H, set(A) | set(B)))
+        return flow(H, A, B, cap=cap)
+
+    def multicut_counted(*args, **kwargs):
+        multicuts.append(1)
+        return multicut(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.problems, "delete_vertices", deleted)
+    monkeypatch.setattr(sepkit.problems, "g_multicut_uncut", multicut_counted)
+    for module in (sepkit.separation, sepkit.reduction, sepkit.solver, sepkit.problems):
+        monkeypatch.setattr(module, "min_vertex_separator", flowed)
+    assert exact_separator_union(G, 0, 7, 3) == bf_separator_union(G, 0, 7, 3) == (1, 2, 4, 5)
+    per_v = [sum(H is rest.graph and ends == {rest.to_new(0), rest.to_new(7)}
+                 for H, ends in flows) for rest in rests]
+    assert len(multicuts) == 5 and per_v == [1] * len(rests), per_v
+
+
 def test_every_branch_separator_contains_r():
     G = cycle_graph(5)
     S0 = odd_cycle_transversal(G, 2)

@@ -278,23 +278,21 @@ def test_reduce_preserves_minimal_separator_family():
 def _gadget_reduction_jsonable(G, terminals, k):
     """Reference twin: the replacement graph as reduce_instance built it when
     every torso-added edge was replaced by k+1 undeletable two-edge gadget
-    paths inside the solve graph."""
+    paths inside the solve graph. The two lowest terminals are the one pair
+    covered; the others are kept as vertices."""
     terms = G.check_vertices(terminals)
     cover = set(terms)
     contributing = 0
     g_max = 0
-    for i, s in enumerate(terms):
-        for t in terms[i + 1:]:
-            if G.has_edge(s, t):
-                continue
-            r = min_vertex_separator(G, (s,), (t,), cap=k)
-            if not r.within(k):
-                continue
+    s, t = terms[:2]
+    if not G.has_edge(s, t):
+        r = min_vertex_separator(G, (s,), (t,), cap=k)
+        if r.within(k):
             cover.update(cover_set(G, s, t, k, flow=r))
             contributing += 1
             if r.size >= 1:
-                g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)
-    width_bound = min(3 * contributing * (g_max + 1) + 1, SATURATION_LIMIT)
+                g_max = tw_bound(int(r.size), k - int(r.size)).g_value
+    width_bound = min(3 * contributing * (g_max + 1) + 1 + len(terms) - 2, SATURATION_LIMIT)
     tor = torso(G, cover)
     added_new = {(tor.to_new(u), tor.to_new(v)) for u, v in tor.added_edges}
     edges = [e for e in tor.graph.edges() if e not in added_new]

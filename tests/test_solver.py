@@ -12,14 +12,14 @@ import sepkit
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
-from sepkit.graphs import DomainError, Graph, components, induced_subgraph
+from sepkit.graphs import DomainError, Graph, components, induced_subgraph, vset
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
                            path_graph)
 from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
-                           HereditaryClass, VerificationError, check_hereditary,
+                           HereditaryClass, VerificationError,
                            collect, decode_graph6, _canon, _note,
                            dp_constrained_cut, g_mincut,
                            g_multicut_uncut, matching_deficiency,
@@ -204,6 +204,25 @@ def test_builtin_classes_membership():
     assert MATCH_DEFICIENCY(2).contains(P3)    # 3 vertices, matching size 1
     assert not MATCH_DEFICIENCY(1).contains(P3)
     assert ANY.contains(complete_graph(5))
+
+
+def check_hereditary(cls: HereditaryClass, max_n: int = 5) -> bool:
+    """Closure under vertex deletion, checked on all graphs with at most
+    max_n vertices."""
+    for n in range(max_n + 1):
+        all_pairs = list(itertools.combinations(range(n), 2))
+        for picks in itertools.chain.from_iterable(
+                itertools.combinations(all_pairs, r) for r in range(len(all_pairs) + 1)):
+            H = Graph(n, picks)
+            if not cls.contains(H):
+                continue
+            for v in range(n):
+                keep = [u for u in range(n) if u != v]
+                idx = {u: i for i, u in enumerate(keep)}
+                sub = Graph(n - 1, [(idx[a], idx[b]) for a, b in picks if a != v and b != v])
+                if not cls.contains(sub):
+                    return False
+    return True
 
 
 def test_builtin_classes_are_hereditary():
@@ -435,6 +454,71 @@ def test_multicut_state_counts_pinned(k, want):
         wit = g_multicut_uncut(grid(3, 5), cons, k, ANY)
     got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
     assert got == want
+
+
+def test_multicut_covers_only_its_cut_pairs(monkeypatch):
+    # the uncut end 4 joins the cover as a vertex; covering every terminal
+    # pair computed ten top-level covers here
+    pairs = []
+    cover = sepkit.reduction.cover_set
+
+    def counted(G, s, t, k, flow=None, memo=None):
+        if memo is None:
+            pairs.append((s, t))
+        return cover(G, s, t, k, flow=flow, memo=memo)
+
+    monkeypatch.setattr(sepkit.reduction, "cover_set", counted)
+    cons = CutConstraints(((14, 0), (2, 12)), ((0, 4),))
+    assert g_multicut_uncut(grid(3, 5), cons, 4, ANY).deletion_set == (7, 9, 11, 13)
+    assert sorted(pairs) == [(0, 14), (2, 12)]
+
+
+def _minimal_solutions(G, cons, k, cls):
+    """Every inclusion-minimal deletion set, by exhaustive search."""
+    terms = set(cons.terminals)
+    found = []
+    for r in range(k + 1):
+        for Z in itertools.combinations([v for v in range(G.n) if v not in terms], r):
+            if any(set(S) <= set(Z) for S in found):
+                continue
+            if not cls.contains(induced_subgraph(G, Z).graph):
+                continue
+            comp = {v: i for i, c in enumerate(components(G, Z)) for v in c}
+            if all(comp[a] != comp[b] for a, b in cons.cut_pairs) and \
+               all(comp[a] == comp[b] for a, b in cons.uncut_pairs):
+                found.append(Z)
+    return found
+
+
+def test_cut_pair_cover_keeps_every_minimal_solution():
+    # a minimal solution lies on minimal separators of its cut pairs only, so
+    # the cover of the cut pairs plus the other terminals holds it, and the
+    # reduced graph's width stays within width_bound
+    classes = [ANY, EDGELESS, FOREST, BIPARTITE]
+    solved = with_outside = 0
+    for i, (G, rng) in enumerate(seeded_graphs(1000, seed=61, n_lo=5, n_hi=10)):
+        # ends drawn from four vertices, most of them in one component, so
+        # that pairs share ends and uncut pairs can hold
+        comp = max(components(G), key=len)
+        pool = vset(rng.sample(comp, min(3, len(comp))) + [rng.randrange(G.n)])
+        apart = [p for p in itertools.combinations(pool, 2) if not G.has_edge(*p)]
+        if not apart:
+            continue
+        cut = rng.sample(apart, rng.randint(1, min(2, len(apart))))
+        rest = [p for p in itertools.combinations(pool, 2) if p not in cut]
+        if not rest:
+            continue
+        uncut = rng.sample(rest, rng.randint(1, min(2, len(rest))))
+        cons = CutConstraints(tuple(cut), tuple(uncut))
+        k = rng.randint(1, 4)
+        cls = classes[i % len(classes)]
+        ri = reduce_instance(G, cons.terminals, k, pairs=cons.cut_pairs)
+        assert decompose(ri.gstar).width <= ri.width_bound, (G.edges(), cut, uncut, k)
+        for Z in _minimal_solutions(G, cons, k, cls):
+            assert set(Z) <= set(ri.cover), (G.edges(), cut, uncut, k, cls.name, Z)
+            solved += 1
+        with_outside += bool(set(cons.terminals).difference(*cut))
+    assert solved >= 250 and with_outside >= 600, (solved, with_outside)
 
 
 def test_g_mincut_runs_one_flow(monkeypatch):
