@@ -32,21 +32,10 @@ class SeparatorChain:
     ell: int
     sets: tuple[tuple[int, ...], ...]          # X_1..X_q, ascending by size
     boundaries: tuple[tuple[int, ...], ...]    # S_i = boundary(X_i)
-    # sentinels, stored explicitly: the layer decomposition consumes them
-    x_lo: tuple[int, ...]                      # X_0, empty
-    x_hi: tuple[int, ...]                      # X_{q+1}, V minus {t}
-    s_lo: tuple[int, ...]                      # S_0 = {s}
-    s_hi: tuple[int, ...]                      # S_{q+1} = {t}
 
     @property
     def q(self) -> int:
         return len(self.sets)
-
-    def sets_with_sentinels(self) -> list[tuple[int, ...]]:
-        return [self.x_lo, *self.sets, self.x_hi]
-
-    def boundaries_with_sentinels(self) -> list[tuple[int, ...]]:
-        return [self.s_lo, *self.boundaries, self.s_hi]
 
 
 def build_chain(G: Graph, s: int, t: int,
@@ -79,8 +68,7 @@ def build_chain(G: Graph, s: int, t: int,
         sets.append(tuple(sorted(union)))
         bounds.append(boundary(G, union))
         assert len(bounds[-1]) == ell
-    x_hi = tuple(v for v in range(G.n) if v != t)
-    return SeparatorChain(ell, tuple(sets), tuple(bounds), (), x_hi, (s,), (t,))
+    return SeparatorChain(ell, tuple(sets), tuple(bounds))
 
 
 def validate_chain(G: Graph, s: int, t: int, chain: SeparatorChain,

@@ -177,9 +177,10 @@ def _dispatch(args) -> dict:
         terminals = {*ends, *(v for pair in cut + uncut for v in pair)}
         k = _need_k(args)
         ri = reduce_instance(G, terminals, k, pairs=cut)
+        witness = ri.to_jsonable()
         stats["cover_size"] = len(ri.cover)
-        stats["width_bound"] = ri.width_bound
-        return _result(cmd, "OK", ri.to_jsonable(), stats, notes)
+        stats["width_bound"] = witness["width_bound"]
+        return _result(cmd, "OK", witness, stats, notes)
 
     if cmd == "decompose":
         td = decompose(G)

@@ -156,15 +156,19 @@ def bf_g_mincut(G: Graph, s: int, t: int, k: int,
 
 
 def bf_multicut_uncut(G: Graph, cut_pairs, uncut_pairs, k: int,
-                      member: Callable[[Graph], bool]) -> Optional[tuple[int, ...]]:
+                      member: Callable[[Graph], bool], reach=()) -> Optional[tuple[int, ...]]:
+    """A reach constraint (a, B) keeps a and asks a's component to hold a
+    kept vertex of B; the vertices of B may be deleted."""
     _check_cap(G)
     terminals = {v for p in list(cut_pairs) + list(uncut_pairs) for v in p}
+    terminals.update(a for a, _ in reach)
     candidates = [v for v in range(G.n) if v not in terminals]
     for S in subsets_by_size(candidates, k):
         if not member(_induced(G, S)):
             continue
         if all(_separates(G, S, (a,), (b,)) for a, b in cut_pairs) and \
-           all(a == b or not _separates(G, S, (a,), (b,)) for a, b in uncut_pairs):
+           all(a == b or not _separates(G, S, (a,), (b,)) for a, b in uncut_pairs) and \
+           all(not _separates(G, S, (a,), B) for a, B in reach):
             return S
     return None
 
@@ -425,17 +429,20 @@ def cross_check(config: CheckConfig) -> CheckReport:
             report.record("gmincut", G, params, fast, slow)
 
     def run_multicut(G, rng, tag):
-        # uncut ends may coincide with cut ends
+        # uncut ends, reach sources and reach targets may coincide with
+        # cut ends
         def pairs():
             return [tuple(rng.sample(range(G.n), 2)) for _ in range(rng.randint(1, 2))]
         cut, uncut = pairs(), pairs()
+        reach = [(rng.randrange(G.n), tuple(rng.sample(range(G.n), rng.randint(1, 3))))
+                 for _ in range(rng.randint(0, 2))]
         k = rng.randint(0, config.k_max)
         name = rng.choice(GMINCUT_CLASSES)
-        params = trial(cut=cut, uncut=uncut, k=k, cls=name)
+        params = trial(cut=cut, uncut=uncut, reach=reach, k=k, cls=name)
         cls = solver.parse_class(name)
-        cons = solver.CutConstraints(tuple(cut), tuple(uncut))
+        cons = solver.CutConstraints(tuple(cut), tuple(uncut), tuple(reach))
         fast = solver.g_multicut_uncut(G, cons, k, cls)
-        slow = bf_multicut_uncut(G, cut, uncut, k, cls.membership)
+        slow = bf_multicut_uncut(G, cut, uncut, k, cls.membership, reach)
         if (fast is None) != (slow is None):
             report.record("multicut", G, params, fast, slow)
 

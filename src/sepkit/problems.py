@@ -395,18 +395,20 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     """The exact set of vertices lying on some minimal s-t separator of size
     at most k.
 
-    A vertex v qualifies iff for some neighbors v1, v2 of v there is a set of
-    at most k-1 vertices separating s from t in G minus v while keeping s
-    connected to v1 and t connected to v2; decided by multicut-uncut calls
-    with the unconstrained class. Three sound shortcuts keep this
-    affordable: only vertices of ``cover_set``, which contains every
-    vertex of every minimal separator of size at most k, are tested;
-    membership in a minimum separator answers immediately (read off the
-    residual network of one s-t flow, which the cover reuses); and vertices
-    whose deletion leaves the minimum separator size above k-1 can never
-    qualify. The capped flow of G minus v that decides the last shortcut is
-    handed to every multicut-uncut call on G minus v, whose reduction covers
-    the pair s-t alone and keeps v1 and v2 as vertices.
+    A vertex v qualifies iff some set of at most k-1 vertices separates s
+    from t in G minus v while the components of s and of t each still meet
+    N(v): v is then essential in that set plus v, and a minimal separator's
+    full components give such a set. Each candidate is decided by one
+    multicut-uncut call on G minus v with the unconstrained class, the cut
+    pair (s, t) and the reach constraints (s, N(v)) and (t, N(v)). Three
+    sound shortcuts keep this affordable: only vertices of ``cover_set``,
+    which contains every vertex of every minimal separator of size at most
+    k, are tested; membership in a minimum separator answers immediately
+    (read off the residual network of one s-t flow, which the cover reuses);
+    and vertices whose deletion leaves the minimum separator size above k-1
+    can never qualify. The capped flow of G minus v that decides the last
+    shortcut is handed to the call, whose reduction covers the pair s-t
+    alone and keeps N(v) as vertices.
     """
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
@@ -423,23 +425,12 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
             continue
         rest = delete_vertices(G, (v,))
         ns, nt = rest.to_new(s), rest.to_new(t)
-        # oriented as reduce_instance meets the cut pair, so that every
-        # neighbour-pair call below reuses it
+        # oriented as reduce_instance meets the cut pair, which then reuses it
         r = min_vertex_separator(rest.graph, (min(ns, nt),), (max(ns, nt),), cap=k - 1)
         if not r.within(k - 1):
             continue
-        nbrs = G.adj[v]
-        hit = False
-        for v1 in nbrs:
-            for v2 in nbrs:
-                if hit or v1 == v2:
-                    continue
-                cons = CutConstraints(((ns, nt),),
-                                      ((ns, rest.to_new(v1)), (nt, rest.to_new(v2))))
-                if g_multicut_uncut(rest.graph, cons, k - 1, ANY, flow=r) is not None:
-                    hit = True
-            if hit:
-                break
-        if hit:
+        nbrs = tuple(rest.to_new(u) for u in G.adj[v])
+        cons = CutConstraints(((ns, nt),), reach=((ns, nbrs), (nt, nbrs)))
+        if g_multicut_uncut(rest.graph, cons, k - 1, ANY, flow=r) is not None:
             out.append(v)
     return tuple(out)

@@ -13,7 +13,7 @@ separator within budget is handed to ``cover_set`` and on to
 ``build_chain``, which reads the chain from its residual network;
 ``g_mincut`` hands its own flow, run for ``ell`` and ``excess``, to
 ``reduce_instance``, and ``exact_separator_union`` hands the flow of G - v
-to every neighbour-pair call on G - v.
+to its one call on G - v.
 
 The layer recursion solves each distinct contracted subproblem once. A pair
 (A, B) with an edge between A and B is skipped before contracting: the
@@ -30,14 +30,15 @@ whole recursion and dropped when it returns; relabelled inputs would never
 hit across calls.
 
 ``reduce_instance`` unions the covers of the cut pairs only and returns the
-torso of that cover C; every other terminal, such as an uncut pair's end,
-joins C as a plain vertex. An inclusion-minimal solution lies inside C:
-each of its vertices is needed to separate some cut pair, so it lies on a
-minimal separator of that pair within the budget. A set inside C leaves two
-vertices of C connected in G exactly when it does in the torso, so every
-cut and uncut verdict carries over. A torso-added edge carries connectivity
-only: the graph of a deleted set is judged on G[C]. Gadget vertices exist
-only in the serialised form that ``reduce`` prints.
+torso of that cover C; every other terminal, such as an uncut pair's end or
+a reach constraint's source or target, joins C as a plain vertex. An
+inclusion-minimal solution lies inside C: each of its vertices is needed to
+separate some cut pair, so it lies on a minimal separator of that pair
+within the budget. A set inside C leaves two vertices of C connected in G
+exactly when it does in the torso, so every cut, uncut and reach verdict
+carries over. A torso-added edge carries connectivity only: the graph of a
+deleted set is judged on G[C]. Gadget vertices exist only in the serialised
+form that ``reduce`` prints.
 """
 
 from __future__ import annotations
@@ -121,25 +122,17 @@ def torso(G: Graph, C: Iterable[int]) -> TorsoResult:
     return TorsoResult(Graph(len(cs), edges), cs, added)
 
 
-@dataclass(frozen=True)
-class LayerSystem:
-    """Layers L_i between consecutive chain boundaries, with the boundary pool
-    each layer may touch."""
-    chain: SeparatorChain
-    layers: tuple[tuple[int, ...], ...]
-    pools: tuple[tuple[int, ...], ...]
-
-
-def layer_system(chain: SeparatorChain) -> LayerSystem:
-    xs = chain.sets_with_sentinels()
-    ss = chain.boundaries_with_sentinels()
-    layers = []
-    pools = []
+def layer_system(chain: SeparatorChain, s: int, t: int, n: int) -> list[tuple]:
+    """(layer L_i, pool) pairs: the vertices between consecutive chain
+    boundaries and the two boundaries they may touch, with the chain closed
+    by X_0 = {}, S_0 = {s} and X_{q+1} = V - t, S_{q+1} = {t}."""
+    xs = [(), *chain.sets, tuple(v for v in range(n) if v != t)]
+    ss = [(s,), *chain.boundaries, (t,)]
+    out = []
     for i in range(1, len(xs)):
         prev = set(xs[i - 1]) | set(ss[i - 1])
-        layers.append(tuple(v for v in xs[i] if v not in prev))
-        pools.append(vset(set(ss[i]) | set(ss[i - 1])))
-    return LayerSystem(chain, tuple(layers), tuple(pools))
+        out.append((tuple(v for v in xs[i] if v not in prev), vset(ss[i] + ss[i - 1])))
+    return out
 
 
 def _disjoint_subset_pairs(pool: tuple[int, ...]):
@@ -196,8 +189,7 @@ def cover_set(G: Graph, s: int, t: int, k: int,
 
     if memo is None:
         memo = {}
-    system = layer_system(chain)
-    for layer, pool in zip(system.layers, system.pools):
+    for layer, pool in layer_system(chain, s, t, G.n):
         for A, B in _disjoint_subset_pairs(pool):
             # a sub-cover maps back into the layer: nothing left to add
             if cover.issuperset(layer):
@@ -241,7 +233,10 @@ class ReducedInstance:
 
     def to_jsonable(self) -> dict:
         """G[cover] plus k+1 undeletable gadget vertices adjacent to u and v
-        for each torso-added edge uv: no separator within k can cut it."""
+        for each torso-added edge uv: no separator within k can cut it. The
+        ends of a gadget share a bag of the torso's decomposition, so one
+        bag {u, v, x} per gadget x keeps the width at most 2 or the
+        torso's."""
         base, edges = self.gstar.n, self.induced.edges()
         gadgets = [e for e in sorted(set(self.gstar.edges()) - set(edges))
                    for _ in range(self.k + 1)]
@@ -253,7 +248,7 @@ class ReducedInstance:
             "terminals": [v + 1 for v in self.terminals],
             "k": self.k,
             "origin": [v + 1 for v in self.cover] + [GADGET] * len(gadgets),
-            "width_bound": self.width_bound,
+            "width_bound": max(self.width_bound, 2) if gadgets else self.width_bound,
         }
 
     def to_json(self) -> str:
@@ -275,19 +270,22 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
     belong to one of them.
 
     This keeps every inclusion-minimal solution Z of a constrained cut with
-    these cut pairs, any uncut pairs among the terminals and a hereditary
-    class: Z - z still meets the class, the budget and every uncut pair, so
-    it must join some cut pair (a, b) through z, and z then lies on a
-    minimal a-b separator inside Z, of size <= k, which cover(a, b) holds.
-    For Z inside C two vertices of C are connected in G - Z iff they are in
-    the torso minus Z, so every cut and uncut verdict carries over.
+    these cut pairs, any uncut pairs and reach constraints whose ends,
+    sources and targets are among the terminals, and a hereditary class:
+    Z - z still meets the class and the budget, and keeping z only adds
+    connectivity, so every uncut pair and reach constraint still holds; Z - z
+    must then join some cut pair (a, b) through z, and z lies on a minimal
+    a-b separator inside Z, of size <= k, which cover(a, b) holds. For Z
+    inside C two vertices of C are connected in G - Z iff they are in the
+    torso minus Z, so every cut, uncut and reach verdict carries over.
 
     ``width_bound`` is the paper's 3 * p * (g + 1) + 1 over the p pairs that
     contribute a cover, with g the largest of their ``tw_bound`` values,
     plus one for each terminal outside every such pair (put it in every
     bag); the 1 covers the degree-2 gadgets of the serialised form. With no
     contributing pair the torso is on the terminals alone, and the bound is
-    their number minus one.
+    their number minus one; the serialised form then claims at least 2
+    when it has a gadget (``to_jsonable``).
     """
     terms = G.check_vertices(terminals)
     if len(terms) < 2:

@@ -2,14 +2,16 @@
 
 The DP searches for a deletion set S of at most k non-terminal vertices such
 that the graph induced on S belongs to a hereditary class, every cut pair
-ends up in different components and every uncut pair in the same component.
+ends up in different components, every uncut pair in the same component, and
+the component of every reach source holds a kept vertex of its targets.
 On a reduced instance G is the torso of the cover: blocks merge along all of
 its edges, but the deleted set's graph comes from G[cover] (``induced``).
 
 A state at a decomposition node consists of
   * which bag vertices are deleted (the pins, ranked by id),
   * the partition of the kept bag vertices into connectivity blocks, each
-    block carrying the set of terminals attached to it, and
+    block carrying the marks of its kept vertices: the terminals, and the
+    reach constraints whose targets it holds, and
   * the class's summary of the graph induced on all deleted vertices so far.
 
 A summary (``ClassSummary``) keeps of that graph only what decides how it can
@@ -39,13 +41,14 @@ split states, since the deleted bag vertices are part of the state anyway.
 
 Pruning: a state dies when its accumulated induced graph leaves the class
 (sound because the class is hereditary), or when forgetting a kept vertex
-empties its block and that block's terminals hold both ends of a cut pair or
-exactly one end of an uncut pair. This is exact. The root bag is empty, so
-every kept vertex's block closes exactly once; a closed block cannot grow,
-since a vertex is only adjacent to vertices it shares a bag with, so its
-terminals are those of a finished component of G minus the deleted set and
-every cut and uncut verdict on it is final. Nothing about a finished
-component needs to be carried. Edges between deleted vertices are recorded
+empties its block and that block's marks hold both ends of a cut pair,
+exactly one end of an uncut pair, or a reach source without the mark of its
+targets. This is exact. The root bag is empty, so every kept vertex's block
+closes exactly once; a closed block cannot grow, since a vertex is only
+adjacent to vertices it shares a bag with, so its marks are those of a
+finished component of G minus the deleted set and every cut, uncut and reach
+verdict on it is final. Nothing about a finished component needs to be
+carried. Edges between deleted vertices are recorded
 when the later endpoint is introduced, which by the decomposition axioms
 reconstructs the exact induced subgraph.
 
@@ -450,12 +453,18 @@ def parse_class(selector: str) -> HereditaryClass:
 
 @dataclass(frozen=True)
 class CutConstraints:
+    """Each cut pair ends in two components of G - S and each uncut pair in
+    one. A reach constraint (a, B) keeps a, and a's component holds a kept
+    vertex of B; the vertices of B may be deleted. The terminals, which S
+    avoids, are the pair ends and the reach sources."""
     cut_pairs: tuple[tuple[int, int], ...]
     uncut_pairs: tuple[tuple[int, int], ...] = ()
+    reach: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     @property
     def terminals(self) -> tuple[int, ...]:
-        return vset(v for p in self.cut_pairs + self.uncut_pairs for v in p)
+        return vset([v for p in self.cut_pairs + self.uncut_pairs for v in p]
+                    + [a for a, _ in self.reach])
 
 
 @dataclass
@@ -548,10 +557,10 @@ def _form_summary(cls: HereditaryClass) -> ClassSummary:
 
 # -- block bookkeeping -----------------------------------------------------------
 
-def _blocks_introduce(blocks: tuple, v: int, G: Graph, terminals: frozenset) -> tuple:
+def _blocks_introduce(blocks: tuple, v: int, G: Graph, marks: dict) -> tuple:
     nbrs = G.neighbor_sets()[v]
     verts = {v}
-    terms = {v} if v in terminals else set()
+    terms = set(marks.get(v, ()))
     rest = []
     for bv, bt in blocks:
         if any(u in nbrs for u in bv):
@@ -621,6 +630,12 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
         raise DomainError("nice decomposition does not match the graph")
     induced = G if induced is None else induced
     terminals = frozenset(G.check_vertices(cons.terminals))
+    # a kept vertex's marks: its id if it is a terminal, ~i if it is a target
+    # of reach constraint i
+    marks: dict[int, tuple] = {v: (v,) for v in terminals}
+    for i, (_, targets) in enumerate(cons.reach):
+        for b in G.check_vertices(targets):
+            marks[b] = marks.get(b, ()) + (~i,)
     # no accumulated graph can outgrow the deletable vertices
     k = min(k, G.n - len(terminals))
     if cls.max_check is not None and k > cls.max_check:
@@ -631,7 +646,8 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     def finished_ok(terms: tuple) -> bool:
         ts = set(terms)
         return not any(a in ts and b in ts for a, b in cons.cut_pairs) and \
-            not any((a in ts) != (b in ts) for a, b in cons.uncut_pairs)
+            not any((a in ts) != (b in ts) for a, b in cons.uncut_pairs) and \
+            not any(a in ts and ~i not in ts for i, (a, _) in enumerate(cons.reach))
 
     def delete_vertex(deleted: tuple, summ: tuple, v: int) -> tuple:
         rank = sum(1 for d in deleted if d < v)
@@ -674,7 +690,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                 # keep v
                 nblocks = keep_memo.get(blocks)
                 if nblocks is None:
-                    nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, terminals)
+                    nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, marks)
                 put((deleted, nblocks, summ), ("keep", key))
                 # delete v
                 if v not in terminals and summ[0] < k:
@@ -789,6 +805,9 @@ def verify_solution(G: Graph, S: Iterable[int], cons: CutConstraints, k: int,
     for a, b in cons.uncut_pairs:
         if a != b and comp_of.get(a) != comp_of.get(b):
             return False
+    for a, targets in cons.reach:
+        if all(comp_of.get(b) != comp_of[a] for b in targets):
+            return False
     return True
 
 
@@ -825,14 +844,15 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
                      flow: Optional[SeparatorResult] = None) -> Optional[DPWitness]:
     """Deletion set separating every cut pair, keeping every uncut pair
-    connected, inducing a member of cls. Only the cut pairs are covered;
-    uncut ends join the cover as vertices (``reduce_instance``). ``flow``, a
-    flow of one cut pair from its lower to its higher end, is handed on."""
+    connected and every reach constraint met, inducing a member of cls. Only
+    the cut pairs are covered; uncut ends, reach sources and reach targets
+    join the cover as vertices (``reduce_instance``). ``flow``, a flow of
+    one cut pair from its lower to its higher end, is handed on."""
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
     uncut = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
-    norm = CutConstraints(tuple(cons.cut_pairs), uncut)
+    norm = CutConstraints(tuple(cons.cut_pairs), uncut, tuple(cons.reach))
     terms = norm.terminals
     if not norm.cut_pairs:
         # deleting nothing is optimal when nothing must be separated
@@ -841,14 +861,16 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         if verify_solution(G, (), norm, k, cls):
             return DPWitness((), Graph(0))
         return None
-    ri = reduce_instance(G, terms, k, pairs=norm.cut_pairs, flow=flow)
+    targets = [b for _, B in norm.reach for b in B]
+    ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
     _note("cover_size", len(ri.cover))
     _note("width_bound", ri.width_bound)
     td = decompose(ri.gstar)
     nice = make_nice(td, ri.gstar, root_vertex=ri.to_gstar(min(terms)))
     mapped = CutConstraints(
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.cut_pairs),
-        tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.uncut_pairs))
+        tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.uncut_pairs),
+        tuple((ri.to_gstar(a), tuple(map(ri.to_gstar, B))) for a, B in norm.reach))
     wit = dp_constrained_cut(ri.gstar, nice, mapped, k, cls, ri.induced)
     if wit is None:
         return None

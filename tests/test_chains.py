@@ -36,13 +36,6 @@ def test_chain_pp():
     assert validate_chain(PP, 0, 5, ch, _minimum_seps(PP, 0, 5))
 
 
-def test_chain_sentinels():
-    ch = build_chain(PP, 0, 5)
-    assert ch.x_lo == () and ch.s_lo == (0,) and ch.s_hi == (5,)
-    assert ch.x_hi == (0, 1, 2, 3, 4)
-    assert ch.sets_with_sentinels()[0] == () and ch.boundaries_with_sentinels()[-1] == (5,)
-
-
 def test_chain_rejects_adjacent_terminals():
     with pytest.raises(DomainError):
         build_chain(Graph(2, [(0, 1)]), 0, 1)
@@ -56,21 +49,19 @@ def test_chain_disconnected_terminals():
 
 def test_validate_rejects_uncovered_separator():
     ch = build_chain(PP, 0, 5)
-    truncated = SeparatorChain(ch.ell, ch.sets[:1], ch.boundaries[:1],
-                               ch.x_lo, ch.x_hi, ch.s_lo, ch.s_hi)
+    truncated = SeparatorChain(ch.ell, ch.sets[:1], ch.boundaries[:1])
     assert not validate_chain(PP, 0, 5, truncated, _minimum_seps(PP, 0, 5))
 
 
 def test_validate_rejects_non_nested_pair():
     ch = build_chain(PP, 0, 5)
-    crossed = SeparatorChain(ch.ell, ((0, 1), (0, 3)), ch.boundaries,
-                             ch.x_lo, ch.x_hi, ch.s_lo, ch.s_hi)
+    crossed = SeparatorChain(ch.ell, ((0, 1), (0, 3)), ch.boundaries)
     assert not validate_chain(PP, 0, 5, crossed, _minimum_seps(PP, 0, 5))
 
 
 def test_validate_rejects_wrong_boundary_size():
     ch = build_chain(PP, 0, 5)
-    wrong = SeparatorChain(1, ch.sets, ch.boundaries, ch.x_lo, ch.x_hi, ch.s_lo, ch.s_hi)
+    wrong = SeparatorChain(1, ch.sets, ch.boundaries)
     assert not validate_chain(PP, 0, 5, wrong, _minimum_seps(PP, 0, 5))
 
 

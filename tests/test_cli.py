@@ -205,7 +205,7 @@ def _stats(**given):
     (["cover", "Q3", "--s", "1", "--t", "8", "--k", "6"],
      _stats(cover_size=8, ell=3, excess=3)),
     (["reduce", "PP", "--s", "1", "--t", "6", "--k", "1"],
-     _stats(cover_size=2, width_bound=1)),
+     _stats(cover_size=2, width_bound=2)),
     (["decompose", "Q3"], _stats(width=3)),
     (["gmincut", "PP", "--s", "1", "--t", "6", "--k", "3", "--class", "forest"],
      _stats(cover_size=6, dp_states=92, ell=2, excess=1, width=2, width_bound=9517)),
@@ -371,7 +371,7 @@ def test_failed_edge_witness_check_exit_3(graph_files, capsys, monkeypatch):
 
 
 def _crossed_chain(G, s, t):
-    return SeparatorChain(2, ((0, 1), (0, 3)), ((2, 3), (1, 4)), (), (0, 1, 2, 3, 4), (s,), (t,))
+    return SeparatorChain(2, ((0, 1), (0, 3)), ((2, 3), (1, 4)))
 
 
 def _fails_in(function_name, real):

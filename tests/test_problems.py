@@ -276,12 +276,15 @@ def test_exact_separator_union_matches_all_vertex_scan():
     assert nonempty >= 25
 
 
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
 def test_exact_separator_union_tests_only_cover_vertices(monkeypatch):
     # cut-ladder's gnp12 at k=5: every candidate outside a minimum separator
     # lies outside the cover, so no multicut-uncut call is needed
-    rng = random.Random(121)
-    G = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)
-                   if rng.random() < 0.25])
+    G = _gnp(12, 0.25, 121)
     calls = []
     multicut = sepkit.problems.g_multicut_uncut
 
@@ -295,8 +298,8 @@ def test_exact_separator_union_tests_only_cover_vertices(monkeypatch):
 
 
 def test_exact_separator_union_runs_one_flow_per_candidate(monkeypatch):
-    # every neighbour-pair multicut on G - v reuses the capped s-t flow of
-    # G - v instead of running its own
+    # each candidate G - v gets one multicut-uncut call, which reuses the
+    # capped s-t flow of G - v instead of running its own
     G = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 2), (1, 5), (1, 6), (2, 3),
                   (2, 4), (2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (5, 7)])
     rests, flows, multicuts = [], [], []
@@ -311,18 +314,36 @@ def test_exact_separator_union_runs_one_flow_per_candidate(monkeypatch):
         flows.append((H, set(A) | set(B)))
         return flow(H, A, B, cap=cap)
 
-    def multicut_counted(*args, **kwargs):
-        multicuts.append(1)
-        return multicut(*args, **kwargs)
+    def multicut_counted(H, *args, **kwargs):
+        multicuts.append(H)
+        return multicut(H, *args, **kwargs)
 
     monkeypatch.setattr(sepkit.problems, "delete_vertices", deleted)
     monkeypatch.setattr(sepkit.problems, "g_multicut_uncut", multicut_counted)
     for module in (sepkit.separation, sepkit.reduction, sepkit.solver, sepkit.problems):
         monkeypatch.setattr(module, "min_vertex_separator", flowed)
     assert exact_separator_union(G, 0, 7, 3) == bf_separator_union(G, 0, 7, 3) == (1, 2, 4, 5)
-    per_v = [sum(H is rest.graph and ends == {rest.to_new(0), rest.to_new(7)}
-                 for H, ends in flows) for rest in rests]
-    assert len(multicuts) == 5 and per_v == [1] * len(rests), per_v
+    per_v = [(sum(H is rest.graph for H in multicuts),
+              sum(H is rest.graph and ends == {rest.to_new(0), rest.to_new(7)}
+                  for H, ends in flows)) for rest in rests]
+    assert len(rests) == 2 and per_v == [(1, 1)] * len(rests), per_v
+
+
+def test_exact_separator_union_call_count_pinned(monkeypatch):
+    # cut-ladder's gnp16 at k=3: five candidates pass the G - v flow, and
+    # each is one call; a loop over ordered neighbour pairs makes 88
+    G = _gnp(16, 0.25, 79)
+    calls = []
+    multicut = sepkit.problems.g_multicut_uncut
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return multicut(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.problems, "g_multicut_uncut", counted)
+    assert exact_separator_union(G, 8, 10, 3) == _separator_union_reference(G, 8, 10, 3) \
+        == (0, 1, 4, 11, 14, 15)
+    assert len(calls) == 5
 
 
 def test_every_branch_separator_contains_r():

@@ -16,6 +16,7 @@ from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
                               reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
 from sepkit.separation import is_separator, min_vertex_separator
+from sepkit.treedecomp import decompose
 
 from strategies import grid, nonadjacent_pair, seeded_graphs
 
@@ -111,12 +112,12 @@ def test_cover_at_excess_zero_reads_the_residual(monkeypatch):
 
 def test_layer_system_partitions():
     ch = build_chain(PP, 0, 5)
-    system = layer_system(ch)
-    flat = [v for layer in system.layers for v in layer]
+    system = layer_system(ch, 0, 5, PP.n)
+    flat = [v for layer, _ in system for v in layer]
     assert len(flat) == len(set(flat))
     assert set(flat) <= set(range(6)) - {0, 5}
     # no layer edge escapes its boundary pool
-    for layer, pool in zip(system.layers, system.pools):
+    for layer, pool in system:
         allowed = set(layer) | set(pool)
         for v in layer:
             assert set(PP.adj[v]) <= allowed
@@ -157,8 +158,7 @@ def _cover_reference(G, s, t, k):
         cover.update(S)
     if excess == 0:
         return tuple(sorted(cover))
-    system = layer_system(chain)
-    for layer, pool in zip(system.layers, system.pools):
+    for layer, pool in layer_system(chain, s, t, G.n):
         if not layer:
             continue
         for A, B in _disjoint_subset_pairs(pool):
@@ -304,6 +304,8 @@ def _gadget_reduction_jsonable(G, terminals, k):
             origin.append(GADGET)
             nxt += 1
     gstar = Graph(nxt, edges)
+    if nxt > len(tor.orig):
+        width_bound = max(width_bound, 2)
     return {
         "n": gstar.n,
         "edges": [[u + 1, v + 1] for u, v in gstar.edges()],
@@ -326,6 +328,20 @@ def test_reduce_jsonable_matches_gadget_construction():
         assert data == _gadget_reduction_jsonable(G, terms, k)
         with_gadgets += GADGET in data["origin"]
     assert with_gadgets >= 50
+
+
+def test_serialised_width_within_printed_bound():
+    # with no contributing pair the torso's own bound can be 1, but two
+    # terminals joined by k+1 >= 2 gadgets form K_{2,k+1}, of width 2
+    raised = 0
+    for G, rng in seeded_graphs(200, seed=59, n_lo=5, n_hi=11):
+        terms = tuple(rng.sample(range(G.n), rng.randint(2, 3)))
+        ri = reduce_instance(G, terms, rng.randint(0, 3))
+        data = ri.to_jsonable()
+        serialised = Graph(data["n"], [(u - 1, v - 1) for u, v in data["edges"]])
+        assert decompose(serialised).width <= data["width_bound"], (G.edges(), terms, ri.k)
+        raised += data["width_bound"] > ri.width_bound
+    assert raised >= 20, raised
 
 
 def test_reduced_instance_json_roundtrip():

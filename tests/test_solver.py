@@ -15,7 +15,7 @@ import sepkit.solver
 from sepkit.graphs import DomainError, Graph, components, induced_subgraph, vset
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
-                           path_graph)
+                           path_graph, _separates)
 from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
@@ -439,6 +439,38 @@ def test_multicut_with_uncut_pairs_matches_oracle():
         assert (fast is None) == (slow is None), (G.edges(), cut, uncut, k, cls)
         yes += fast is not None
     assert yes >= 100, yes
+
+
+def test_reach_constraints_match_oracle():
+    # a reach source's block is judged when it closes, like a cut or uncut
+    # pair; its targets may be deleted, so they are marks, not terminals.
+    # verify_solution is checked on the best solution that ignores reach
+    classes = [ANY, EDGELESS, FOREST, BIPARTITE]
+    checked = yes = reach_only_fails = 0
+    for i, (G, rng) in enumerate(seeded_graphs(1100, seed=71, n_lo=6, n_hi=11)):
+        apart = [(a, b) for a, b in itertools.combinations(range(G.n), 2)
+                 if not G.has_edge(a, b)]
+        if not apart:
+            continue
+        cut = rng.sample(apart, rng.randint(1, min(2, len(apart))))
+        reach = [(rng.randrange(G.n), tuple(rng.sample(range(G.n), rng.randint(1, 3))))
+                 for _ in range(rng.randint(1, 2))]
+        k = rng.randint(0, 4)
+        cls = classes[i % len(classes)]
+        cons = CutConstraints(tuple(cut), (), tuple(reach))
+        fast = g_multicut_uncut(G, cons, k, cls)
+        slow = bf_multicut_uncut(G, cut, (), k, cls.membership, reach)
+        assert (fast is None) == (slow is None), (G.edges(), cut, reach, k, cls)
+        checked += 1
+        yes += fast is not None
+        relaxed = bf_multicut_uncut(G, cut, (), k, cls.membership)
+        if relaxed is not None:
+            kept = not set(relaxed) & {a for a, _ in reach}
+            met = kept and all(not _separates(G, relaxed, (a,), B) for a, B in reach)
+            assert verify_solution(G, relaxed, cons, k, cls) == met
+            reach_only_fails += kept and not met
+    assert checked >= 1000 and yes >= 200 and reach_only_fails >= 50, \
+        (checked, yes, reach_only_fails)
 
 
 # k -> (dp_states, width, witness) for a multicut with an uncut pair on grid
