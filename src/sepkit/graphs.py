@@ -35,12 +35,10 @@ def vset(vertices: Iterable[int]) -> tuple[int, ...]:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    ``adj[v]`` is a sorted tuple of neighbors. Neighbor sets for hashed
-    lookups are built on first use (``neighbor_sets``), so a graph that is
-    only walked stores its adjacency once.
+    ``adj[v]`` is a sorted tuple of neighbors, the only adjacency stored.
     """
 
-    __slots__ = ("n", "adj", "_nbr_sets")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -55,7 +53,6 @@ class Graph:
             nbrs[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self._nbr_sets = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -74,12 +71,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """``adj`` as frozensets, for callers that test adjacency in a loop."""
-        if self._nbr_sets is None:
-            self._nbr_sets = tuple(frozenset(a) for a in self.adj)
-        return self._nbr_sets
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, sorted."""

@@ -14,6 +14,17 @@ A state at a decomposition node consists of
     reach constraints whose targets it holds, and
   * the class's summary of the graph induced on all deleted vertices so far.
 
+The deleted set is an int bitmask over G's vertex ids, so a pin's rank is the
+number of deleted bits below its own. A block is a pair of ints, the mask of
+its kept bag vertices and the mask of its marks (one bit per terminal, one
+per reach constraint), and a state's blocks are a sorted tuple, unique since
+vertex masks are disjoint. Two states are equal exactly when their encodings
+are, and a table is a dict filled in the order of its ``put`` calls, so the
+states it holds, their order and the first root state reached depend on the
+transitions alone, not on how a state is spelled: the encoding leaves
+``dp_states`` and every witness as they are. The neighbour masks of G and of
+``induced`` are built once per call.
+
 A summary (``ClassSummary``) keeps of that graph only what decides how it can
 still be extended. The DP changes the graph in three ways: a new pin with
 edges to some pins, a pin turning free (its edges are then final), and the
@@ -555,46 +566,6 @@ def _form_summary(cls: HereditaryClass) -> ClassSummary:
                         lambda left, right: judged(_form_join(left, right)))
 
 
-# -- block bookkeeping -----------------------------------------------------------
-
-def _blocks_introduce(blocks: tuple, v: int, G: Graph, marks: dict) -> tuple:
-    nbrs = G.neighbor_sets()[v]
-    verts = {v}
-    terms = set(marks.get(v, ()))
-    rest = []
-    for bv, bt in blocks:
-        if any(u in nbrs for u in bv):
-            verts.update(bv)
-            terms.update(bt)
-        else:
-            rest.append((bv, bt))
-    rest.append((tuple(sorted(verts)), tuple(sorted(terms))))
-    return tuple(sorted(rest))
-
-
-def _blocks_join(left: tuple, right: tuple) -> tuple:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for bv, _ in left + right:
-        for u in bv:
-            parent.setdefault(u, u)
-        for u in bv[1:]:
-            parent[find(bv[0])] = find(u)
-    groups: dict[int, tuple[set, set]] = {}
-    for bv, bt in left + right:
-        root = find(bv[0])
-        verts, terms = groups.setdefault(root, (set(), set()))
-        verts.update(bv)
-        terms.update(bt)
-    return tuple(sorted((tuple(sorted(v)), tuple(sorted(t))) for v, t in groups.values()))
-
-
 # -- stats ---------------------------------------------------------------------------
 
 _active_stats: ContextVar[Optional[dict]] = ContextVar("sepkit_stats", default=None)
@@ -625,39 +596,83 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                        induced: Optional[Graph] = None) -> Optional[DPWitness]:
     """Search for a valid deletion set over a nice decomposition of G.
     Blocks merge along every edge of G; the class judges the deleted set in
-    ``induced`` (default G), a spanning subgraph of G."""
+    ``induced`` (default G), a spanning subgraph of G. An ``induced`` with
+    other vertices or an edge that G lacks is a DomainError."""
     if not validate_nice(G, nice):
         raise DomainError("nice decomposition does not match the graph")
     induced = G if induced is None else induced
-    terminals = frozenset(G.check_vertices(cons.terminals))
-    # a kept vertex's marks: its id if it is a terminal, ~i if it is a target
-    # of reach constraint i
-    marks: dict[int, tuple] = {v: (v,) for v in terminals}
-    for i, (_, targets) in enumerate(cons.reach):
+    nbrs = [sum(1 << u for u in a) for a in G.adj]
+    if induced.n != G.n:
+        raise DomainError("induced graph must have the vertices of G")
+    ind_nbrs = [sum(1 << u for u in a) for a in induced.adj]
+    if any(b & ~a for a, b in zip(nbrs, ind_nbrs)):
+        raise DomainError("induced graph must be a subgraph of G")
+    terminals = G.check_vertices(cons.terminals)
+    # a kept vertex's marks: bit j if it is terminal j (in id order), bit
+    # T + i if it is a target of reach constraint i, for T terminals
+    term_bit = {v: 1 << j for j, v in enumerate(terminals)}
+    marks = [term_bit.get(v, 0) for v in range(G.n)]
+    reach_ok = []
+    for i, (a, targets) in enumerate(cons.reach):
+        bit = 1 << (len(terminals) + i)
         for b in G.check_vertices(targets):
-            marks[b] = marks.get(b, ()) + (~i,)
+            marks[b] |= bit
+        reach_ok.append((term_bit[a], bit))
+    cut_masks = [term_bit[a] | term_bit[b] for a, b in cons.cut_pairs]
+    uncut_masks = [term_bit[a] | term_bit[b] for a, b in cons.uncut_pairs]
     # no accumulated graph can outgrow the deletable vertices
     k = min(k, G.n - len(terminals))
     if cls.max_check is not None and k > cls.max_check:
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
-    nbr_sets = induced.neighbor_sets()
     summary = cls.summary
 
-    def finished_ok(terms: tuple) -> bool:
-        ts = set(terms)
-        return not any(a in ts and b in ts for a, b in cons.cut_pairs) and \
-            not any((a in ts) != (b in ts) for a, b in cons.uncut_pairs) and \
-            not any(a in ts and ~i not in ts for i, (a, _) in enumerate(cons.reach))
+    def finished_ok(bm: int) -> bool:
+        return not any(bm & c == c for c in cut_masks) and \
+            not any(bm & u not in (0, u) for u in uncut_masks) and \
+            not any(bm & a and not bm & t for a, t in reach_ok)
 
-    def delete_vertex(deleted: tuple, summ: tuple, v: int) -> tuple:
-        rank = sum(1 for d in deleted if d < v)
-        nbr_ranks = [i for i, d in enumerate(deleted) if d in nbr_sets[v]]
-        return summary.add_pin(summ, rank, nbr_ranks), tuple(sorted(deleted + (v,)))
+    def keep_vertex(blocks: tuple, v: int) -> tuple:
+        nb = nbrs[v]
+        verts, bmarks = 1 << v, marks[v]
+        rest = []
+        for bv, bm in blocks:
+            if bv & nb:
+                verts |= bv
+                bmarks |= bm
+            else:
+                rest.append((bv, bm))
+        rest.append((verts, bmarks))
+        return tuple(sorted(rest))
+
+    def delete_vertex(deleted: int, summ: tuple, v: int) -> tuple:
+        bit = 1 << v
+        nbr_ranks = []
+        rest = deleted & ind_nbrs[v]
+        while rest:
+            low = rest & -rest
+            nbr_ranks.append((deleted & (low - 1)).bit_count())
+            rest ^= low
+        return summary.add_pin(summ, (deleted & (bit - 1)).bit_count(), nbr_ranks), deleted | bit
 
     def join_summaries(lsumm: tuple, rsumm: tuple, p: int) -> Optional[tuple]:
         if lsumm[0] + rsumm[0] - p > k:
             return None
         return summary.join(lsumm, rsumm)
+
+    def join_blocks(left: tuple, right: tuple) -> tuple:
+        # each right block swallows the merged blocks it meets
+        out = list(left)
+        for bv, bm in right:
+            rest = []
+            for ov, om in out:
+                if ov & bv:
+                    bv |= ov
+                    bm |= om
+                else:
+                    rest.append((ov, om))
+            rest.append((bv, bm))
+            out = rest
+        return tuple(sorted(out))
 
     # transition memos for this call (module docstring): introduce memos by
     # vertex, then component; join memos by left, then right component;
@@ -678,22 +693,23 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                 table[key] = back
 
         if nd.kind == LEAF:
-            put(((), (), summary.empty), ("leaf",))
+            put((0, (), summary.empty), ("leaf",))
 
         elif nd.kind == INTRODUCE:
             v = nd.vertex
             child = nd.children[0]
             keep_memo = keep_memos.setdefault(v, {})
             del_memo = del_memos.setdefault(v, {})
+            deletable = v not in term_bit
             for key in tables[child]:
                 deleted, blocks, summ = key
                 # keep v
                 nblocks = keep_memo.get(blocks)
                 if nblocks is None:
-                    nblocks = keep_memo[blocks] = _blocks_introduce(blocks, v, G, marks)
+                    nblocks = keep_memo[blocks] = keep_vertex(blocks, v)
                 put((deleted, nblocks, summ), ("keep", key))
                 # delete v
-                if v not in terminals and summ[0] < k:
+                if deletable and summ[0] < k:
                     dk = (deleted, summ)
                     out = del_memo.get(dk)
                     if out is None:
@@ -703,25 +719,23 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                         put((ndel, blocks, nsumm), ("del", key))
 
         elif nd.kind == FORGET:
-            v = nd.vertex
+            bit = 1 << nd.vertex
             child = nd.children[0]
             for key in tables[child]:
                 deleted, blocks, summ = key
-                if v in deleted:
-                    nsumm = summary.unpin(summ, deleted.index(v))
-                    ndel = tuple(d for d in deleted if d != v)
-                    put((ndel, blocks, nsumm), ("fd", key))
+                if deleted & bit:
+                    nsumm = summary.unpin(summ, (deleted & (bit - 1)).bit_count())
+                    put((deleted ^ bit, blocks, nsumm), ("fd", key))
                 else:
                     nblocks = []
-                    for bv, bt in blocks:
-                        if v in bv:
-                            rest = tuple(u for u in bv if u != v)
-                            if rest:
-                                nblocks.append((rest, bt))
-                            elif not finished_ok(bt):
+                    for bv, bm in blocks:
+                        if bv & bit:
+                            if bv != bit:
+                                nblocks.append((bv ^ bit, bm))
+                            elif not finished_ok(bm):
                                 break   # v's component is finished and fails
                         else:
-                            nblocks.append((bv, bt))
+                            nblocks.append((bv, bm))
                     else:
                         put((deleted, tuple(sorted(nblocks)), summ), ("fk", key))
 
@@ -738,12 +752,13 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                     _, rblocks, rsumm = rkey
                     nsumm = summary_memo.get(rsumm, _MISSING)
                     if nsumm is _MISSING:
-                        nsumm = summary_memo[rsumm] = join_summaries(lsumm, rsumm, len(deleted))
+                        nsumm = summary_memo[rsumm] = join_summaries(lsumm, rsumm,
+                                                                     deleted.bit_count())
                     if nsumm is None:
                         continue
                     nblocks = block_memo.get(rblocks)
                     if nblocks is None:
-                        nblocks = block_memo[rblocks] = _blocks_join(lblocks, rblocks)
+                        nblocks = block_memo[rblocks] = join_blocks(lblocks, rblocks)
                     put((deleted, nblocks, nsumm), ("join", lkey, rkey))
 
         tables.append(table)

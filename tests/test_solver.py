@@ -54,6 +54,17 @@ def test_dp_judges_class_on_induced_graph():
     assert wit.deletion_set == (1, 3) and wit.induced_graph == Graph(2)
 
 
+def test_dp_refuses_induced_graph_outside_g():
+    # induced must span G's vertices and hold only edges of G; any other
+    # graph is refused rather than used to judge the deleted set
+    P5 = path_graph(5)
+    cons = CutConstraints(((0, 4),))
+    for induced in (Graph(3), Graph(6), Graph(5, [(1, 3)])):
+        with pytest.raises(DomainError):
+            dp_constrained_cut(P5, _nice(P5), cons, 2, EDGELESS, induced)
+    assert dp_constrained_cut(P5, _nice(P5), cons, 2, EDGELESS, Graph(5)) is not None
+
+
 def test_dp_validates_decomposition():
     with pytest.raises(DomainError):
         dp_constrained_cut(C4, _nice(P3), CutConstraints(((0, 2),)), 1, EDGELESS)
@@ -139,7 +150,7 @@ def _summaries_along(H, nice, cls):
     """Run the summary operations of cls over a nice decomposition of H with
     every vertex deleted: per node, the vertices introduced below it and
     their summary (None once rejected)."""
-    ops, nbrs = cls.summary, H.neighbor_sets()
+    ops, nbrs = cls.summary, [frozenset(a) for a in H.adj]
     out = []
     for nd in nice.nodes:
         kids = [out[c] for c in nd.children]
@@ -372,6 +383,9 @@ Q3 = FIXTURES["Q3"].graph
     (grid(3, 6), 0, 17, 4, "any", (1835, 3, (2, 8, 14))),
     (grid(3, 6), 0, 17, 7, "any", (3245, 3, (2, 8, 14))),
     (grid(3, 6), 0, 17, 7, "forest", (3319, 3, (2, 8, 14))),
+    # a torso of 90 vertices: deleted sets and blocks past one machine word
+    (grid(3, 30), 0, 89, 3, "edgeless", (5684, 3, (2, 33, 62))),
+    (grid(3, 30), 0, 89, 3, "bipartite", (7446, 3, (2, 32, 62))),
 ])
 def test_dp_state_counts_pinned(G, s, t, k, cls, want):
     with collect() as stats:
@@ -484,6 +498,24 @@ def test_multicut_state_counts_pinned(k, want):
     cons = CutConstraints(((0, 14), (2, 12)), ((0, 4),))
     with collect() as stats:
         wit = g_multicut_uncut(grid(3, 5), cons, k, ANY)
+    got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
+    assert got == want
+
+
+# (cut, uncut, reach, k, class) -> (dp_states, width, witness) on grid 3x6,
+# where blocks carry the marks of several terminals and reach constraints
+@pytest.mark.parametrize("cut, uncut, reach, k, cls, want", [
+    (((0, 17), (2, 15)), (), ((0, (1, 3)), (17, (9, 13))), 4, "forest",
+     (1577, 3, (3, 8, 14))),
+    (((0, 17), (2, 15)), ((0, 5),), ((17, (1, 15)),), 4, "forest",
+     (1004, 3, (9, 10, 11, 14))),
+    (((0, 17),), (), ((17, (8, 14)), (0, (4, 6))), 4, "bipartite",
+     (2048, 3, (2, 7, 14))),
+])
+def test_marked_block_state_counts_pinned(cut, uncut, reach, k, cls, want):
+    with collect() as stats:
+        wit = g_multicut_uncut(grid(3, 6), CutConstraints(cut, uncut, reach), k,
+                               parse_class(cls))
     got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
     assert got == want
 
