@@ -58,7 +58,6 @@ from .solver import (
     MAX_DEGREE,
     FORBIDDEN_INDUCED,
     CutConstraints,
-    DPWitness,
     HereditaryClass,
     VerificationError,
     collect,
@@ -78,7 +77,7 @@ from .treedecomp import (
 
 __all__ = [
     "ANY", "AnnotatedInstance", "BIPARTITE", "BipartizationBranch",
-    "CutConstraints", "DPWitness", "DomainError", "EDGELESS", "EdgeCutWitness",
+    "CutConstraints", "DomainError", "EDGELESS", "EdgeCutWitness",
     "FORBIDDEN_INDUCED", "FOREST", "GADGET", "Graph", "GraphError",
     "HereditaryClass", "INFINITE", "MATCH_DEFICIENCY", "MAX_DEGREE",
     "NiceDecomposition", "ParseError", "ReducedInstance", "SeparatorChain",

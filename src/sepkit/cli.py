@@ -200,7 +200,7 @@ def _dispatch(args) -> dict:
         cls = parse_class("edgeless" if cmd == "stable-cut" else args.cls)
         with collect() as stats:
             wit = g_mincut(G, s, t, k, cls)
-        return _decision(cmd, None if wit is None else _ids(wit.deletion_set), stats, notes)
+        return _decision(cmd, None if wit is None else _ids(wit), stats, notes)
 
     if cmd == "multicut":
         cut = _pairs(G, args.cut, "--cut")
@@ -211,7 +211,7 @@ def _dispatch(args) -> dict:
         cls = parse_class(args.cls)
         with collect() as stats:
             wit = g_multicut_uncut(G, CutConstraints(cut, uncut), k, cls)
-        return _decision(cmd, None if wit is None else _ids(wit.deletion_set), stats, notes)
+        return _decision(cmd, None if wit is None else _ids(wit), stats, notes)
 
     if cmd == "eivc":
         s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")

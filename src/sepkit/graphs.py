@@ -284,12 +284,16 @@ def contract_terminal_sets(G: Graph, keep: Iterable[int], A: Iterable[int],
     return Contraction(Graph(b + 1, edges), a, b, keep_s)
 
 
-def two_coloring(G: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A proper 2-coloring (B, W) if G is bipartite, else None.
+def two_coloring(G: Graph, removed: Iterable[int] = ()
+                 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A proper 2-coloring (B, W) of G minus ``removed`` if that graph is
+    bipartite, else None.
 
     Per component, the smallest vertex goes to the B side.
     """
     color = [-1] * G.n
+    for v in G.check_vertices(removed):
+        color[v] = 2    # neither side, so never a conflict
     for start in range(G.n):
         if color[start] != -1:
             continue

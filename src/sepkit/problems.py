@@ -24,76 +24,26 @@ def _is_independent(G: Graph, S: Iterable[int]) -> bool:
     return all(not G.has_edge(u, v) for u, v in itertools.combinations(ss, 2))
 
 
-def _bipartite_without(G: Graph, S: Iterable[int]) -> bool:
-    return two_coloring(delete_vertices(G, S).graph) is not None
-
-
 # -- stable s-t cut -----------------------------------------------------------
 
 def stable_st_cut(G: Graph, s: int, t: int, k: int) -> Optional[tuple[int, ...]]:
     """Independent s-t separator of size at most k."""
-    wit = g_mincut(G, s, t, k, EDGELESS)
-    return None if wit is None else wit.deletion_set
+    return g_mincut(G, s, t, k, EDGELESS)
 
 
 # -- odd cycle transversal ------------------------------------------------------
 
-def _attach_terminals(H: Graph, X: Iterable[int], Y: Iterable[int]) -> tuple[Graph, int, int]:
-    """H plus fresh s adjacent to X and fresh t adjacent to Y."""
-    s, t = H.n, H.n + 1
-    edges = list(H.edges())
-    edges += [(s, x) for x in set(X)]
-    edges += [(t, y) for y in set(Y)]
-    return Graph(H.n + 2, edges), s, t
-
-
-def _branch_assignments(S0: tuple[int, ...]):
-    """All (remove, black, white) assignments of S0, vertices ascending."""
-    for digits in itertools.product((0, 1, 2), repeat=len(S0)):
-        R = tuple(v for v, d in zip(S0, digits) if d == 0)
-        B0 = tuple(v for v, d in zip(S0, digits) if d == 1)
-        W0 = tuple(v for v, d in zip(S0, digits) if d == 2)
-        yield R, B0, W0
-
-
-def _remainder_coloring(G: Graph, S0: tuple):
-    """2-coloring of the bipartite graph left by removing the transversal S0,
-    as original-id sets."""
-    rest = delete_vertices(G, S0)
-    col = two_coloring(rest.graph)
-    assert col is not None
-    return {rest.orig[v] for v in col[0]}, {rest.orig[v] for v in col[1]}
-
-
-def _forced_sides(G: Graph, S0: tuple, B0: tuple, W0: tuple, Bp: set, Wp: set):
-    """X, Y from the must-be-black / must-be-white neighborhoods of the
-    colored transversal vertices."""
-    s0 = set(S0)
-    B = {u for w in W0 for u in G.adj[w]} - s0    # forced black
-    W = {u for b in B0 for u in G.adj[b]} - s0    # forced white
-    X = (B & Bp) | (W & Wp)
-    Y = (B & Wp) | (W & Bp)
-    return X, Y
-
-
 def _compress_oct(G: Graph, S0: tuple[int, ...], k: int) -> Optional[tuple[int, ...]]:
     """One compression step: an odd-cycle transversal of size <= k given one
-    of size k+1, by 3^{|S0|} vertex-cut calls."""
-    rest = delete_vertices(G, S0)
-    Bp, Wp = _remainder_coloring(G, S0)
-    for R, B0, W0 in _branch_assignments(S0):
-        if len(R) > k:
+    of size k+1, by one capped vertex cut per branch of S0. Every cut of a
+    branch graph contains R, so a cut within k is R plus a cut of the rest."""
+    for br in bipartization_branches(G, S0):
+        if len(br.R) > k:
             continue
-        if not (_is_independent(G, B0) and _is_independent(G, W0)):
-            continue
-        X, Y = _forced_sides(G, S0, B0, W0, Bp, Wp)
-        H, s, t = _attach_terminals(rest.graph,
-                                    [rest.to_new(x) for x in X],
-                                    [rest.to_new(y) for y in Y])
-        r = min_vertex_separator(H, (s,), (t,), cap=k - len(R))
-        if r.within(k - len(R)):
-            out = vset(R + rest.map_back(r.witness))
-            if not _bipartite_without(G, out):
+        r = min_vertex_separator(br.graph, (br.s,), (br.t,), cap=k)
+        if r.within(k):
+            out = br.map_back(r.witness)
+            if two_coloring(G, out) is None:
                 raise VerificationError("odd cycle transversal failed re-verification")
             return out
     return None
@@ -105,17 +55,18 @@ def odd_cycle_transversal(G: Graph, k: int) -> Optional[tuple[int, ...]]:
     Iterative compression over the vertices in ascending order, followed by
     repeated compression of the final transversal: compression from any
     transversal finds a strictly smaller one whenever that exists, so the
-    loop bottoms out at minimum size.
+    loop bottoms out at minimum size. The prefix G[0..i] is colored in place
+    as G minus the later vertices, and built only for a compression step.
     """
     current: tuple[int, ...] = ()
     for i in range(G.n):
-        prefix = induced_subgraph(G, range(i + 1)).graph   # ids coincide
-        if _bipartite_without(prefix, current):
+        if two_coloring(G, current + tuple(range(i + 1, G.n))) is not None:
             continue
         candidate = vset(current + (i,))
         if len(candidate) <= k:
             current = candidate
             continue
+        prefix = induced_subgraph(G, range(i + 1)).graph   # ids coincide
         compressed = _compress_oct(prefix, candidate, k)
         if compressed is None:
             return None
@@ -153,18 +104,35 @@ class BipartizationBranch:
 
 def bipartization_branches(G: Graph, S0: tuple[int, ...]):
     """The 3^{|S0|} branch instances with both color classes independent,
-    vertices of S0 ascending, digits ordered (remove, black, white)."""
-    Bp, Wp = _remainder_coloring(G, S0)
-    for R, B0, W0 in _branch_assignments(S0):
+    vertices of S0 ascending, digits ordered (remove, black, white).
+
+    G minus S0 is bipartite with sides Bp, Wp. A neighbour of W0 outside S0
+    is forced black and one of B0 forced white; X holds the forced vertices
+    that keep their side and Y those that must switch, so a valid removal
+    separates X from Y."""
+    col = two_coloring(G, S0)
+    if col is None:
+        raise DomainError("S0 must be an odd cycle transversal of G")
+    Bp, Wp = set(col[0]), set(col[1])
+    s0 = set(S0)
+    all_edges = G.edges()
+    for digits in itertools.product((0, 1, 2), repeat=len(S0)):
+        R, B0, W0 = (tuple(v for v, d in zip(S0, digits) if d == side) for side in range(3))
         if not (_is_independent(G, B0) and _is_independent(G, W0)):
             continue
-        X, Y = _forced_sides(G, S0, B0, W0, Bp, Wp)
-        rest = delete_vertices(G, B0 + W0)
-        Gp, s, t = _attach_terminals(rest.graph,
-                                     [rest.to_new(v) for v in X | set(R)],
-                                     [rest.to_new(v) for v in Y | set(R)])
+        B = {u for w in W0 for u in G.adj[w]} - s0
+        W = {u for b in B0 for u in G.adj[b]} - s0
+        X = (B & Bp) | (W & Wp)
+        Y = (B & Wp) | (W & Bp)
+        colored = set(B0 + W0)
+        orig = tuple(v for v in range(G.n) if v not in colored)
+        index = {v: i for i, v in enumerate(orig)}
+        s, t = len(orig), len(orig) + 1
+        edges = [(index[u], index[v]) for u, v in all_edges if u in index and v in index]
+        edges += [(s, index[v]) for v in X.union(R)]
+        edges += [(t, index[v]) for v in Y.union(R)]
         yield BipartizationBranch(tuple(S0), R, B0, W0, vset(X), vset(Y),
-                                  Gp, s, t, rest.orig)
+                                  Graph(t + 1, edges), s, t, orig)
 
 
 def stable_bipartization(G: Graph, k: int) -> Optional[tuple[int, ...]]:
@@ -178,9 +146,10 @@ def stable_bipartization(G: Graph, k: int) -> Optional[tuple[int, ...]]:
         wit = g_mincut(branch.graph, branch.s, branch.t, k, EDGELESS)
         if wit is None:
             continue
-        S = branch.map_back(wit.deletion_set)
-        if _is_independent(G, S) and _bipartite_without(G, S) and len(S) <= k:
-            return S
+        S = branch.map_back(wit)
+        if not (_is_independent(G, S) and two_coloring(G, S) is not None and len(S) <= k):
+            raise VerificationError("stable bipartization failed re-verification")
+        return S
     return None
 
 
@@ -305,18 +274,18 @@ def exact_stable_bipartization(G: Graph, k: int,
 
 def _exact_solve(inst: AnnotatedInstance) -> Optional[tuple[int, ...]]:
     G = inst.graph
-    live = delete_vertices(G, inst.chosen)
-    if two_coloring(live.graph) is not None:
+    if two_coloring(G, inst.chosen) is not None:
         if inst.budget == 0:
             return inst.chosen
-        sub = induced_subgraph(live.graph, [live.to_new(v) for v in inst.allowed])
+        # allowed avoids chosen, so G[allowed] lies in G minus chosen
+        sub = induced_subgraph(G, inst.allowed)
         best = bipartite_max_independent_set(sub.graph)
         if len(best) < inst.budget:
             return None
-        picked = live.map_back(sub.map_back(best[:inst.budget]))
-        return vset(inst.chosen + picked)
+        return vset(inst.chosen + sub.map_back(best[:inst.budget]))
     if inst.budget == 0:
         return None
+    live = delete_vertices(G, inst.chosen)
     cyc = tuple(live.orig[v] for v in shortest_odd_cycle(live.graph))
     d_set = set(inst.allowed)
     on_d = [v for v in cyc if v in d_set]
@@ -345,7 +314,7 @@ def _exact_solve(inst: AnnotatedInstance) -> Optional[tuple[int, ...]]:
         S = vset(S + tuple(free[0:2 * missing:2]))
     out = vset(inst.chosen + S)
     assert len(out) == len(inst.chosen) + inst.budget
-    if not (_is_independent(G, out) and _bipartite_without(G, out)):
+    if not (_is_independent(G, out) and two_coloring(G, out) is not None):
         raise VerificationError("stable bipartization failed re-verification")
     return out
 
@@ -365,10 +334,9 @@ def edge_induced_vertex_cut(G: Graph, s: int, t: int, k: int) -> Optional[EdgeCu
     G.check_vertices((s, t))
     if s == t:
         raise DomainError("terminals must be distinct")
-    wit = g_mincut(G, s, t, 2 * k, MATCH_DEFICIENCY(k))
-    if wit is None:
+    S = g_mincut(G, s, t, 2 * k, MATCH_DEFICIENCY(k))   # already inclusion-minimal
+    if S is None:
         return None
-    S = wit.deletion_set   # already inclusion-minimal
     sub = induced_subgraph(G, S)
     matched: set[int] = set()
     F = []

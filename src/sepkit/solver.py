@@ -478,12 +478,6 @@ class CutConstraints:
                     + [a for a, _ in self.reach])
 
 
-@dataclass
-class DPWitness:
-    deletion_set: tuple[int, ...]
-    induced_graph: Graph
-
-
 # -- canonical accumulated graphs ------------------------------------------------
 #
 # form = (m, p, edges): vertices 0..m-1, pins 0..p-1 (the bag-deleted vertices
@@ -593,7 +587,7 @@ _MISSING = object()
 
 
 def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: HereditaryClass,
-                       induced: Optional[Graph] = None) -> Optional[DPWitness]:
+                       induced: Optional[Graph] = None) -> Optional[tuple[int, ...]]:
     """Search for a valid deletion set over a nice decomposition of G.
     Blocks merge along every edge of G; the class judges the deleted set in
     ``induced`` (default G), a spanning subgraph of G. An ``induced`` with
@@ -688,12 +682,13 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     for idx, nd in enumerate(nice.nodes):
         table: dict = {}
 
+        # an entry keeps the child keys it came from: (), (key,) or (lkey, rkey)
         def put(key, back):
             if key not in table:
                 table[key] = back
 
         if nd.kind == LEAF:
-            put((0, (), summary.empty), ("leaf",))
+            put((0, (), summary.empty), ())
 
         elif nd.kind == INTRODUCE:
             v = nd.vertex
@@ -703,11 +698,12 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
             deletable = v not in term_bit
             for key in tables[child]:
                 deleted, blocks, summ = key
+                back = (key,)
                 # keep v
                 nblocks = keep_memo.get(blocks)
                 if nblocks is None:
                     nblocks = keep_memo[blocks] = keep_vertex(blocks, v)
-                put((deleted, nblocks, summ), ("keep", key))
+                put((deleted, nblocks, summ), back)
                 # delete v
                 if deletable and summ[0] < k:
                     dk = (deleted, summ)
@@ -716,7 +712,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                         out = del_memo[dk] = delete_vertex(deleted, summ, v)
                     nsumm, ndel = out
                     if nsumm is not None:
-                        put((ndel, blocks, nsumm), ("del", key))
+                        put((ndel, blocks, nsumm), back)
 
         elif nd.kind == FORGET:
             bit = 1 << nd.vertex
@@ -725,7 +721,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                 deleted, blocks, summ = key
                 if deleted & bit:
                     nsumm = summary.unpin(summ, (deleted & (bit - 1)).bit_count())
-                    put((deleted ^ bit, blocks, nsumm), ("fd", key))
+                    put((deleted ^ bit, blocks, nsumm), (key,))
                 else:
                     nblocks = []
                     for bv, bm in blocks:
@@ -737,7 +733,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                         else:
                             nblocks.append((bv, bm))
                     else:
-                        put((deleted, tuple(sorted(nblocks)), summ), ("fk", key))
+                        put((deleted, tuple(sorted(nblocks)), summ), (key,))
 
         elif nd.kind == JOIN:
             lchild, rchild = nd.children
@@ -759,7 +755,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                     nblocks = block_memo.get(rblocks)
                     if nblocks is None:
                         nblocks = block_memo[rblocks] = join_blocks(lblocks, rblocks)
-                    put((deleted, nblocks, nsumm), ("join", lkey, rkey))
+                    put((deleted, nblocks, nsumm), (lkey, rkey))
 
         tables.append(table)
         total_states += len(table)
@@ -771,29 +767,20 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     if not root:
         return None
     # the first root state reached; re-verified by the callers
-    deletion = _reconstruct(tables, nice, next(iter(root)))
-    return DPWitness(deletion, induced_subgraph(induced, deletion).graph)
+    return _reconstruct(tables, nice, next(iter(root)))
 
 
 def _reconstruct(tables, nice, root_key) -> tuple[int, ...]:
-    deleted: set[int] = set()
+    """The deleted set of the solution ending in ``root_key``: the union of
+    the deleted masks along its trace, which visits every node, and a
+    deleted vertex is marked in every traced state whose bag holds it."""
+    deleted = 0
     stack = [(len(nice.nodes) - 1, root_key)]
     while stack:
         node_idx, key = stack.pop()
-        back = tables[node_idx][key]
-        kind = back[0]
-        nd = nice.nodes[node_idx]
-        if kind == "leaf":
-            continue
-        if kind == "del":
-            deleted.add(nd.vertex)
-            stack.append((nd.children[0], back[1]))
-        elif kind in ("keep", "fk", "fd"):
-            stack.append((nd.children[0], back[1]))
-        elif kind == "join":
-            stack.append((nd.children[0], back[1]))
-            stack.append((nd.children[1], back[2]))
-    return tuple(sorted(deleted))
+        deleted |= key[0]
+        stack.extend(zip(nice.nodes[node_idx].children, tables[node_idx][key]))
+    return tuple(v for v in range(deleted.bit_length()) if deleted >> v & 1)
 
 
 # -- pipelines ---------------------------------------------------------------------
@@ -826,7 +813,8 @@ def verify_solution(G: Graph, S: Iterable[int], cons: CutConstraints, k: int,
     return True
 
 
-def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional[DPWitness]:
+def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass
+             ) -> Optional[tuple[int, ...]]:
     """Separator of size <= k inducing a member of cls, via the reduced
     graph; NO without a reduction when the minimum separator exceeds k."""
     G.check_vertices((s, t))
@@ -845,19 +833,19 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass) -> Optional
         # the flow at cap 0 left s and t disconnected
         if not cls.contains(Graph(0)):
             return None
-        return DPWitness((), Graph(0))
+        return ()
     final = CutConstraints(((s, t),))
     wit = g_multicut_uncut(G, final, k, cls, flow=r)
     if wit is None:
         return None
-    S = minimalize_separator(G, wit.deletion_set, (s,), (t,))
+    S = minimalize_separator(G, wit, (s,), (t,))
     if not verify_solution(G, S, final, k, cls):
         raise VerificationError("reduced-instance witness failed re-verification")
-    return DPWitness(S, induced_subgraph(G, S).graph)
+    return S
 
 
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
-                     flow: Optional[SeparatorResult] = None) -> Optional[DPWitness]:
+                     flow: Optional[SeparatorResult] = None) -> Optional[tuple[int, ...]]:
     """Deletion set separating every cut pair, keeping every uncut pair
     connected and every reach constraint met, inducing a member of cls. Only
     the cut pairs are covered; uncut ends, reach sources and reach targets
@@ -874,7 +862,7 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         if not cls.contains(Graph(0)):
             return None
         if verify_solution(G, (), norm, k, cls):
-            return DPWitness((), Graph(0))
+            return ()
         return None
     targets = [b for _, B in norm.reach for b in B]
     ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
@@ -889,7 +877,7 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
     wit = dp_constrained_cut(ri.gstar, nice, mapped, k, cls, ri.induced)
     if wit is None:
         return None
-    S = ri.map_back(wit.deletion_set)
+    S = ri.map_back(wit)
     if not verify_solution(G, S, norm, k, cls):
         raise VerificationError("reduced-instance witness failed re-verification")
-    return DPWitness(S, induced_subgraph(G, S).graph)
+    return S

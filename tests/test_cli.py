@@ -374,11 +374,12 @@ def _crossed_chain(G, s, t):
     return SeparatorChain(2, ((0, 1), (0, 3)), ((2, 3), (1, 4)))
 
 
-def _fails_in(function_name, real):
-    """``real``, except that calls made from ``function_name`` answer False."""
+def _fails_in(function_name, real, failed=False):
+    """``real``, except that calls made from ``function_name`` answer
+    ``failed``."""
     def patched(*args):
         if sys._getframe(1).f_code.co_name == function_name:
-            return False
+            return failed
         return real(*args)
     return patched
 
@@ -398,12 +399,33 @@ def test_failed_cli_result_check_exit_3(graph_files, capsys, monkeypatch, comman
     assert err.endswith(f"replay: sepkit {shlex.join(argv)}\n")
 
 
-def test_failed_oct_check_exit_3(graph_files, capsys, monkeypatch):
-    monkeypatch.setattr(sepkit.problems, "_bipartite_without", lambda *args: False)
-    argv = ["oct", "--graph", graph_files["D4"], "--k", "1"]
+def test_failed_oct_check_exit_3(tmp_path, capsys, monkeypatch):
+    # two triangles sharing vertex 1: the prefix pass holds (3,) when the
+    # second triangle closes, so a compression step finds (1,) and checks it
+    p = tmp_path / "bowtie.gr"
+    p.write_text("p 5 6\ne 1 2\ne 2 3\ne 3 1\ne 1 4\ne 4 5\ne 5 1\n")
+    argv = ["oct", "--graph", str(p), "--k", "1"]
+    code, doc, _ = _run(capsys, argv)
+    assert code == 0 and doc["witness"] == [1]
+    monkeypatch.setattr(sepkit.problems, "two_coloring",
+                        _fails_in("_compress_oct", sepkit.problems.two_coloring, None))
     code, _, err = _run(capsys, argv)
     assert code == 3
     assert err == ("verification error: odd cycle transversal failed re-verification; "
+                   f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def test_failed_stable_bip_check_exit_3(graph_files, capsys, monkeypatch):
+    # only the final check of the branch witness fails, so a wrong witness
+    # cannot pass for a NO
+    argv = ["stable-bip", "--graph", graph_files["D4"], "--k", "2"]
+    code, doc, _ = _run(capsys, argv)
+    assert code == 0 and doc["answer"] == "YES"
+    monkeypatch.setattr(sepkit.problems, "two_coloring",
+                        _fails_in("stable_bipartization", sepkit.problems.two_coloring, None))
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err == ("verification error: stable bipartization failed re-verification; "
                    f"replay: sepkit {shlex.join(argv)}\n")
 
 

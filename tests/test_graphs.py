@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepkit.graphs import (DomainError, Graph, ParseError, boundary, components,
-                           contract_terminal_sets, induced_subgraph, parse_graph,
-                           serialize_graph, shortest_odd_cycle, two_coloring)
+                           contract_terminal_sets, delete_vertices, induced_subgraph,
+                           parse_graph, serialize_graph, shortest_odd_cycle,
+                           two_coloring)
 from sepkit.oracle import FIXTURES, cycle_graph
 
 from strategies import graphs
@@ -117,6 +118,11 @@ def test_two_coloring_examples():
     assert two_coloring(P3) == ((0, 2), (1,))
     assert two_coloring(cycle_graph(3)) is None
     assert two_coloring(C4) == ((0, 2), (1, 3))
+    assert two_coloring(cycle_graph(3), (1,)) == ((0,), (2,))
+    assert two_coloring(D4, (1,)) == ((0, 2), (3,))
+    assert two_coloring(cycle_graph(5), range(5)) == ((), ())
+    with pytest.raises(DomainError):
+        two_coloring(P3, (3,))
 
 
 def test_shortest_odd_cycle_examples():
@@ -206,6 +212,16 @@ def test_two_coloring_proper(G):
     assert B | W == set(range(G.n)) and not B & W
     for u, v in G.edges():
         assert (u in B) != (v in B)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_two_coloring_in_place_matches_deleted_copy(G, data):
+    S = data.draw(st.sets(st.integers(0, G.n - 1)))
+    rest = delete_vertices(G, S)
+    col = two_coloring(rest.graph)
+    want = None if col is None else tuple(rest.map_back(side) for side in col)
+    assert two_coloring(G, S) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,7 +50,7 @@ def test_mincut_metamorphic():
         base = g_mincut(G, s, t, k, cls)
         answers[base is not None] += 1
         if base is not None:
-            assert is_separator(G, base.deletion_set, (s,), (t,))
+            assert is_separator(G, base, (s,), (t,))
             assert g_mincut(G, s, t, k + 1, cls) is not None
 
         perm = list(range(G.n))

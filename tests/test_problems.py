@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+import sepkit.graphs
 import sepkit.problems
-from sepkit.graphs import DomainError, Graph, delete_vertices
+from sepkit.graphs import DomainError, Graph, delete_vertices, two_coloring, vset
 from sepkit.oracle import (FIXTURES, bf_edge_induced_vertex_cut,
                            bf_exact_stable_bipartization, bf_g_mincut,
                            bf_odd_cycle_transversal, bf_separator_union,
@@ -57,6 +59,51 @@ def test_oct_returns_minimum_size():
             assert len(fast) == len(slow)
 
 
+def _compress_oct_reference(G, S0, k):
+    """The compression step as its own branch loop, the reference twin of
+    ``_compress_oct``: each branch (R, B0, W0) with |R| <= k and both colour
+    classes independent cuts X from Y in G - S0 with fresh terminals
+    attached, at budget k - |R|, and the first cut within it plus R wins."""
+    rest = delete_vertices(G, S0)
+    col = two_coloring(rest.graph)
+    Bp, Wp = set(rest.map_back(col[0])), set(rest.map_back(col[1]))
+    for digits in itertools.product((0, 1, 2), repeat=len(S0)):
+        R, B0, W0 = (tuple(v for v, d in zip(S0, digits) if d == side) for side in range(3))
+        if len(R) > k or not (_independent(G, B0) and _independent(G, W0)):
+            continue
+        B = {u for w in W0 for u in G.adj[w]} - set(S0)    # forced black
+        W = {u for b in B0 for u in G.adj[b]} - set(S0)    # forced white
+        X = (B & Bp) | (W & Wp)
+        Y = (B & Wp) | (W & Bp)
+        s, t = rest.graph.n, rest.graph.n + 1
+        H = Graph(t + 1, rest.graph.edges() + [(s, rest.to_new(x)) for x in X]
+                  + [(t, rest.to_new(y)) for y in Y])
+        r = min_vertex_separator(H, (s,), (t,), cap=k - len(R))
+        if r.within(k - len(R)):
+            return vset(R + rest.map_back(r.witness))
+    return None
+
+
+def test_compress_oct_matches_reference_twin(monkeypatch):
+    # every compression step that odd_cycle_transversal runs, in the prefix
+    # pass and in the final shrinking loop, answers as the twin does
+    steps = []
+    compress = sepkit.problems._compress_oct
+
+    def twinned(G, S0, k):
+        out = compress(G, S0, k)
+        assert out == _compress_oct_reference(G, S0, k), (G, S0, k)
+        steps.append(out is not None)
+        return out
+
+    monkeypatch.setattr(sepkit.problems, "_compress_oct", twinned)
+    for G, rng in seeded_graphs(420, seed=89, n_lo=5, n_hi=16,
+                                ps=(0.2, 0.3, 0.45)):
+        odd_cycle_transversal(G, rng.randint(0, 4))
+    assert len(steps) >= 300 and 50 <= sum(steps) <= len(steps) - 50, \
+        (len(steps), sum(steps))
+
+
 def test_stable_bipartization_examples():
     out = stable_bipartization(complete_graph(3), 1)
     assert out is not None and len(out) == 1
@@ -79,6 +126,31 @@ def _near_bipartite(n, degree, odd, seed):
             pairs.add((a, b))
             odd -= 1
     return Graph(n, pairs)
+
+
+def test_oct_builds_one_prefix_graph_per_compression_step(monkeypatch):
+    # the prefix pass colours G minus the later vertices in place; only a
+    # compression step builds its prefix graph
+    builds, steps = [], []
+    induced, compress = sepkit.graphs.induced_subgraph, sepkit.problems._compress_oct
+
+    def counted(*args):
+        builds.append(1)
+        return induced(*args)
+
+    def counted_step(*args):
+        steps.append(1)
+        return compress(*args)
+
+    for module in (sepkit.graphs, sepkit.problems):
+        monkeypatch.setattr(module, "induced_subgraph", counted)
+    monkeypatch.setattr(sepkit.problems, "_compress_oct", counted_step)
+    G = _near_bipartite(100, 4.0, 3, 103)
+    for k in (1, 2, 3):
+        builds.clear()
+        steps.clear()
+        odd_cycle_transversal(G, k)
+        assert steps and len(builds) <= len(steps), (k, len(builds), len(steps))
 
 
 def test_stable_bipartization_dp_states_sum_over_branches(monkeypatch):
@@ -359,6 +431,8 @@ def test_every_branch_separator_contains_r():
         for S in enumerate_minimal_separators(br.graph, br.s, br.t, br.graph.n):
             assert r_ids <= set(S)
     assert saw_nonempty_r
+    with pytest.raises(DomainError):
+        next(bipartization_branches(G, ()))    # C5 itself is not bipartite
 
 
 def test_annotated_instance_pick_updates_allowed():

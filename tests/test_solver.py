@@ -39,9 +39,9 @@ def _nice(G, root=0):
 
 def test_dp_examples():
     wit = dp_constrained_cut(P3, _nice(P3), CutConstraints(((0, 2),)), 1, EDGELESS)
-    assert wit.deletion_set == (1,)
+    assert wit == (1,)
     wit = dp_constrained_cut(C4, _nice(C4), CutConstraints(((0, 2),)), 2, EDGELESS)
-    assert wit.deletion_set == (1, 3)
+    assert wit == (1, 3)
     assert dp_constrained_cut(D4, _nice(D4), CutConstraints(((0, 2),)), 2, EDGELESS) is None
 
 
@@ -51,7 +51,7 @@ def test_dp_judges_class_on_induced_graph():
     cons = CutConstraints(((0, 2),))
     assert dp_constrained_cut(D4, _nice(D4), cons, 2, EDGELESS) is None
     wit = dp_constrained_cut(D4, _nice(D4), cons, 2, EDGELESS, C4)
-    assert wit.deletion_set == (1, 3) and wit.induced_graph == Graph(2)
+    assert wit == (1, 3) and induced_subgraph(C4, wit).graph == Graph(2)
 
 
 def test_dp_refuses_induced_graph_outside_g():
@@ -77,13 +77,13 @@ def test_dp_stats_populated():
 
 
 def test_g_mincut_examples():
-    assert g_mincut(C4, 0, 2, 2, EDGELESS).deletion_set == (1, 3)
+    assert g_mincut(C4, 0, 2, 2, EDGELESS) == (1, 3)
     assert g_mincut(D4, 0, 2, 2, EDGELESS) is None
     assert g_mincut(Graph(2, [(0, 1)]), 0, 1, 5, EDGELESS) is None
 
 
 def test_g_mincut_k0_by_components():
-    assert g_mincut(Graph(3, [(0, 1)]), 0, 2, 0, EDGELESS).deletion_set == ()
+    assert g_mincut(Graph(3, [(0, 1)]), 0, 2, 0, EDGELESS) == ()
     assert g_mincut(P3, 0, 2, 0, EDGELESS) is None
 
 
@@ -95,7 +95,7 @@ def test_g_mincut_witness_is_minimal_separator():
         if wit is None:
             continue
         from sepkit.separation import is_separator
-        S = wit.deletion_set
+        S = wit
         assert is_separator(G, S, (s,), (t,))
         for v in S:
             assert not is_separator(G, set(S) - {v}, (s,), (t,))
@@ -104,9 +104,9 @@ def test_g_mincut_witness_is_minimal_separator():
 def test_g_multicut_examples():
     star = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
     wit = g_multicut_uncut(star, CutConstraints(((1, 2),), ((1, 3),)), 1, EDGELESS)
-    assert wit.deletion_set == (0,)
+    assert wit == (0,)
     # uncut-only at k=0: yes iff pairs already connected
-    assert g_multicut_uncut(star, CutConstraints((), ((1, 3),)), 0, EDGELESS).deletion_set == ()
+    assert g_multicut_uncut(star, CutConstraints((), ((1, 3),)), 0, EDGELESS) == ()
     assert g_multicut_uncut(Graph(2), CutConstraints((), ((0, 1),)), 0, EDGELESS) is None
     # adjacent cut pair is immediately infeasible
     assert g_multicut_uncut(star, CutConstraints(((0, 1),)), 3, EDGELESS) is None
@@ -120,7 +120,7 @@ def test_g_multicut_shared_terminals_evaluated_independently():
     # sharing one endpoint is fine
     cons = CutConstraints(((0, 3),), ((0, 1),))
     wit = g_multicut_uncut(g, cons, 1, ANY)
-    assert wit is not None and wit.deletion_set == (2,)
+    assert wit is not None and wit == (2,)
 
 
 BUILTIN_CLASSES = (EDGELESS, ANY, FOREST, BIPARTITE, MAX_DEGREE(0), MAX_DEGREE(1),
@@ -141,7 +141,7 @@ def test_class_summaries_match_form_twin():
             fast = g_mincut(G, s, t, k, cls)
             assert (fast is None) == (g_mincut(G, s, t, k, twin) is None), (cls, G, s, t, k)
             if fast is not None:
-                assert verify_solution(G, fast.deletion_set, CutConstraints(((s, t),)), k, cls)
+                assert verify_solution(G, fast, CutConstraints(((s, t),)), k, cls)
             if G.n <= 14:
                 assert (fast is None) == (bf_g_mincut(G, s, t, k, cls.membership) is None)
 
@@ -202,7 +202,7 @@ def test_gadget_vertices_never_in_witnesses():
         s, t = rng.sample(range(G.n), 2)
         wit = g_mincut(G, s, t, 3, ANY)
         if wit is not None:
-            assert set(wit.deletion_set) <= set(range(G.n))
+            assert set(wit) <= set(range(G.n))
 
 
 def test_builtin_classes_membership():
@@ -256,7 +256,7 @@ def test_budget_cannot_exceed_class_max_check():
         dp_constrained_cut(P5, _nice(P5), CutConstraints(((0, 4),)), 3, cramped)
     # the budget is first clamped to the deletable vertices (one, on P3)
     wit = dp_constrained_cut(P3, _nice(P3), CutConstraints(((0, 2),)), 3, cramped)
-    assert wit.deletion_set == (1,)
+    assert wit == (1,)
     with pytest.raises(DomainError):
         cramped.contains(complete_graph(4))
 
@@ -273,7 +273,7 @@ def test_budget_above_64_on_uncapped_class():
     # "budget 70 exceeds class max_check 64" while every class had a cap
     G = Graph(72, [(a, v) for a in (0, 1) for v in range(2, 72)])
     wit = g_mincut(G, 0, 1, 70, EDGELESS)
-    assert wit is not None and wit.deletion_set == tuple(range(2, 72))
+    assert wit is not None and wit == tuple(range(2, 72))
 
 
 def _canon_reference(m, p, edges):
@@ -390,7 +390,7 @@ Q3 = FIXTURES["Q3"].graph
 def test_dp_state_counts_pinned(G, s, t, k, cls, want):
     with collect() as stats:
         wit = g_mincut(G, s, t, k, parse_class(cls))
-    got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
+    got = (stats["dp_states"], stats["width"], None if wit is None else wit)
     assert got == want
 
 
@@ -406,9 +406,9 @@ def test_mincut_matches_oracle_hypothesis(G, data):
     assert (fast is None) == (slow is None)
     if fast is not None:
         from sepkit.separation import is_separator
-        assert is_separator(G, fast.deletion_set, (s,), (t,))
-        assert len(fast.deletion_set) <= k
-        assert cls.contains(fast.induced_graph)
+        assert is_separator(G, fast, (s,), (t,))
+        assert len(fast) <= k
+        assert cls.contains(induced_subgraph(G, fast).graph)
 
 
 def test_mincut_matches_oracle_across_classes():
@@ -498,7 +498,7 @@ def test_multicut_state_counts_pinned(k, want):
     cons = CutConstraints(((0, 14), (2, 12)), ((0, 4),))
     with collect() as stats:
         wit = g_multicut_uncut(grid(3, 5), cons, k, ANY)
-    got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
+    got = (stats["dp_states"], stats["width"], None if wit is None else wit)
     assert got == want
 
 
@@ -516,7 +516,7 @@ def test_marked_block_state_counts_pinned(cut, uncut, reach, k, cls, want):
     with collect() as stats:
         wit = g_multicut_uncut(grid(3, 6), CutConstraints(cut, uncut, reach), k,
                                parse_class(cls))
-    got = (stats["dp_states"], stats["width"], None if wit is None else wit.deletion_set)
+    got = (stats["dp_states"], stats["width"], None if wit is None else wit)
     assert got == want
 
 
@@ -533,7 +533,7 @@ def test_multicut_covers_only_its_cut_pairs(monkeypatch):
 
     monkeypatch.setattr(sepkit.reduction, "cover_set", counted)
     cons = CutConstraints(((14, 0), (2, 12)), ((0, 4),))
-    assert g_multicut_uncut(grid(3, 5), cons, 4, ANY).deletion_set == (7, 9, 11, 13)
+    assert g_multicut_uncut(grid(3, 5), cons, 4, ANY) == (7, 9, 11, 13)
     assert sorted(pairs) == [(0, 14), (2, 12)]
 
 
@@ -637,7 +637,7 @@ def test_reduce_instance_refuses_a_flow_of_another_graph():
         g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY, flow=foreign)
     with pytest.raises(DomainError):
         reduce_instance(PP, (0, 5), 2, flow=foreign)
-    assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY).deletion_set == (1, 3)
+    assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY) == (1, 3)
 
 
 def test_reduce_instance_reruns_a_flow_capped_below_k():

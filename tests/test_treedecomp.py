@@ -132,7 +132,7 @@ def test_imported_td_drives_the_solver():
     assert n == 4 and validate_decomposition(g, td)
     nice = make_nice(td, g, root_vertex=0)
     wit = dp_constrained_cut(g, nice, CutConstraints(((0, 3),)), 1, EDGELESS)
-    assert wit is not None and len(wit.deletion_set) == 1
+    assert wit is not None and len(wit) == 1
 
 
 def test_pace_roundtrip():
