@@ -14,7 +14,6 @@ from .graphs import (
     ParseError,
     boundary,
     components,
-    contract_terminal_sets,
     induced_subgraph,
     parse_graph,
     serialize_graph,
@@ -83,8 +82,7 @@ __all__ = [
     "NiceDecomposition", "ParseError", "ReducedInstance", "SeparatorChain",
     "SeparatorResult", "TreeDecomposition", "TreewidthBounds",
     "VerificationError", "boundary", "build_chain", "collect", "components",
-    "contract_terminal_sets", "cover_set",
-    "decompose", "dp_constrained_cut", "edge_induced_vertex_cut",
+    "cover_set", "decompose", "dp_constrained_cut", "edge_induced_vertex_cut",
     "exact_separator_union", "exact_stable_bipartization", "exact_treewidth",
     "g_mincut", "g_multicut_uncut", "induced_subgraph", "is_separator",
     "make_nice", "min_separator_containing", "min_vertex_separator",

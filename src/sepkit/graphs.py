@@ -60,12 +60,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -232,56 +226,6 @@ def induced_subgraph(G: Graph, X: Iterable[int]) -> InducedSubgraph:
 def delete_vertices(G: Graph, X: Iterable[int]) -> InducedSubgraph:
     xs = set(G.check_vertices(X))
     return induced_subgraph(G, [v for v in range(G.n) if v not in xs])
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Result of collapsing two terminal sets onto fresh vertices a and b.
-
-    Vertices 0..len(keep)-1 are the kept vertices in ascending original order;
-    ``a`` and ``b`` are the last two ids. ``orig`` maps kept ids back.
-    """
-    graph: Graph
-    a: int
-    b: int
-    orig: tuple[int, ...]
-
-    def map_back(self, vs: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.orig[v] for v in vs if v not in (self.a, self.b)))
-
-
-def contract_terminal_sets(G: Graph, keep: Iterable[int], A: Iterable[int],
-                           B: Iterable[int]) -> Contraction:
-    keep_s = G.check_vertices(keep)
-    A_s = set(G.check_vertices(A))
-    B_s = set(G.check_vertices(B))
-    if not A_s or not B_s:
-        raise DomainError("terminal sets must be non-empty")
-    if A_s & B_s:
-        raise DomainError("terminal sets must be disjoint")
-    if (A_s | B_s) & set(keep_s):
-        raise DomainError("keep set must avoid both terminal sets")
-    index = {v: i for i, v in enumerate(keep_s)}
-    a = len(keep_s)
-    b = a + 1
-    edges = set()
-    for u, v in G.edges():
-        iu, iv = index.get(u), index.get(v)
-        if iu is not None and iv is not None:
-            edges.add((iu, iv))
-        elif iu is not None:
-            if v in A_s:
-                edges.add((iu, a))
-            elif v in B_s:
-                edges.add((iu, b))
-        elif iv is not None:
-            if u in A_s:
-                edges.add((iv, a))
-            elif u in B_s:
-                edges.add((iv, b))
-        elif (u in A_s and v in B_s) or (u in B_s and v in A_s):
-            edges.add((a, b))
-    return Contraction(Graph(b + 1, edges), a, b, keep_s)
 
 
 def two_coloring(G: Graph, removed: Iterable[int] = ()

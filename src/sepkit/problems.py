@@ -8,7 +8,8 @@ Every returned witness is re-verified against the original instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
@@ -86,17 +87,28 @@ class BipartizationBranch:
     """One way of resolving an odd-cycle transversal S0: remove R, color B0
     black and W0 white, then separate the forced sides X and Y in the graph
     with fresh terminals attached. Every s-t separator of ``graph`` contains
-    R, because both terminals are adjacent to all of R."""
+    R, because both terminals are adjacent to all of R. ``graph`` is built
+    on first read, so a branch its caller skips costs no graph."""
     S0: tuple[int, ...]
     R: tuple[int, ...]
     B0: tuple[int, ...]
     W0: tuple[int, ...]
     X: tuple[int, ...]
     Y: tuple[int, ...]
-    graph: Graph            # original minus B0+W0, plus terminals s and t
     s: int
     t: int
     orig: tuple[int, ...]   # graph id -> original id, for the original part
+    G: Graph = field(compare=False, repr=False)   # the graph S0 belongs to
+
+    @cached_property
+    def graph(self) -> Graph:
+        """G minus B0 and W0, plus s joined to X and R and t to Y and R."""
+        index = {v: i for i, v in enumerate(self.orig)}
+        edges = [(i, index[w]) for i, v in enumerate(self.orig)
+                 for w in self.G.adj[v] if w > v and w in index]
+        edges += [(self.s, index[v]) for v in self.X + self.R]
+        edges += [(self.t, index[v]) for v in self.Y + self.R]
+        return Graph(self.t + 1, edges)
 
     def map_back(self, vs) -> tuple[int, ...]:
         return tuple(sorted(self.orig[v] for v in vs))
@@ -115,7 +127,6 @@ def bipartization_branches(G: Graph, S0: tuple[int, ...]):
         raise DomainError("S0 must be an odd cycle transversal of G")
     Bp, Wp = set(col[0]), set(col[1])
     s0 = set(S0)
-    all_edges = G.edges()
     for digits in itertools.product((0, 1, 2), repeat=len(S0)):
         R, B0, W0 = (tuple(v for v, d in zip(S0, digits) if d == side) for side in range(3))
         if not (_is_independent(G, B0) and _is_independent(G, W0)):
@@ -126,13 +137,8 @@ def bipartization_branches(G: Graph, S0: tuple[int, ...]):
         Y = (B & Wp) | (W & Bp)
         colored = set(B0 + W0)
         orig = tuple(v for v in range(G.n) if v not in colored)
-        index = {v: i for i, v in enumerate(orig)}
-        s, t = len(orig), len(orig) + 1
-        edges = [(index[u], index[v]) for u, v in all_edges if u in index and v in index]
-        edges += [(s, index[v]) for v in X.union(R)]
-        edges += [(t, index[v]) for v in Y.union(R)]
         yield BipartizationBranch(tuple(S0), R, B0, W0, vset(X), vset(Y),
-                                  Graph(t + 1, edges), s, t, orig)
+                                  len(orig), len(orig) + 1, orig, G)
 
 
 def stable_bipartization(G: Graph, k: int) -> Optional[tuple[int, ...]]:

@@ -5,29 +5,32 @@ bounded-treewidth replacement graph.
 vertex of every minimal s-t separator of size at most k. At excess 0 those
 are the vertices on some minimum separator, which the residual network of
 the s-t flow names one by one (``Residual.separator_through``); no chain is
-built. For positive excess the chain boundaries go in, and each layer
-between consecutive boundaries is handled by contracting boundary subsets
-onto two fresh terminals and recursing with a smaller excess. Each terminal
-pair costs one max-flow: the flow that decides whether a pair has a
+built. For positive excess the chain boundaries go in, and each layer L
+between consecutive boundaries is covered by subproblems: a pair (A, B) of
+disjoint subsets of the two boundaries is contracted onto two fresh
+terminals a and b, and the cover recurses with a smaller excess. Each
+terminal pair costs one max-flow: the flow that decides whether a pair has a
 separator within budget is handed to ``cover_set`` and on to
 ``build_chain``, which reads the chain from its residual network;
 ``g_mincut`` hands its own flow, run for ``ell`` and ``excess``, to
 ``reduce_instance``, and ``exact_separator_union`` hands the flow of G - v
 to its one call on G - v.
 
-The layer recursion solves each distinct contracted subproblem once. A pair
-(A, B) with an edge between A and B is skipped before contracting: the
-contraction would have the edge a-b, for which no separator exists. Any other
-pair is keyed by (contracted graph, k, excess); ``Graph`` equality compares n
-and the adjacency, and a and b are always the last two ids of a contraction.
-The value is the sub-cover in contracted ids, or None when the capped flow
-exceeds k, and each pair maps it back through its own contraction. This is
-exact: ``cover_set`` on a contracted graph is a deterministic function of the
-graph and the budget, and the capped flow and the sub-budget
-``min(k, size + excess - 1)`` are fixed by the key, so a hit returns what
-recomputing would. The table is made by the top-level call, shared by its
-whole recursion and dropped when it returns; relabelled inputs would never
-hit across calls.
+The contracted graph of (A, B) is G[L] with a joined to N(A) & L and b to
+N(B) & L, so a subproblem is keyed by that neighbourhood pair:
+``_neighbourhood_pairs`` yields each distinct pair of a layer once, and
+prunes every (A, B) with an edge between A and B, whose contraction would
+have the edge a-b, for which no separator exists. A subproblem graph has
+the layer's vertices in ascending order, then a and b as its last two ids.
+The recursion solves each distinct subproblem once: the table is keyed by
+(subproblem graph, k, excess), since equal graphs can come from different
+layers, and holds the sub-cover in subproblem ids, or None when the capped
+flow exceeds k. This is exact: ``cover_set`` on a subproblem is a
+deterministic function of the graph and the budget, and the capped flow and
+the sub-budget ``min(k, size + excess - 1)`` are fixed by the key, so a hit
+returns what recomputing would. The table is made by the top-level call,
+shared by its whole recursion and dropped when it returns; relabelled
+inputs would never hit across calls.
 
 ``reduce_instance`` unions the covers of the cut pairs only and returns the
 torso of that cover C; every other terminal, such as an uncut pair's end or
@@ -49,8 +52,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .chains import SeparatorChain, build_chain
-from .graphs import (DomainError, Graph, components, contract_terminal_sets,
-                     induced_subgraph, vset)
+from .graphs import DomainError, Graph, components, induced_subgraph, vset
 from .separation import SeparatorResult, min_vertex_separator, st_flow
 
 GADGET = "gadget"
@@ -135,24 +137,37 @@ def layer_system(chain: SeparatorChain, s: int, t: int, n: int) -> list[tuple]:
     return out
 
 
-def _disjoint_subset_pairs(pool: tuple[int, ...]):
-    """Unordered pairs (A, B) of disjoint non-empty subsets of pool.
+def _neighbourhood_pairs(G: Graph, layer: tuple[int, ...], pool: tuple[int, ...]):
+    """The distinct (N(A) & L, N(B) & L) over unordered pairs (A, B) of
+    disjoint non-empty subsets of pool with no A-B edge, as masks over the
+    positions of ``layer``, each yielded where it first appears.
 
-    Each element takes one of three states; the lowest selected element is
-    normalized into A, which enumerates every unordered pair exactly once.
+    Each pool vertex goes to neither side, to A or to B, the last pool
+    vertex decided first, and a pair counts once, when its lowest vertex is
+    in A: the order of the base-3 codes, pool[i] the i-th digit. A branch
+    that puts a vertex next to the other side is pruned: an A-B edge
+    becomes the edge a-b, for which no separator exists.
     """
-    n = len(pool)
-    for code in range(3 ** n):
-        A, B = [], []
-        c = code
-        for v in pool:
-            c, r = divmod(c, 3)
-            if r == 1:
-                A.append(v)
-            elif r == 2:
-                B.append(v)
-        if A and B and min(A) < min(B):
-            yield tuple(A), tuple(B)
+    pos = {v: i for i, v in enumerate(layer)}
+    at = {v: j for j, v in enumerate(pool)}
+    reach = [sum(1 << pos[w] for w in G.adj[v] if w in pos) for v in pool]
+    near = [sum(1 << at[w] for w in G.adj[v] if w in at) for v in pool]
+    seen = set()
+    # (vertices left to decide, A, B, N(A) & L, N(B) & L, side of the lowest)
+    stack = [(len(pool), 0, 0, 0, 0, 0)]
+    while stack:
+        j, A, B, na, nb, low = stack.pop()
+        if not j:
+            if low == 1 and B and (na, nb) not in seen:
+                seen.add((na, nb))
+                yield na, nb
+            continue
+        j -= 1
+        if not near[j] & A:
+            stack.append((j, A, B | 1 << j, na, nb | reach[j], 2))
+        if not near[j] & B:
+            stack.append((j, A | 1 << j, B, na | reach[j], nb, 1))
+        stack.append((j, A, B, na, nb, low))
 
 
 def cover_set(G: Graph, s: int, t: int, k: int,
@@ -165,7 +180,7 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     off the flow's residual network; they are exactly the union of the
     chain's boundaries (see ``chains``). ``flow``, a finished s-t flow of
     G, is reused instead of running a new one. ``memo`` is the recursion's
-    table of contracted subproblems; callers leave it unset and the
+    table of layer subproblems; callers leave it unset and the
     top-level call makes it.
     """
     G.check_vertices((s, t))
@@ -190,26 +205,27 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     if memo is None:
         memo = {}
     for layer, pool in layer_system(chain, s, t, G.n):
-        for A, B in _disjoint_subset_pairs(pool):
+        pos = {v: i for i, v in enumerate(layer)}
+        inside = [(i, pos[w]) for i, v in enumerate(layer) for w in G.adj[v]
+                  if pos.get(w, -1) > i]
+        a, b = len(layer), len(layer) + 1
+        for na, nb in _neighbourhood_pairs(G, layer, pool):
             # a sub-cover maps back into the layer: nothing left to add
             if cover.issuperset(layer):
                 break
-            # an A-B edge becomes the edge a-b: no separator at all
-            if any(G.has_edge(u, v) for u in A for v in B):
-                continue
-            con = contract_terminal_sets(G, layer, A, B)
-            key = (con.graph, k, excess)
+            sub_graph = Graph(b + 1, inside + [(i, a) for i in range(a) if na >> i & 1]
+                              + [(i, b) for i in range(a) if nb >> i & 1])
+            key = (sub_graph, k, excess)
             sub = memo.get(key, _MISSING)
             if sub is _MISSING:
                 sub = None
-                rr = min_vertex_separator(con.graph, (con.a,), (con.b,), cap=k)
+                rr = min_vertex_separator(sub_graph, (a,), (b,), cap=k)
                 if rr.within(k):
                     sub_budget = min(k, int(rr.size) + excess - 1)
-                    sub = cover_set(con.graph, con.a, con.b, sub_budget,
-                                    flow=rr, memo=memo)
+                    sub = cover_set(sub_graph, a, b, sub_budget, flow=rr, memo=memo)
                 memo[key] = sub
             if sub is not None:
-                cover.update(con.map_back(sub))
+                cover.update(layer[i] for i in sub if i < a)
     return tuple(sorted(cover))
 
 

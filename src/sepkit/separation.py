@@ -3,9 +3,10 @@
 The flow network splits every candidate vertex v into an in/out arc of
 capacity one; a super-source covers A and a super-sink covers B. The network
 is stored as flat arc arrays (head, residual capacity; the reverse of arc a
-is a ^ 1) with each node's arcs sorted by head. Augmenting paths are found by
-BFS scanning arcs in that order, so both the size and the canonical witness
-(the min cut closest to A) are deterministic.
+is a ^ 1), and augmenting paths are found by BFS. Which paths it finds
+depends on the order of each node's arcs, but the flow's size and its
+canonical witness, the min cut closest to A, are the same for every maximum
+flow.
 
 A finished flow keeps its residual network (``SeparatorResult.residual``).
 By Picard and Queyranne (1980) the closed sets of a maximum flow's residual
@@ -37,7 +38,7 @@ class Residual:
     nodes are the super-source and the super-sink.
     """
     inner: tuple[int, ...]          # vertices outside both terminal sets, ascending
-    adj: list[list[int]]            # node -> arc ids, ascending by head
+    adj: list[list[int]]            # node -> arc ids
     head: list[int]
     cap: list[int]                  # residual capacity per arc
     reach: bytearray                # nodes residual-reachable from the source
@@ -161,8 +162,6 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
         elif w not in to_sink:
             to_sink.add(w)
             add_arc(2 * w + 1, sink, _BIG)
-    for arcs in adj:
-        arcs.sort(key=head.__getitem__)
 
     flow = 0
     while True:

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepkit.graphs import (DomainError, Graph, ParseError, boundary, components,
-                           contract_terminal_sets, delete_vertices, induced_subgraph,
-                           parse_graph, serialize_graph, shortest_odd_cycle,
-                           two_coloring)
+                           delete_vertices, induced_subgraph, parse_graph,
+                           serialize_graph, shortest_odd_cycle, two_coloring)
 from sepkit.oracle import FIXTURES, cycle_graph
 
 from strategies import graphs
@@ -91,27 +90,6 @@ def test_induced_subgraph_examples():
     assert sub.graph.edges() == [(0, 1)]
     sub = induced_subgraph(PP, range(6))
     assert sub.graph == PP and sub.orig == tuple(range(6))
-
-
-def test_contract_examples():
-    con = contract_terminal_sets(PP, (1, 2), (0,), (5,))
-    # path a - a1 - a2 - b
-    assert con.graph.edges() == [(0, 1), (0, con.a), (1, con.b)]
-    con = contract_terminal_sets(C4, (1,), (0,), (2,))
-    assert con.graph.edges() == [(0, 1), (0, 2)]   # a - v - b path, no a-b edge
-    # two A-vertices sharing a keep neighbor produce one edge
-    g = Graph(4, [(0, 2), (1, 2), (2, 3)])
-    con = contract_terminal_sets(g, (2,), (0, 1), (3,))
-    assert con.graph.edges() == [(0, 1), (0, 2)]
-
-
-def test_contract_domain_errors():
-    with pytest.raises(DomainError):
-        contract_terminal_sets(C4, (1,), (0,), (0,))
-    with pytest.raises(DomainError):
-        contract_terminal_sets(C4, (1,), (), (2,))
-    with pytest.raises(DomainError):
-        contract_terminal_sets(C4, (0, 1), (0,), (2,))
 
 
 def test_two_coloring_examples():
@@ -224,26 +202,8 @@ def test_two_coloring_in_place_matches_deleted_copy(G, data):
     assert two_coloring(G, S) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(min_n=4, max_n=8), st.data())
-def test_contract_connectivity(G, data):
-    vs = data.draw(st.permutations(range(G.n)))
-    a_size = data.draw(st.integers(1, 2))
-    b_size = data.draw(st.integers(1, 2))
-    A, B = vs[:a_size], vs[a_size:a_size + b_size]
-    keep = vs[a_size + b_size:]
-    con = contract_terminal_sets(G, keep, A, B)
-    joined = any(con.a in comp and con.b in comp for comp in map(set, components(con.graph)))
-    sub = induced_subgraph(G, set(keep) | set(A) | set(B))
-    reach = any(set(sub.map_back([v for v in comp])) & set(A)
-                and set(sub.map_back([v for v in comp])) & set(B)
-                for comp in map(set, components(sub.graph)))
-    assert joined == reach
-
-
 def test_immutability_of_editing_operations():
     before = PP.adj
     induced_subgraph(PP, (0, 1, 2))
-    contract_terminal_sets(PP, (1, 2), (0,), (5,))
     assert PP.adj == before
 

@@ -7,12 +7,11 @@ import warnings
 import pytest
 
 import sepkit.reduction
-from sepkit.graphs import (DomainError, Graph, contract_terminal_sets,
-                           induced_subgraph)
+from sepkit.graphs import DomainError, Graph, induced_subgraph
 from sepkit.oracle import (FIXTURES, RandomModel, enumerate_minimal_separators,
                            path_graph, random_graph)
 from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
-                              _disjoint_subset_pairs, cover_set, layer_system,
+                              _neighbourhood_pairs, cover_set, layer_system,
                               reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
 from sepkit.separation import is_separator, min_vertex_separator
@@ -143,6 +142,44 @@ def test_cover_completeness_random():
     assert checked >= 100
 
 
+def _disjoint_subset_pairs(pool):
+    """Unordered pairs (A, B) of disjoint non-empty subsets of pool, one per
+    base-3 code (digit i for pool[i]: neither, A or B), kept when the lowest
+    selected element is in A."""
+    for code in range(3 ** len(pool)):
+        A, B = [], []
+        c = code
+        for v in pool:
+            c, r = divmod(c, 3)
+            if r == 1:
+                A.append(v)
+            elif r == 2:
+                B.append(v)
+        if A and B and min(A) < min(B):
+            yield tuple(A), tuple(B)
+
+
+def _contract_terminal_sets(G, keep, A, B):
+    """G[keep] plus a joined to N(A) and b to N(B), and the edge a-b when A
+    and B are adjacent: the kept vertices ascending, then a and b."""
+    index = {v: i for i, v in enumerate(keep)}
+    a, b = len(keep), len(keep) + 1
+    edges = set()
+    for u, v in G.edges():
+        iu, iv = index.get(u), index.get(v)
+        if iu is not None and iv is not None:
+            edges.add((iu, iv))
+        elif iu is not None or iv is not None:
+            i, w = (iu, v) if iu is not None else (iv, u)
+            if w in A:
+                edges.add((i, a))
+            elif w in B:
+                edges.add((i, b))
+        elif (u in A and v in B) or (u in B and v in A):
+            edges.add((a, b))
+    return Graph(b + 1, edges), a, b
+
+
 def _cover_reference(G, s, t, k):
     """``cover_set`` as the plain recursion: every (A, B) pair of every layer
     is contracted, flowed and recursed on, adjacent or repeated."""
@@ -162,14 +199,38 @@ def _cover_reference(G, s, t, k):
         if not layer:
             continue
         for A, B in _disjoint_subset_pairs(pool):
-            con = contract_terminal_sets(G, layer, A, B)
-            rr = min_vertex_separator(con.graph, (con.a,), (con.b,), cap=k)
+            H, a, b = _contract_terminal_sets(G, layer, A, B)
+            rr = min_vertex_separator(H, (a,), (b,), cap=k)
             if not rr.within(k):
                 continue
             sub_budget = min(k, int(rr.size) + excess - 1)
-            cover.update(con.map_back(
-                _cover_reference(con.graph, con.a, con.b, sub_budget)))
+            cover.update(layer[v] for v in _cover_reference(H, a, b, sub_budget)
+                         if v < a)
     return tuple(sorted(cover))
+
+
+def test_neighbourhood_pairs_are_first_occurrences_of_subset_pairs():
+    # the base-3 enumeration with the A-B edge skip, reduced to the first
+    # occurrence of each (N(A) & L, N(B) & L), in the order it gives them
+    adjacent_pools = lonely = 0
+    for G, rng in seeded_graphs(300, seed=61, n_lo=4, n_hi=13):
+        vs = list(range(G.n))
+        rng.shuffle(vs)
+        cut = rng.randint(1, min(6, G.n - 1))
+        pool, layer = tuple(sorted(vs[:cut])), tuple(sorted(vs[cut:]))
+        pos = {v: i for i, v in enumerate(layer)}
+        want = []
+        for A, B in _disjoint_subset_pairs(pool):
+            if any(G.has_edge(u, v) for u in A for v in B):
+                continue
+            na = sum(1 << pos[w] for w in {w for v in A for w in G.adj[v] if w in pos})
+            nb = sum(1 << pos[w] for w in {w for v in B for w in G.adj[v] if w in pos})
+            if (na, nb) not in want:
+                want.append((na, nb))
+        assert list(_neighbourhood_pairs(G, layer, pool)) == want
+        adjacent_pools += any(G.has_edge(u, v) for u, v in itertools.combinations(pool, 2))
+        lonely += any(not set(G.adj[v]) & set(layer) for v in pool)
+    assert adjacent_pools >= 100 and lonely >= 100, (adjacent_pools, lonely)
 
 
 def test_cover_matches_unmemoised_recursion():
@@ -202,6 +263,24 @@ def test_cover_flows_once_per_distinct_subproblem(monkeypatch):
     monkeypatch.setattr(sepkit.reduction, "min_vertex_separator", counted)
     assert cover_set(grid(4, 4), 0, 15, 5) == tuple(range(16))
     assert len(calls) <= 250
+
+
+def test_cover_builds_one_graph_per_neighbourhood_pair(monkeypatch):
+    # one subproblem graph per distinct (N(A) & L, N(B) & L) of a layer; one
+    # per (A, B) pair without an A-B edge built 4,978 here
+    builds = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    G = random_graph(RandomModel(22, 0.25, 7))
+    monkeypatch.setattr(Graph, "__init__", counted)
+    cover = cover_set(G, 0, 21, 8)
+    monkeypatch.undo()
+    assert cover == tuple(v for v in range(22) if v != 3)
+    assert len(builds) == 1560
 
 
 def test_separation_preservation_in_torso():
