@@ -37,13 +37,16 @@ def stable_st_cut(G: Graph, s: int, t: int, k: int) -> Optional[tuple[int, ...]]
 def _compress_oct(G: Graph, S0: tuple[int, ...], k: int) -> Optional[tuple[int, ...]]:
     """One compression step: an odd-cycle transversal of size <= k given one
     of size k+1, by one capped vertex cut per branch of S0. Every cut of a
-    branch graph contains R, so a cut within k is R plus a cut of the rest."""
+    branch graph is R plus a cut of its ``core``, so the core is cut within
+    k - |R|."""
     for br in bipartization_branches(G, S0):
-        if len(br.R) > k:
+        budget = k - len(br.R)
+        if budget < 0:
             continue
-        r = min_vertex_separator(br.graph, (br.s,), (br.t,), cap=k)
-        if r.within(k):
-            out = br.map_back(r.witness)
+        H, orig = br.core
+        r = min_vertex_separator(H, (H.n - 2,), (H.n - 1,), cap=budget)
+        if r.within(budget):
+            out = vset(br.R + tuple(orig[v] for v in r.witness))
             if two_coloring(G, out) is None:
                 raise VerificationError("odd cycle transversal failed re-verification")
             return out
@@ -87,7 +90,8 @@ class BipartizationBranch:
     """One way of resolving an odd-cycle transversal S0: remove R, color B0
     black and W0 white, then separate the forced sides X and Y in the graph
     with fresh terminals attached. Every s-t separator of ``graph`` contains
-    R, because both terminals are adjacent to all of R. ``graph`` is built
+    R, because both terminals are adjacent to all of R, so the separators
+    are R plus those of ``core``, the graph without R. Each graph is built
     on first read, so a branch its caller skips costs no graph."""
     S0: tuple[int, ...]
     R: tuple[int, ...]
@@ -103,15 +107,29 @@ class BipartizationBranch:
     @cached_property
     def graph(self) -> Graph:
         """G minus B0 and W0, plus s joined to X and R and t to Y and R."""
-        index = {v: i for i, v in enumerate(self.orig)}
-        edges = [(i, index[w]) for i, v in enumerate(self.orig)
-                 for w in self.G.adj[v] if w > v and w in index]
-        edges += [(self.s, index[v]) for v in self.X + self.R]
-        edges += [(self.t, index[v]) for v in self.Y + self.R]
-        return Graph(self.t + 1, edges)
+        return _attached(self.G, self.orig, self.X + self.R, self.Y + self.R)
+
+    @cached_property
+    def core(self) -> tuple[Graph, tuple[int, ...]]:
+        """``graph`` without R, and its map to original ids: s and t are its
+        last two vertices, joined to X and to Y."""
+        orig = tuple(v for v in self.orig if v not in self.R)
+        return _attached(self.G, orig, self.X, self.Y), orig
 
     def map_back(self, vs) -> tuple[int, ...]:
         return tuple(sorted(self.orig[v] for v in vs))
+
+
+def _attached(G: Graph, orig: tuple[int, ...], X: Iterable[int], Y: Iterable[int]) -> Graph:
+    """G on ``orig``, renumbered in that order, plus s = len(orig) joined to
+    X and t = s + 1 joined to Y."""
+    index = {v: i for i, v in enumerate(orig)}
+    s = len(orig)
+    edges = [(i, index[w]) for i, v in enumerate(orig)
+             for w in G.adj[v] if w > v and w in index]
+    edges += [(s, index[v]) for v in X]
+    edges += [(s + 1, index[v]) for v in Y]
+    return Graph(s + 2, edges)
 
 
 def bipartization_branches(G: Graph, S0: tuple[int, ...]):

@@ -238,7 +238,7 @@ class ReducedInstance:
     induced: Graph                           # G[cover], for the class check
     cover: tuple[int, ...]                   # C', original ids
     terminals: tuple[int, ...]               # original ids
-    k: int
+    k: int                                   # at most n - 2 (reduce_instance)
     width_bound: int
 
     def to_gstar(self, v: int) -> int:
@@ -302,6 +302,11 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
     contributing pair the torso is on the terminals alone, and the bound is
     their number minus one; the serialised form then claims at least 2
     when it has a gadget (``to_jsonable``).
+
+    The instance keeps k clamped to n - 2, since no a-b separator of G is
+    larger, so a huge budget costs the serialised form at most n - 1
+    gadgets per torso-added edge. The covers and ``width_bound`` are those
+    of the recursion run at the given k.
     """
     terms = G.check_vertices(terminals)
     if len(terms) < 2:
@@ -333,4 +338,4 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
     width_bound = min(width_bound, SATURATION_LIMIT)
     tor = torso(G, cover)
     return ReducedInstance(tor.graph, induced_subgraph(G, tor.orig).graph,
-                           tor.orig, terms, k, width_bound)
+                           tor.orig, terms, min(k, G.n - 2), width_bound)

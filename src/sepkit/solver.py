@@ -36,12 +36,14 @@ states with equal summaries is then exact. This is the usual feedback vertex
 set and odd cycle transversal over treewidth argument (Cygan et al.,
 *Parameterized Algorithms*, 2015, ch. 7). The built-in summaries: the count m
 and pin count for ``any`` and ``edgeless``; the pins' degrees for
-``maxdeg:d`` (a free vertex's degree is final); the pins' partition by
-component for ``forest``, where a glued graph is acyclic iff its number of
-parts is c_L + c_R + |pin-pin edges| - p; the pins' partition with a colour
-parity per pin for ``bipartite``. A class given by a membership test alone
-keeps a canonically labeled copy of the whole graph, with the pins fixed,
-and judges it by membership (``matchdef:``, ``forbid:``).
+``maxdeg:d`` (a free vertex's degree is final); for ``forest`` and
+``bipartite``, the components that hold pins, spelled in rank masks like the
+deleted set. A forest component is its pins' mask, and a glued graph is
+acyclic iff it has c_L + c_R + |pin-pin edges| - p components; a bipartite
+component is the masks of its two colour sides, its lowest pin's side first.
+A class given by a membership test alone keeps a canonically labeled copy of
+the whole graph, with the pins fixed, and judges it by membership
+(``matchdef:``, ``forbid:``).
 
 Element 0 of every summary is m, the size of the deleted set, which the
 budget checks read: a join glues mL + mR - p deleted vertices. Every
@@ -159,9 +161,8 @@ class HereditaryClass:
 # -- built-in class summaries ------------------------------------------------------
 #
 # Pins keep their rank order: inserting at rank r moves ranks >= r up by one,
-# removing rank r moves ranks > r down. A partition of the pins is a tuple
-# naming each pin's part by its lowest pin; pin-pin edges are a sorted tuple
-# of rank pairs.
+# removing rank r moves ranks > r down. A set of pins is a mask over their
+# ranks; pin-pin edges are a sorted tuple of rank pairs.
 
 def _pin_edges_add(edges: tuple, rank: int, nbr_ranks: Sequence[int]) -> tuple:
     def lift(x):
@@ -173,56 +174,6 @@ def _pin_edges_add(edges: tuple, rank: int, nbr_ranks: Sequence[int]) -> tuple:
 def _pin_edges_drop(edges: tuple, rank: int) -> tuple:
     return tuple((a - (a > rank), b - (b > rank)) for a, b in edges
                  if a != rank and b != rank)
-
-
-def _unite(p: int, relations: Iterable[tuple[int, int, int]]) -> Optional[tuple]:
-    """Union-find with parity over pins 0..p-1. A relation (a, b, x) says the
-    colours of a and b differ by x. Returns (parts, parity): the partition,
-    and each pin's colour relative to the lowest pin of its part; None when
-    the relations contradict each other (an odd cycle)."""
-    parent, rel = list(range(p)), [0] * p
-
-    def find(x):
-        par = 0
-        while parent[x] != x:
-            par ^= rel[x]
-            x = parent[x]
-        return x, par
-
-    for a, b, x in relations:
-        (ra, pa), (rb, pb) = find(a), find(b)
-        if ra == rb:
-            if pa ^ pb != x:
-                return None
-        else:
-            parent[ra], rel[ra] = rb, pa ^ pb ^ x
-    parts, parity, lowest = [], [], {}
-    for i in range(p):
-        root, pi = find(i)
-        j, pj = lowest.setdefault(root, (i, pi))
-        parts.append(j)
-        parity.append(pi ^ pj)
-    return tuple(parts), tuple(parity)
-
-
-def _relations(parts: tuple, parity: tuple, insert_at: Optional[int] = None) -> list:
-    """A partition with parity as ``_unite`` relations, in the ranks after
-    a pin is inserted at ``insert_at`` (None: no insert)."""
-    at = len(parts) if insert_at is None else insert_at
-    return [(i + (i >= at), c + (c >= at), q)
-            for i, (c, q) in enumerate(zip(parts, parity))]
-
-
-def _dropped(parts: tuple, parity: tuple, rank: int) -> tuple:
-    """A partition with parity after the pin at ``rank`` is removed."""
-    anchor: dict = {}
-    relations = []
-    for i, (c, q) in enumerate(zip(parts, parity)):
-        if i != rank:
-            j = i - (i > rank)
-            a, qa = anchor.setdefault(c, (j, q))
-            relations.append((j, a, q ^ qa))
-    return _unite(len(parts) - 1, relations)
 
 
 def _count_summary(edgeless: bool) -> ClassSummary:
@@ -266,70 +217,109 @@ def _degree_summary(d: int) -> ClassSummary:
     return ClassSummary((0, (), ()), add_pin, unpin, join)
 
 
+def _widen(x: int, rank: int) -> int:
+    """A rank mask with a zero bit inserted at ``rank``."""
+    low = x & ((1 << rank) - 1)
+    return low | (x ^ low) << 1
+
+
+def _narrow(x: int, rank: int) -> int:
+    """A rank mask with bit ``rank`` removed."""
+    low = x & ((1 << rank) - 1)
+    return low | (x >> rank + 1) << rank
+
+
+def _oriented(a: int, b: int) -> tuple:
+    """The sides of a component, the side of its lowest pin first."""
+    return (a, b) if a & -(a | b) else (b, a)
+
+
+def _glue(left: Iterable[tuple], right: Iterable[tuple]) -> Optional[list]:
+    """The components (side, side) of two graphs glued along their pins:
+    each right component swallows the merged ones it meets, flipped to agree
+    with its sides, as ``join_blocks`` merges blocks. None on a parity clash,
+    which a forest's components, passed as (mask, 0), never meet."""
+    out = list(left)
+    for a, b in right:
+        rest = []
+        for oa, ob in out:
+            if oa & a or ob & b:
+                if oa & b or ob & a:
+                    return None
+                a, b = a | oa, b | ob
+            elif oa & b or ob & a:
+                a, b = a | ob, b | oa
+            else:
+                rest.append((oa, ob))
+        rest.append((a, b))
+        out = rest
+    return out
+
+
 def _forest_summary() -> ClassSummary:
-    """(m, pin-pin edges, pins' partition by component)."""
+    """(m, pin-pin edges, components), a component as its pins' rank mask."""
     def add_pin(s, rank, nbr_ranks):
-        m, edges, parts = s
-        if len({parts[r] for r in nbr_ranks}) < len(nbr_ranks):
-            return None     # two edges into one tree close a cycle
-        relations = _relations(parts, (0,) * len(parts), rank)
-        relations += [(rank, r + (r >= rank), 0) for r in nbr_ranks]
-        return (m + 1, _pin_edges_add(edges, rank, nbr_ranks),
-                _unite(len(parts) + 1, relations)[0])
+        m, edges, comps = s
+        nb = sum(1 << r for r in nbr_ranks)
+        merged, rest = 1 << rank, []
+        for c in comps:
+            touched = c & nb
+            if touched & (touched - 1):
+                return None     # two edges into one tree close a cycle
+            if touched:
+                merged |= _widen(c, rank)
+            else:
+                rest.append(_widen(c, rank))
+        rest.append(merged)
+        return (m + 1, _pin_edges_add(edges, rank, nbr_ranks), tuple(sorted(rest)))
 
     def unpin(s, rank):
-        m, edges, parts = s
+        m, edges, comps = s
         return (m, _pin_edges_drop(edges, rank),
-                _dropped(parts, (0,) * len(parts), rank)[0])
+                tuple(sorted(c for c in (_narrow(c, rank) for c in comps) if c)))
 
     def join(l, r):
-        m, edges, parts = l
-        p = len(parts)
-        zeros = (0,) * p
-        glued = _unite(p, _relations(parts, zeros) + _relations(r[2], zeros))[0]
+        m, edges, comps = l
+        p = sum(comps).bit_length()
+        glued = _glue([(c, 0) for c in comps], [(c, 0) for c in r[2]])
         # acyclic iff the glued graph has |V| - |E| components
-        if len(set(glued)) != len(set(parts)) + len(set(r[2])) + len(edges) - p:
+        if len(glued) != len(comps) + len(r[2]) + len(edges) - p:
             return None
-        return (m + r[0] - p, edges, glued)
+        return (m + r[0] - p, edges, tuple(sorted(c for c, _ in glued)))
 
     return ClassSummary((0, (), ()), add_pin, unpin, join)
 
 
 def _bipartite_summary() -> ClassSummary:
-    """(m, pins' partition by component, colour parity per pin)."""
+    """(m, components), a component as the rank masks of its two sides."""
     def add_pin(s, rank, nbr_ranks):
-        m, parts, parity = s
-        relations = _relations(parts, parity, rank)
-        relations += [(rank, r + (r >= rank), 1) for r in nbr_ranks]
-        out = _unite(len(parts) + 1, relations)
-        return None if out is None else (m + 1,) + out
+        m, comps = s
+        nb = sum(1 << r for r in nbr_ranks)
+        same, other, rest = 1 << rank, 0, []
+        for a, b in comps:
+            if a & nb:
+                if b & nb:
+                    return None     # neighbours on both sides close an odd cycle
+                same, other = same | _widen(b, rank), other | _widen(a, rank)
+            elif b & nb:
+                same, other = same | _widen(a, rank), other | _widen(b, rank)
+            else:
+                rest.append((_widen(a, rank), _widen(b, rank)))
+        rest.append(_oriented(same, other))
+        return (m + 1, tuple(sorted(rest)))
 
     def unpin(s, rank):
-        return (s[0],) + _dropped(s[1], s[2], rank)
+        narrowed = ((_narrow(a, rank), _narrow(b, rank)) for a, b in s[1])
+        return (s[0], tuple(sorted(_oriented(a, b) for a, b in narrowed if a | b)))
 
     def join(l, r):
-        p = len(l[1])
-        out = _unite(p, _relations(l[1], l[2]) + _relations(r[1], r[2]))
-        return None if out is None else (l[0] + r[0] - p,) + out
+        glued = _glue(l[1], r[1])
+        if glued is None:
+            return None
+        p = sum(a | b for a, b in l[1]).bit_length()
+        return (l[0] + r[0] - p, tuple(sorted(_oriented(a, b) for a, b in glued)))
 
-    return ClassSummary((0, (), ()), add_pin, unpin, join)
-
-
-def _is_forest(G: Graph) -> bool:
-    parent = list(range(G.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in G.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return ClassSummary((0, ()), add_pin, unpin, join)
 
 
 def maximum_matching(G: Graph) -> tuple[tuple[int, int], ...]:
@@ -384,7 +374,8 @@ def matching_deficiency(G: Graph) -> int:
 EDGELESS = HereditaryClass("edgeless", lambda H: H.m == 0,
                            summary=_count_summary(edgeless=True))
 ANY = HereditaryClass("any", lambda H: True, summary=_count_summary(edgeless=False))
-FOREST = HereditaryClass("forest", _is_forest, summary=_forest_summary())
+FOREST = HereditaryClass("forest", lambda H: H.m == H.n - len(components(H)),
+                         summary=_forest_summary())
 BIPARTITE = HereditaryClass("bipartite", lambda H: two_coloring(H) is not None,
                             summary=_bipartite_summary())
 

@@ -15,7 +15,7 @@ import sepkit.separation
 import sepkit.solver
 from sepkit.chains import SeparatorChain
 from sepkit.cli import _build_parser, run_command
-from sepkit.graphs import serialize_graph
+from sepkit.graphs import Graph, serialize_graph
 from sepkit.oracle import FIXTURES
 from sepkit.treedecomp import parse_td, validate_decomposition
 
@@ -105,6 +105,30 @@ def test_reduce_command(graph_files, capsys):
                                  "--s", "1", "--t", "6", "--k", "1"])
     assert code == 0
     assert doc["witness"]["origin"] == [1, 6, "gadget", "gadget"]
+
+
+def test_reduce_clamps_a_huge_budget(tmp_path, capsys):
+    # no separator of a 10-vertex graph has more than 8 vertices, so k = 1000
+    # prints the instance of k = 8: 9 gadgets for the one torso-added edge,
+    # not 1001; only width_bound, the bound of the recursion run at the
+    # given k, tells the two apart
+    path = tmp_path / "g.gr"
+    path.write_text(serialize_graph(Graph(10, [
+        (0, 2), (0, 4), (0, 6), (1, 3), (1, 4), (2, 4), (2, 8), (2, 9),
+        (3, 7), (4, 5), (4, 9), (5, 7), (5, 8), (6, 9), (7, 9)])))
+    docs = []
+    for k in ("1000", "8"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # the saturated width bound
+            code, doc, _ = _run(capsys, ["reduce", "--graph", str(path),
+                                         "--s", "2", "--t", "6", "--k", k])
+        assert code == 0
+        docs.append(doc["witness"])
+    huge, clamped = docs
+    assert huge["k"] == 8 and huge["origin"].count("gadget") == 9
+    assert huge["n"] == len(huge["cover"]) + 9
+    del huge["width_bound"], clamped["width_bound"]
+    assert huge == clamped
 
 
 def test_decompose_writes_td(graph_files, capsys, tmp_path):

@@ -358,7 +358,8 @@ def _gadget_reduction_jsonable(G, terminals, k):
     """Reference twin: the replacement graph as reduce_instance built it when
     every torso-added edge was replaced by k+1 undeletable two-edge gadget
     paths inside the solve graph. The two lowest terminals are the one pair
-    covered; the others are kept as vertices."""
+    covered; the others are kept as vertices. The printed k and the gadgets
+    use k clamped to n - 2, the largest separator G can have."""
     terms = G.check_vertices(terminals)
     cover = set(terms)
     contributing = 0
@@ -378,7 +379,7 @@ def _gadget_reduction_jsonable(G, terminals, k):
     origin = list(tor.orig)
     nxt = len(tor.orig)
     for u, v in sorted(added_new):
-        for _ in range(k + 1):
+        for _ in range(min(k, G.n - 2) + 1):
             edges += [(u, nxt), (v, nxt)]
             origin.append(GADGET)
             nxt += 1
@@ -390,7 +391,7 @@ def _gadget_reduction_jsonable(G, terminals, k):
         "edges": [[u + 1, v + 1] for u, v in gstar.edges()],
         "cover": [v + 1 for v in tor.orig],
         "terminals": [v + 1 for v in terms],
-        "k": k,
+        "k": min(k, G.n - 2),
         "origin": [GADGET if o == GADGET else o + 1 for o in origin],
         "width_bound": width_bound,
     }

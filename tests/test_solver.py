@@ -12,7 +12,8 @@ import sepkit
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
-from sepkit.graphs import DomainError, Graph, components, induced_subgraph, vset
+from sepkit.graphs import (DomainError, Graph, components, induced_subgraph,
+                           two_coloring, vset)
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
                            path_graph, _separates)
@@ -184,6 +185,44 @@ def test_class_summaries_decide_membership_at_every_node():
             for seen, summ in _summaries_along(G, nice, cls):
                 assert (summ is not None) == cls.contains(induced_subgraph(G, seen).graph)
                 assert summ is None or summ[0] == len(seen)
+
+
+def _pin_components(G, seen, pins):
+    """Each component of G[seen] that holds pins, as its 2-colouring
+    restricted to the pins: (side of its lowest pin, other side)."""
+    sub = induced_subgraph(G, seen)
+    black, white = (set(sub.map_back(side)) for side in two_coloring(sub.graph))
+    out = set()
+    for comp in components(sub.graph):
+        held = set(sub.map_back(comp)) & set(pins)
+        if held:
+            first = black if min(held) in black else white
+            out.add((frozenset(held & first), frozenset(held - first)))
+    return out
+
+
+def test_class_summaries_record_components_and_sides():
+    # at every node the forest summary holds the pins' partition by
+    # component of the graph introduced below it, and the bipartite summary
+    # each such component's 2-colouring, both as rank masks over the bag
+    for G, rng in seeded_graphs(150, seed=59, n_lo=1, n_hi=9, ps=(0.2, 0.35, 0.5)):
+        nice = make_nice(decompose(G), G, root_vertex=rng.randrange(G.n))
+        for cls in (FOREST, BIPARTITE):
+            for nd, (seen, summ) in zip(nice.nodes, _summaries_along(G, nice, cls)):
+                if summ is None:
+                    continue
+                pins = sorted(nd.bag)
+
+                def held(mask):
+                    return frozenset(v for i, v in enumerate(pins) if mask >> i & 1)
+
+                comps = summ[2] if cls is FOREST else summ[1]
+                assert comps == tuple(sorted(comps))
+                want = _pin_components(G, seen, pins)
+                if cls is FOREST:
+                    assert {held(c) for c in comps} == {a | b for a, b in want}
+                else:
+                    assert {(held(a), held(b)) for a, b in comps} == want
 
 
 def test_class_summaries_fix_the_pin_count():
