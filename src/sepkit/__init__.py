@@ -69,7 +69,6 @@ from .treedecomp import (
     NiceDecomposition,
     TreeDecomposition,
     decompose,
-    exact_treewidth,
     make_nice,
     validate_decomposition,
 )
@@ -83,13 +82,13 @@ __all__ = [
     "SeparatorResult", "TreeDecomposition", "TreewidthBounds",
     "VerificationError", "boundary", "build_chain", "collect", "components",
     "cover_set", "decompose", "dp_constrained_cut", "edge_induced_vertex_cut",
-    "exact_separator_union", "exact_stable_bipartization", "exact_treewidth",
-    "g_mincut", "g_multicut_uncut", "induced_subgraph", "is_separator",
-    "make_nice", "min_separator_containing", "min_vertex_separator",
-    "minimalize_separator", "odd_cycle_transversal", "parse_class",
-    "parse_graph", "reduce_instance", "serialize_graph", "shortest_odd_cycle",
-    "stable_bipartization", "stable_st_cut", "torso", "tw_bound",
-    "two_coloring", "validate_chain", "validate_decomposition",
+    "exact_separator_union", "exact_stable_bipartization", "g_mincut",
+    "g_multicut_uncut", "induced_subgraph", "is_separator", "make_nice",
+    "min_separator_containing", "min_vertex_separator", "minimalize_separator",
+    "odd_cycle_transversal", "parse_class", "parse_graph", "reduce_instance",
+    "serialize_graph", "shortest_odd_cycle", "stable_bipartization",
+    "stable_st_cut", "torso", "tw_bound", "two_coloring", "validate_chain",
+    "validate_decomposition",
 ]
 
 __version__ = "0.1.0"

@@ -188,8 +188,11 @@ def _dispatch(args) -> dict:
             raise VerificationError("tree decomposition failed validation")
         stats["width"] = td.width
         if args.td_out:
-            with open(args.td_out, "w") as fh:
-                fh.write(format_td(td, G.n))
+            try:
+                with open(args.td_out, "w") as fh:
+                    fh.write(format_td(td, G.n))
+            except OSError as exc:
+                raise UsageError(f"cannot write --td-out: {exc}") from None
         witness = {"width": td.width, "bags": [_ids(b) for b in td.bags],
                    "tree": [[i + 1, j + 1] for i, j in td.tree]}
         return _result(cmd, "OK", witness, stats, notes)

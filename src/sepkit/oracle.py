@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .graphs import Graph, components, two_coloring, serialize_graph
+from .graphs import DomainError, Graph, components, two_coloring, serialize_graph
 
 INF = math.inf
 DEFAULT_CAP = 14
@@ -141,6 +141,39 @@ def bf_max_matching_size(G: Graph) -> int:
         return best
 
     return rec(frozenset(range(G.n)))
+
+
+def bf_treewidth(G: Graph) -> int:
+    """Treewidth by dynamic programming over vertex subsets (Bodlaender et
+    al., *On exact algorithms for treewidth*, 2006): the width of S is the
+    best over its last vertex v of the width of S - v and the number of
+    vertices outside S that v's component in G[S] reaches. The empty graph
+    has width -1."""
+    _check_cap(G, 16)
+    if G.n == 0:
+        return -1
+    masks = [0] * G.n
+    for u, v in G.edges():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+
+    def q_degree(S: int, v: int) -> int:
+        region = frontier = 1 << v
+        reach = 0
+        while frontier:
+            w = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            reach |= masks[w]
+            new = masks[w] & S & ~region
+            region |= new
+            frontier |= new
+        return (reach & ~S & ~(1 << v)).bit_count()
+
+    width = [0] * (1 << G.n)
+    for S in range(1, 1 << G.n):
+        width[S] = min(max(width[S & ~(1 << v)], q_degree(S & ~(1 << v), v))
+                       for v in range(G.n) if S >> v & 1)
+    return width[-1]
 
 
 # -- brute-force problem solvers ---------------------------------------------
@@ -357,12 +390,23 @@ GMINCUT_CLASSES = ("edgeless", "any", "forest", "bipartite", "maxdeg:1", "matchd
 def cross_check(config: CheckConfig) -> CheckReport:
     """Run every selected fast/oracle pair over the fixtures plus random
     instances; per-trial seeds derive from the config seed by counter.
+    An unknown suite, an empty suite list or a negative trial count raises
+    DomainError, so that no run passes with nothing checked; zero trials
+    give an empty report.
 
     An exception in a trial is recorded as a mismatch whose ``fast`` is the
     exception's repr (type and message), with the trial's params so far, and
     the run goes on."""
     from . import chains, problems, separation, solver
     from .reduction import cover_set
+
+    if not config.suites:
+        raise DomainError("no suites selected")
+    for name in config.suites:
+        if name not in ALL_SUITES:
+            raise DomainError(f"unknown suite {name!r}; choose from {', '.join(ALL_SUITES)}")
+    if config.trials < 0:
+        raise DomainError(f"negative trial count {config.trials}")
 
     report = CheckReport()
     # the running trial's params, for a trial that raises
@@ -498,8 +542,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         "stablebip": run_stablebip, "exactbip": run_exactbip,
         "eivc": run_eivc, "exactc": run_exactc,
     }
-    selected = [s for s in config.suites if s in runners]
-    if not selected or config.trials <= 0:
+    if config.trials == 0:
         return report
 
     def run(name: str, G: Graph, rng: random.Random, tag: int) -> None:
@@ -511,18 +554,18 @@ def cross_check(config: CheckConfig) -> CheckReport:
 
     t0 = time.perf_counter()
     for fx in FIXTURES.values():
-        for name in selected:
+        for name in config.suites:
             run(name, fx.graph, random.Random(config.seed), -1)
             report.trials += 1
     report.elapsed["fixtures"] = time.perf_counter() - t0
 
     # random trials, distributed round-robin over the selected suites
     for counter in range(config.trials):
-        name = selected[counter % len(selected)]
+        name = config.suites[counter % len(config.suites)]
         t0 = time.perf_counter()
         G, rng, seed = sample(counter)
         before = len(report.mismatches)
-        run(name, G, rng, counter // len(selected))
+        run(name, G, rng, counter // len(config.suites))
         for entry in report.mismatches[before:]:
             entry["params"]["seed"] = seed   # replay: same model seed and params
         report.trials += 1

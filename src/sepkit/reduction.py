@@ -46,7 +46,6 @@ form that ``reduce`` prints.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -266,9 +265,6 @@ class ReducedInstance:
             "origin": [v + 1 for v in self.cover] + [GADGET] * len(gadgets),
             "width_bound": max(self.width_bound, 2) if gadgets else self.width_bound,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
 def reduce_instance(G: Graph, terminals: Iterable[int], k: int,

@@ -93,10 +93,6 @@ class SeparatorResult:
     def is_finite(self) -> bool:
         return not self.exceeds_cap and self.size != INFINITE
 
-    @property
-    def is_infinite(self) -> bool:
-        return not self.exceeds_cap and self.size == INFINITE
-
     def within(self, budget: int) -> bool:
         return self.is_finite and self.size <= budget
 

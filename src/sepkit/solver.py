@@ -96,7 +96,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import (DomainError, Graph, components, induced_subgraph,
                      two_coloring, vset)
@@ -111,15 +111,16 @@ class ClassSummary(NamedTuple):
     """What the DP keeps of the deleted set's graph (module docstring).
 
     Pins are the deleted bag vertices, named by rank 0..p-1. ``empty`` is the
-    summary of the empty graph. ``add_pin(s, rank, nbr_ranks)`` inserts a pin
-    at ``rank`` adjacent to the pins ``nbr_ranks`` (ranks before the insert);
-    ``unpin(s, rank)`` makes that pin free; ``join(l, r)`` glues two graphs
-    with the same pins. ``add_pin`` and ``join`` return None when the result
-    leaves the class. Summaries are hashable tuples whose element 0 is the
-    vertex count m and which determine p; all four operations are pure.
+    summary of the empty graph. ``add_pin(s, rank, nbr_mask)`` inserts a pin
+    at ``rank`` adjacent to the pins in the rank mask ``nbr_mask`` (ranks
+    before the insert); ``unpin(s, rank)`` makes that pin free;
+    ``join(l, r)`` glues two graphs with the same pins. ``add_pin`` and
+    ``join`` return None when the result leaves the class. Summaries are
+    hashable tuples whose element 0 is the vertex count m and which
+    determine p; all four operations are pure.
     """
     empty: tuple
-    add_pin: Callable[[tuple, int, Sequence[int]], Optional[tuple]]
+    add_pin: Callable[[tuple, int, int], Optional[tuple]]
     unpin: Callable[[tuple, int], tuple]
     join: Callable[[tuple, tuple], Optional[tuple]]
 
@@ -164,11 +165,16 @@ class HereditaryClass:
 # removing rank r moves ranks > r down. A set of pins is a mask over their
 # ranks; pin-pin edges are a sorted tuple of rank pairs.
 
-def _pin_edges_add(edges: tuple, rank: int, nbr_ranks: Sequence[int]) -> tuple:
+def _ranks(mask: int) -> list[int]:
+    """The set bits of a rank mask, ascending."""
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
+
+def _pin_edges_add(edges: tuple, rank: int, nb: int) -> tuple:
     def lift(x):
         return x + (x >= rank)
     return tuple(sorted([(lift(a), lift(b)) for a, b in edges]
-                        + [tuple(sorted((rank, lift(r)))) for r in nbr_ranks]))
+                        + [tuple(sorted((rank, lift(r)))) for r in _ranks(nb)]))
 
 
 def _pin_edges_drop(edges: tuple, rank: int) -> tuple:
@@ -178,8 +184,8 @@ def _pin_edges_drop(edges: tuple, rank: int) -> tuple:
 
 def _count_summary(edgeless: bool) -> ClassSummary:
     """(m, p): ``any`` needs nothing more, ``edgeless`` refuses every edge."""
-    def add_pin(s, rank, nbr_ranks):
-        if edgeless and nbr_ranks:
+    def add_pin(s, rank, nb):
+        if edgeless and nb:
             return None
         return (s[0] + 1, s[1] + 1)
 
@@ -189,15 +195,15 @@ def _count_summary(edgeless: bool) -> ClassSummary:
 
 def _degree_summary(d: int) -> ClassSummary:
     """(m, pin degrees, pin-pin edges); a join counts each pin-pin edge once."""
-    def add_pin(s, rank, nbr_ranks):
+    def add_pin(s, rank, nb):
         m, degs, edges = s
         degs = list(degs)
-        for r in nbr_ranks:
+        for r in _ranks(nb):
             degs[r] += 1
-        degs.insert(rank, len(nbr_ranks))
+        degs.insert(rank, nb.bit_count())
         if max(degs) > d:
             return None
-        return (m + 1, tuple(degs), _pin_edges_add(edges, rank, nbr_ranks))
+        return (m + 1, tuple(degs), _pin_edges_add(edges, rank, nb))
 
     def unpin(s, rank):
         m, degs, edges = s
@@ -258,9 +264,8 @@ def _glue(left: Iterable[tuple], right: Iterable[tuple]) -> Optional[list]:
 
 def _forest_summary() -> ClassSummary:
     """(m, pin-pin edges, components), a component as its pins' rank mask."""
-    def add_pin(s, rank, nbr_ranks):
+    def add_pin(s, rank, nb):
         m, edges, comps = s
-        nb = sum(1 << r for r in nbr_ranks)
         merged, rest = 1 << rank, []
         for c in comps:
             touched = c & nb
@@ -271,7 +276,7 @@ def _forest_summary() -> ClassSummary:
             else:
                 rest.append(_widen(c, rank))
         rest.append(merged)
-        return (m + 1, _pin_edges_add(edges, rank, nbr_ranks), tuple(sorted(rest)))
+        return (m + 1, _pin_edges_add(edges, rank, nb), tuple(sorted(rest)))
 
     def unpin(s, rank):
         m, edges, comps = s
@@ -292,9 +297,8 @@ def _forest_summary() -> ClassSummary:
 
 def _bipartite_summary() -> ClassSummary:
     """(m, components), a component as the rank masks of its two sides."""
-    def add_pin(s, rank, nbr_ranks):
+    def add_pin(s, rank, nb):
         m, comps = s
-        nb = sum(1 << r for r in nbr_ranks)
         same, other, rest = 1 << rank, 0, []
         for a, b in comps:
             if a & nb:
@@ -496,9 +500,9 @@ def _canon(m: int, p: int, edges: tuple) -> tuple:
     return (m, p, best)
 
 
-def _form_add_pin(form: tuple, rank: int, nbr_ranks: Iterable[int]) -> tuple:
-    """New pinned vertex at pin position ``rank`` adjacent to the given
-    existing pin positions."""
+def _form_add_pin(form: tuple, rank: int, nb: int) -> tuple:
+    """New pinned vertex at pin position ``rank`` adjacent to the existing
+    pin positions set in ``nb``."""
     m, p, edges = form
 
     def remap(x):
@@ -507,7 +511,7 @@ def _form_add_pin(form: tuple, rank: int, nbr_ranks: Iterable[int]) -> tuple:
         return x + 1
 
     new_edges = [tuple(sorted((remap(a), remap(b)))) for a, b in edges]
-    new_edges += [tuple(sorted((rank, remap(r)))) for r in nbr_ranks]
+    new_edges += [tuple(sorted((rank, remap(r)))) for r in _ranks(nb)]
     return _canon(m + 1, p + 1, tuple(new_edges))
 
 
@@ -546,7 +550,7 @@ def _form_summary(cls: HereditaryClass) -> ClassSummary:
         return form if cls.contains_key(form[0], form[2]) else None
 
     return ClassSummary(_canon(0, 0, ()),
-                        lambda form, rank, nbr_ranks: judged(_form_add_pin(form, rank, nbr_ranks)),
+                        lambda form, rank, nb: judged(_form_add_pin(form, rank, nb)),
                         _form_unpin,
                         lambda left, right: judged(_form_join(left, right)))
 
@@ -631,13 +635,13 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
 
     def delete_vertex(deleted: int, summ: tuple, v: int) -> tuple:
         bit = 1 << v
-        nbr_ranks = []
+        nb = 0
         rest = deleted & ind_nbrs[v]
         while rest:
             low = rest & -rest
-            nbr_ranks.append((deleted & (low - 1)).bit_count())
+            nb |= 1 << (deleted & (low - 1)).bit_count()
             rest ^= low
-        return summary.add_pin(summ, (deleted & (bit - 1)).bit_count(), nbr_ranks), deleted | bit
+        return summary.add_pin(summ, (deleted & (bit - 1)).bit_count(), nb), deleted | bit
 
     def join_summaries(lsumm: tuple, rsumm: tuple, p: int) -> Optional[tuple]:
         if lsumm[0] + rsumm[0] - p > k:

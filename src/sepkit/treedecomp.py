@@ -1,6 +1,5 @@
-"""Tree decompositions: min-fill heuristic, exact width for small graphs,
-a minor-min-width lower bound, validation, nice form for the solver DP, and
-PACE-style text import/export.
+"""Tree decompositions: min-fill heuristic, validation, nice form for the
+solver DP, and PACE-style text export.
 
 Solver correctness relies only on decomposition validity; the heuristic width
 just controls DP table sizes.
@@ -12,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import DomainError, Graph, ParseError
+from .graphs import DomainError, Graph
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
@@ -104,98 +103,9 @@ def min_fill_order(G: Graph) -> list[int]:
     return order
 
 
-def exact_treewidth_order(G: Graph) -> tuple[int, list[int]]:
-    """Exact treewidth with an optimal elimination order, by dynamic
-    programming over vertex subsets (bitmask form). Intended for n <= 14."""
-    n = G.n
-    if n == 0:
-        return -1, []
-    if n > 16:
-        raise DomainError(f"exact treewidth limited to n <= 16, got {n}")
-    masks = [0] * n
-    for u, v in G.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-
-    def q_degree(S: int, v: int) -> int:
-        # neighbors of the component of v in G[S + v], outside S and v
-        region = 1 << v
-        frontier = 1 << v
-        reach = 0
-        while frontier:
-            w = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nb = masks[w]
-            reach |= nb
-            new = nb & S & ~region
-            region |= new
-            frontier |= new
-        return bin(reach & ~S & ~(1 << v)).count("1")
-
-    full = (1 << n) - 1
-    f = [0] * (1 << n)
-    for S in range(1, 1 << n):
-        best = n
-        T = S
-        while T:
-            v = (T & -T).bit_length() - 1
-            T &= T - 1
-            rest = S & ~(1 << v)
-            best = min(best, max(f[rest], q_degree(rest, v)))
-        f[S] = best
-
-    order: list[int] = []
-    S = full
-    while S:
-        for v in range(n):
-            if not S & (1 << v):
-                continue
-            rest = S & ~(1 << v)
-            if max(f[rest], q_degree(rest, v)) == f[S]:
-                order.append(v)
-                S = rest
-                break
-    order.reverse()
-    return f[full], order
-
-
-def exact_treewidth(G: Graph) -> int:
-    return exact_treewidth_order(G)[0]
-
-
-def minor_min_width(G: Graph) -> int:
-    """Minor-min-width lower bound on treewidth (Gogate and Dechter, 2004):
-    contract a minimum-degree vertex into its minimum-degree neighbour, ties
-    by lowest id, and keep the largest minimum degree met. Each graph met is
-    a minor of G, and a graph's minimum degree is at most its treewidth."""
-    adj = {v: set(G.adj[v]) for v in range(G.n)}
-    bound = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        nbrs = adj.pop(v)
-        bound = max(bound, len(nbrs))
-        if not nbrs:
-            continue
-        into = min(nbrs, key=lambda u: (len(adj[u]), u))
-        for u in nbrs:
-            adj[u].discard(v)
-            if u != into:
-                adj[u].add(into)
-                adj[into].add(u)
-    return bound
-
-
 def decompose(G: Graph) -> TreeDecomposition:
-    """Min-fill decomposition with ascending-id tie-breaking; small graphs with
-    a poor heuristic width get the exact order instead, unless the
-    minor-min-width lower bound already equals the min-fill width. That skip
-    is exact: the exact order only replaces a strictly wider min-fill one."""
-    td = _decomposition_from_order(G, min_fill_order(G))
-    if G.n <= 12 and td.width > G.n / 2 and minor_min_width(G) < td.width:
-        width, order = exact_treewidth_order(G)
-        if width < td.width:
-            td = _decomposition_from_order(G, order)
-    return td
+    """Min-fill decomposition with ascending-id tie-breaking."""
+    return _decomposition_from_order(G, min_fill_order(G))
 
 
 def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
@@ -370,7 +280,7 @@ def validate_nice(G: Graph, nice: NiceDecomposition) -> bool:
     return seen_vertices == set(range(G.n)) and covered_edges == set(G.edges())
 
 
-# -- PACE-style text format ---------------------------------------------------
+# -- PACE-style text export ---------------------------------------------------
 
 def format_td(td: TreeDecomposition, n: int) -> str:
     lines = [f"s td {len(td.bags)} {td.width + 1} {n}"]
@@ -379,44 +289,3 @@ def format_td(td: TreeDecomposition, n: int) -> str:
     for i, j in td.tree:
         lines.append(f"{i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
-
-
-def _td_ints(fields: list[str], lineno: int) -> list[int]:
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise ParseError("non-integer field", lineno) from None
-
-
-def parse_td(text: str) -> tuple[TreeDecomposition, int]:
-    header = None
-    bags: dict[int, tuple[int, ...]] = {}
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "s":
-            if header is not None or len(fields) != 5 or fields[1] != "td":
-                raise ParseError("bad or duplicate 's td' header", lineno)
-            header = tuple(_td_ints(fields[2:], lineno))
-        elif fields[0] == "b":
-            if len(fields) < 2:
-                raise ParseError("bag line without an id", lineno)
-            idx, *members = _td_ints(fields[1:], lineno)
-            if idx in bags:
-                raise ParseError(f"duplicate bag {idx}", lineno)
-            bags[idx] = tuple(sorted(x - 1 for x in members))
-        else:
-            if len(fields) != 2:
-                raise ParseError("bad tree edge", lineno)
-            u, v = _td_ints(fields, lineno)
-            edges.append((u - 1, v - 1))
-    if header is None:
-        raise ParseError("missing 's td' header", 1)
-    nbags, _, n = header
-    if sorted(bags) != list(range(1, nbags + 1)):
-        raise ParseError("bag ids must be 1..#bags", 1)
-    td = TreeDecomposition(tuple(bags[i] for i in range(1, nbags + 1)), tuple(edges))
-    return td, n

@@ -13,8 +13,8 @@ from sepkit.oracle import (FIXTURES, RandomModel, bf_edge_induced_vertex_cut,
                            bf_exact_stable_bipartization, bf_g_mincut,
                            bf_multicut_uncut, bf_odd_cycle_transversal,
                            bf_separator_union, bf_stable_bipartization,
-                           enumerate_minimal_separators, random_graph,
-                           _bipartite_after, _independent)
+                           bf_treewidth, enumerate_minimal_separators,
+                           random_graph, _bipartite_after, _independent)
 from sepkit.problems import (edge_induced_vertex_cut, exact_separator_union,
                              exact_stable_bipartization, odd_cycle_transversal,
                              stable_bipartization)
@@ -22,7 +22,6 @@ from sepkit.reduction import cover_set, reduce_instance, torso, tw_bound
 from sepkit.separation import min_vertex_separator
 from sepkit.solver import (EDGELESS, FOREST, MATCH_DEFICIENCY, MAX_DEGREE,
                            CutConstraints, g_mincut, g_multicut_uncut)
-from sepkit.treedecomp import exact_treewidth
 
 INF = float("inf")
 
@@ -118,7 +117,7 @@ def test_c03_width_bound_at_zero_excess():
             if e != 0 or ell == 0:
                 continue
             cov = cover_set(G, s, t, k)
-            assert exact_treewidth(torso(G, cov).graph) <= 6 * ell
+            assert bf_treewidth(torso(G, cov).graph) <= 6 * ell
 
 
 def test_c04_reduction_preserves_separators():

@@ -17,7 +17,7 @@ from sepkit.chains import SeparatorChain
 from sepkit.cli import _build_parser, run_command
 from sepkit.graphs import Graph, serialize_graph
 from sepkit.oracle import FIXTURES
-from sepkit.treedecomp import parse_td, validate_decomposition
+from sepkit.treedecomp import decompose, format_td
 
 
 @pytest.fixture()
@@ -60,6 +60,18 @@ def test_selfcheck_command(capsys):
     assert code == 0
     assert doc["answer"] == "OK" and doc["witness"]["mismatches"] == []
     assert "elapsed" not in doc["witness"]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--suites", "minsep,cover,minesp"], "'minesp'"),
+    (["--suites", ","], "no suites"),
+    (["--trials", "-5"], "-5"),
+], ids=["misspelt", "empty", "negative-trials"])
+def test_selfcheck_refuses_to_check_nothing(capsys, flags, named):
+    # a misspelt suite or a negative trial count must not answer OK
+    assert run_command(["selfcheck", "--trials", "2", *flags]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage error: ") and named in out.err
 
 
 def test_minsep_infinite(graph_files, capsys, tmp_path):
@@ -136,9 +148,19 @@ def test_decompose_writes_td(graph_files, capsys, tmp_path):
     code, doc, _ = _run(capsys, ["decompose", "--graph", graph_files["Q3"],
                                  "--td-out", str(out)])
     assert code == 0
-    td, n = parse_td(out.read_text())
-    assert n == 8 and validate_decomposition(FIXTURES["Q3"].graph, td)
+    td = decompose(FIXTURES["Q3"].graph)
+    assert out.read_text() == format_td(td, 8)
     assert doc["stats"]["width"] == td.width
+
+
+def test_unwritable_td_out_exit_1(graph_files, capsys, tmp_path):
+    for target in (tmp_path / "missing" / "out.td", tmp_path):
+        assert run_command(["decompose", "--graph", graph_files["Q3"],
+                            "--td-out", str(target)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage error: cannot write --td-out: ")
+        assert out.err.count("\n") == 1
 
 
 def test_forbid_class_selector(graph_files, capsys):

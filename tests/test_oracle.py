@@ -1,6 +1,6 @@
 import pytest
 
-from sepkit.graphs import Graph
+from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (ALL_SUITES, DEFAULT_CAP, CheckConfig, FIXTURES,
                            OracleCapError, RandomModel, brute_force_solve,
                            bf_separator_union, cross_check,
@@ -81,6 +81,18 @@ def test_cross_check_fault_hook_records_mismatch():
 def test_cross_check_zero_trials_empty_report():
     report = cross_check(CheckConfig(trials=0, seed=7))
     assert report.trials == 0 and report.ok and report.elapsed == {}
+
+
+@pytest.mark.parametrize("config", [
+    CheckConfig(trials=2, suites=("bogus",)),
+    CheckConfig(trials=2, suites=("minsep", "Cover")),
+    CheckConfig(trials=2, suites=()),
+    CheckConfig(trials=0, suites=("bogus",)),
+    CheckConfig(trials=-5),
+], ids=["unknown", "misspelt", "empty", "unknown-zero-trials", "negative-trials"])
+def test_cross_check_refuses_to_check_nothing(config):
+    with pytest.raises(DomainError):
+        cross_check(config)
 
 
 def test_cross_check_reproducible():

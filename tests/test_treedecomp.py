@@ -1,12 +1,11 @@
 import pytest
 
 from sepkit.graphs import DomainError, Graph
-from sepkit.oracle import FIXTURES, complete_graph, cycle_graph, hypercube
+from sepkit.oracle import (FIXTURES, bf_treewidth, complete_graph, cycle_graph,
+                           hypercube)
 from sepkit.treedecomp import (INTRODUCE, JOIN, LEAF, TreeDecomposition,
-                               _decomposition_from_order, _eliminate, _fill_in,
-                               decompose, exact_treewidth, exact_treewidth_order,
-                               format_td, make_nice, min_fill_order,
-                               minor_min_width, parse_td, validate_decomposition,
+                               _eliminate, _fill_in, decompose, format_td,
+                               make_nice, min_fill_order, validate_decomposition,
                                validate_nice)
 
 from strategies import seeded_graphs
@@ -23,11 +22,11 @@ def test_decompose_examples():
 
 
 def test_exact_treewidth_known_values():
-    assert exact_treewidth(complete_graph(5)) == 4
-    assert exact_treewidth(cycle_graph(6)) == 2
-    assert exact_treewidth(hypercube(3)) == 3
-    assert exact_treewidth(Graph(1)) == 0
-    assert exact_treewidth(Graph(3)) == 0
+    assert bf_treewidth(complete_graph(5)) == 4
+    assert bf_treewidth(cycle_graph(6)) == 2
+    assert bf_treewidth(hypercube(3)) == 3
+    assert bf_treewidth(Graph(1)) == 0
+    assert bf_treewidth(Graph(3)) == 0
 
 
 def test_validate_detects_broken_decompositions():
@@ -95,7 +94,7 @@ def test_random_decompositions_valid_and_nice():
                                 ps=(0.15, 0.3, 0.6, 0.9)):
         td = decompose(G)
         assert validate_decomposition(G, td)
-        assert td.width >= exact_treewidth(G)
+        assert td.width >= bf_treewidth(G)
         nice = make_nice(td, G, root_vertex=0)
         assert validate_nice(G, nice)
         assert nice.width == td.width
@@ -124,41 +123,28 @@ def test_validate_nice_negative_shapes():
 
 
 def test_imported_td_drives_the_solver():
-    # a hand-written PACE file feeds make_nice and the DP end to end
+    # a decomposition built by hand feeds make_nice and the DP end to end
     from sepkit.solver import EDGELESS, CutConstraints, dp_constrained_cut
-    text = "s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"
-    td, n = parse_td(text)
+    td = TreeDecomposition(((0, 1), (1, 2), (2, 3)), ((0, 1), (1, 2)))
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert n == 4 and validate_decomposition(g, td)
+    assert validate_decomposition(g, td)
     nice = make_nice(td, g, root_vertex=0)
     wit = dp_constrained_cut(g, nice, CutConstraints(((0, 3),)), 1, EDGELESS)
     assert wit is not None and len(wit) == 1
 
 
 def test_pace_roundtrip():
-    td = decompose(PP)
-    text = format_td(td, PP.n)
-    td2, n = parse_td(text)
-    assert td2 == td and n == PP.n
-    assert text.startswith(f"s td {len(td.bags)} {td.width + 1} {PP.n}")
-
-
-def test_pace_parse_errors():
-    from sepkit.graphs import ParseError
-    with pytest.raises(ParseError):
-        parse_td("b 1 2\n")
-    with pytest.raises(ParseError):
-        parse_td("s td 2 1 1\nb 1 1\nb 1 1\n1 2\n")
-
-
-def test_pace_non_integer_fields():
-    from sepkit.graphs import ParseError
-    for text, line in (("s td 1 2 3\nb x 1 2\n", 2), ("s td 1 x 3\n", 1),
-                       ("s td 1 2 3\nb 1 1 y\n", 2),
-                       ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 z\n", 4)):
-        with pytest.raises(ParseError) as info:
-            parse_td(text)
-        assert info.value.line == line
+    # the export of PP's decomposition, pinned: bag and vertex ids are
+    # 1-based, and tree edges follow the bags
+    assert format_td(decompose(PP), PP.n) == (
+        "s td 6 3 6\n"
+        "b 1 1 2 4\n"
+        "b 2 2 3 4\n"
+        "b 3 3 4 6\n"
+        "b 4 4 5 6\n"
+        "b 5 5 6\n"
+        "b 6 6\n"
+        "1 2\n2 3\n3 4\n4 5\n5 6\n")
 
 
 def _min_fill_rescan(G):
@@ -177,45 +163,3 @@ def test_min_fill_order_matches_full_rescan():
     for G, _rng in seeded_graphs(1000, seed=53, n_lo=0, n_hi=30,
                                  ps=(0.05, 0.1, 0.2, 0.3, 0.5)):
         assert min_fill_order(G) == _min_fill_rescan(G)
-
-
-def _decompose_always_exact(G):
-    """Reference twin of decompose without the lower-bound skip: the exact
-    order whenever min-fill's width exceeds n / 2."""
-    td = _decomposition_from_order(G, min_fill_order(G))
-    if G.n <= 12 and td.width > G.n / 2:
-        width, order = exact_treewidth_order(G)
-        if width < td.width:
-            td = _decomposition_from_order(G, order)
-    return td
-
-
-def test_decompose_matches_always_exact_twin():
-    for G, _rng in seeded_graphs(400, seed=61, n_lo=0, n_hi=12,
-                                 ps=(0.15, 0.3, 0.5, 0.7, 0.9)):
-        assert decompose(G) == _decompose_always_exact(G)
-
-
-def test_minor_min_width_is_a_lower_bound():
-    for G, _rng in seeded_graphs(400, seed=67, n_lo=1, n_hi=10,
-                                 ps=(0.15, 0.3, 0.5, 0.7, 0.9)):
-        assert minor_min_width(G) <= exact_treewidth(G)
-    assert minor_min_width(complete_graph(5)) == 4
-    assert minor_min_width(cycle_graph(6)) == 2
-    assert minor_min_width(Graph(3)) == 0
-
-
-def test_decompose_skips_exact_width_on_q4_torso(monkeypatch):
-    # the torso of Q4 0->15 at k=4 has 10 vertices and min-fill width 6 > 5,
-    # which the minor-min-width bound meets
-    import sepkit.treedecomp
-    from sepkit.reduction import reduce_instance
-    torso = reduce_instance(hypercube(4), (0, 15), 4).gstar
-    want = _decompose_always_exact(torso)
-    assert torso.n == 10 and want.width == 6 == minor_min_width(torso)
-
-    def refuse(G):
-        raise AssertionError("exact treewidth run although the bound proves min-fill optimal")
-
-    monkeypatch.setattr(sepkit.treedecomp, "exact_treewidth_order", refuse)
-    assert decompose(torso) == want
