@@ -12,7 +12,6 @@ import shlex
 import sys
 import time
 import warnings
-from typing import Optional
 
 from .chains import build_chain, validate_chain
 from .graphs import DomainError, Graph, GraphError, ParseError, parse_graph
@@ -42,35 +41,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+FLAGS = {
+    "--graph": {"required": True},
+    "--s": {"type": int, "required": True},
+    "--t": {"type": int, "required": True},
+    "--cut": {"default": ""},
+    "--uncut": {"default": ""},
+    "--k": {"type": _budget, "required": True},
+    "--class": {"dest": "cls", "default": "edgeless"},
+    "--td-out": {"dest": "td_out"},
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": int, "default": 50},
+    "--suites": {"default": ",".join(ALL_SUITES)},
+}
+
+# the flags each command reads, and no others; a trailing ? makes one optional
+COMMAND_FLAGS = {
+    "minsep": "--graph --s --t",
+    "chain": "--graph --s --t",
+    "cover": "--graph --s --t --k",
+    "reduce": "--graph --s? --t? --cut --uncut --k",
+    "decompose": "--graph --td-out",
+    "gmincut": "--graph --s --t --k --class",
+    "multicut": "--graph --cut --uncut --k --class",
+    "stable-cut": "--graph --s --t --k",
+    "eivc": "--graph --s --t --k",
+    "oct": "--graph --k",
+    "stable-bip": "--graph --k",
+    "exact-stable-bip": "--graph --k",
+    "exact-c": "--graph --s --t --k",
+    "selfcheck": "--seed --trials --suites",
+}
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """Built on the first command and shared by the later ones: parsing
     leaves the parser unchanged and fills a fresh namespace each time."""
-    parser = _Parser(prog="sepkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    needs_graph = ("minsep", "chain", "cover", "reduce", "decompose", "gmincut",
-                   "multicut", "stable-cut", "eivc", "oct", "stable-bip",
-                   "exact-stable-bip", "exact-c")
-    for name in needs_graph + ("selfcheck",):
-        p = sub.add_parser(name)
-        if name != "selfcheck":
-            p.add_argument("--graph", required=True)
-        p.add_argument("--s", type=int)
-        p.add_argument("--t", type=int)
-        p.add_argument("--cut", default="")
-        p.add_argument("--uncut", default="")
-        p.add_argument("--k", type=int)
-        p.add_argument("--class", dest="cls", default="edgeless")
-        p.add_argument("--td-out", dest="td_out")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=50)
-        p.add_argument("--suites", default=",".join(ALL_SUITES))
+    parser = _Parser(prog="sepkit", description=__doc__, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags.split():
+            spec = FLAGS[flag.rstrip("?")]
+            if flag.endswith("?"):
+                spec = {**spec, "required": False}
+            p.add_argument(flag.rstrip("?"), **spec)
     return parser
 
 
-def _vertex(G: Graph, v: Optional[int], flag: str) -> int:
-    if v is None:
-        raise UsageError(f"missing required flag {flag}")
+def _vertex(G: Graph, v: int, flag: str) -> int:
     if not 1 <= v <= G.n:
         raise UsageError(f"{flag} must be in 1..{G.n}, got {v}")
     return v - 1
@@ -88,16 +114,8 @@ def _pairs(G: Graph, text: str, flag: str) -> tuple[tuple[int, int], ...]:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise UsageError(f"non-integer pair in {flag}") from None
-        if not (1 <= u <= G.n and 1 <= v <= G.n):
-            raise UsageError(f"{flag} vertex out of range 1..{G.n}")
-        out.append((u - 1, v - 1))
+        out.append((_vertex(G, u, flag), _vertex(G, v, flag)))
     return tuple(out)
-
-
-def _need_k(args) -> int:
-    if args.k is None or args.k < 0:
-        raise UsageError("missing or negative --k")
-    return args.k
 
 
 def _ids(vs) -> list[int]:
@@ -133,11 +151,13 @@ def _dispatch(args) -> dict:
     except UnicodeDecodeError as exc:
         raise InputError(f"{args.graph}: {exc}") from None
     G = parse_graph(text)
+    # the 0-based --s and --t of a command that has them, None otherwise
+    s, t = (None if (v := getattr(args, end, None)) is None else _vertex(G, v, f"--{end}")
+            for end in ("s", "t"))
     stats: dict = {}
     notes: list[str] = []
 
     if cmd == "minsep":
-        s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         r = min_vertex_separator(G, (s,), (t,))
         if r.is_finite:
             if not is_separator(G, r.witness, (s,), (t,)):
@@ -147,7 +167,6 @@ def _dispatch(args) -> dict:
         return _result(cmd, "INFINITE", None, stats, notes)
 
     if cmd == "chain":
-        s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
         ch = build_chain(G, s, t)
         if not validate_chain(G, s, t, ch, ()):
             raise VerificationError("separator chain failed re-verification")
@@ -157,26 +176,22 @@ def _dispatch(args) -> dict:
         return _result(cmd, "OK", witness, stats, notes)
 
     if cmd == "cover":
-        s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
-        k = _need_k(args)
         r = min_vertex_separator(G, (s,), (t,))
-        cov = cover_set(G, s, t, k, flow=r)
+        cov = cover_set(G, s, t, args.k, flow=r)
         if r.is_finite:
             stats["ell"] = int(r.size)
-            stats["excess"] = k - int(r.size)
+            stats["excess"] = args.k - int(r.size)
         stats["cover_size"] = len(cov)
         return _result(cmd, "OK", _ids(cov), stats, notes)
 
     if cmd == "reduce":
         # --s/--t is a cut pair; a lone --s or --t and the uncut ends are kept
         # as vertices without a cover of their own
-        ends = [_vertex(G, v, flag) for v, flag in ((args.s, "--s"), (args.t, "--t"))
-                if v is not None]
+        ends = [v for v in (s, t) if v is not None]
         cut = _pairs(G, args.cut, "--cut") + ((tuple(ends),) if len(ends) == 2 else ())
         uncut = _pairs(G, args.uncut, "--uncut")
         terminals = {*ends, *(v for pair in cut + uncut for v in pair)}
-        k = _need_k(args)
-        ri = reduce_instance(G, terminals, k, pairs=cut)
+        ri = reduce_instance(G, terminals, args.k, pairs=cut)
         witness = ri.to_jsonable()
         stats["cover_size"] = len(ri.cover)
         stats["width_bound"] = witness["width_bound"]
@@ -198,11 +213,9 @@ def _dispatch(args) -> dict:
         return _result(cmd, "OK", witness, stats, notes)
 
     if cmd in ("gmincut", "stable-cut"):
-        s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
-        k = _need_k(args)
         cls = parse_class("edgeless" if cmd == "stable-cut" else args.cls)
         with collect() as stats:
-            wit = g_mincut(G, s, t, k, cls)
+            wit = g_mincut(G, s, t, args.k, cls)
         return _decision(cmd, None if wit is None else _ids(wit), stats, notes)
 
     if cmd == "multicut":
@@ -210,46 +223,33 @@ def _dispatch(args) -> dict:
         uncut = _pairs(G, args.uncut, "--uncut")
         if not cut and not uncut:
             raise UsageError("multicut needs --cut or --uncut pairs")
-        k = _need_k(args)
         cls = parse_class(args.cls)
         with collect() as stats:
-            wit = g_multicut_uncut(G, CutConstraints(cut, uncut), k, cls)
+            wit = g_multicut_uncut(G, CutConstraints(cut, uncut), args.k, cls)
         return _decision(cmd, None if wit is None else _ids(wit), stats, notes)
 
     if cmd == "eivc":
-        s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
-        k = _need_k(args)
         notes.append("witness edges may touch s or t; their endpoint set "
                      "minus the terminals is what separates")
         with collect() as stats:
-            wit = edge_induced_vertex_cut(G, s, t, k)
+            wit = edge_induced_vertex_cut(G, s, t, args.k)
         witness = None if wit is None else {"edges": [[u + 1, v + 1] for u, v in wit.edges],
                                             "deleted": _ids(wit.deleted)}
         return _decision(cmd, witness, stats, notes)
 
-    if cmd == "oct":
-        k = _need_k(args)
-        out = odd_cycle_transversal(G, k)
+    if cmd in ("oct", "exact-stable-bip"):
+        solve = odd_cycle_transversal if cmd == "oct" else exact_stable_bipartization
+        out = solve(G, args.k)
         return _decision(cmd, None if out is None else _ids(out), stats, notes)
 
     if cmd == "stable-bip":
-        k = _need_k(args)
         with collect() as stats:
-            out = stable_bipartization(G, k)
-        return _decision(cmd, None if out is None else _ids(out), stats, notes)
-
-    if cmd == "exact-stable-bip":
-        k = _need_k(args)
-        out = exact_stable_bipartization(G, k)
+            out = stable_bipartization(G, args.k)
         return _decision(cmd, None if out is None else _ids(out), stats, notes)
 
     if cmd == "exact-c":
-        s, t = _vertex(G, args.s, "--s"), _vertex(G, args.t, "--t")
-        k = _need_k(args)
-        out = exact_separator_union(G, s, t, k)
+        out = exact_separator_union(G, s, t, args.k)
         return _result(cmd, "OK", _ids(out), stats, notes)
-
-    raise UsageError(f"unknown command {cmd!r}")
 
 
 def run_command(argv) -> int:
@@ -261,8 +261,6 @@ def run_command(argv) -> int:
     caught: list = []
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a command is required")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = _dispatch(args)

@@ -179,64 +179,17 @@ def stable_bipartization(G: Graph, k: int) -> Optional[tuple[int, ...]]:
 
 # -- exact stable bipartization ----------------------------------------------------
 
-def _bipartite_matching(H: Graph, left: set[int]) -> dict[int, int]:
-    """Maximum matching of bipartite H via augmenting paths; returns the
-    right-to-left matched map."""
-    match_r: dict[int, int] = {}
-    for root in sorted(left):
-        # depth-first search for an augmenting path from root, kept on an
-        # explicit stack of (left vertex, next neighbor index, right vertex
-        # it was reached through)
-        seen: set[int] = set()
-        stack = [(root, 0, -1)]
-        while stack:
-            l, i, via = stack[-1]
-            nbrs = H.adj[l]
-            while i < len(nbrs) and nbrs[i] in seen:
-                i += 1
-            if i == len(nbrs):
-                stack.pop()
-                continue
-            r = nbrs[i]
-            seen.add(r)
-            stack[-1] = (l, i + 1, via)
-            if r in match_r:
-                stack.append((match_r[r], 0, r))
-                continue
-            # r is free: flip the matching along the path on the stack
-            for l, _, via in reversed(stack):
-                match_r[r] = l
-                r = via
-            break
-    return match_r
-
-
 def bipartite_max_independent_set(H: Graph) -> tuple[int, ...]:
-    """Maximum independent set of a bipartite graph: complement of the vertex
-    cover obtained from a maximum matching."""
+    """Maximum independent set of a bipartite graph: the complement of a
+    minimum vertex cover, which by König's theorem is a minimum vertex cut
+    between a terminal joined to every black vertex and one joined to every
+    white vertex."""
     col = two_coloring(H)
     if col is None:
         raise DomainError("graph is not bipartite")
-    left, right = set(col[0]), set(col[1])
-    match_r = _bipartite_matching(H, left)
-    match_l = {l: r for r, l in match_r.items()}
-    frontier = [l for l in sorted(left) if l not in match_l]
-    reach = set(frontier)
-    while frontier:
-        nxt = []
-        for l in frontier:
-            if l in left:
-                for r in H.adj[l]:
-                    if r not in reach and match_l.get(l) != r:
-                        reach.add(r)
-                        nxt.append(r)
-            else:
-                m = match_r.get(l)
-                if m is not None and m not in reach:
-                    reach.add(m)
-                    nxt.append(m)
-        frontier = nxt
-    cover = (left - reach) | (right & reach)
+    black, white = col
+    cover = set(min_vertex_separator(_attached(H, tuple(range(H.n)), black, white),
+                                     (H.n,), (H.n + 1,)).witness)
     return tuple(v for v in range(H.n) if v not in cover)
 
 

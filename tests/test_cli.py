@@ -1,6 +1,7 @@
 import ast
 import json
 import pathlib
+import re
 import shlex
 import sys
 import time
@@ -302,9 +303,127 @@ def test_parser_reused_without_leaking_values(graph_files, capsys):
     assert code == 0 and doc["answer"] == "NO"
     parser = _build_parser()
     assert parser is _build_parser()
-    parser.parse_args(["selfcheck", "--seed", "9", "--trials", "3", "--class", "any"])
-    args = parser.parse_args(["stable-cut", "--graph", graph_files["C4"]])
-    assert (args.cls, args.seed, args.trials, args.k) == ("edgeless", 0, 50, None)
+    cut = ["gmincut", "--graph", graph_files["C4"], "--s", "1", "--t", "3", "--k", "2"]
+    assert parser.parse_args(cut + ["--class", "any"]).cls == "any"
+    assert parser.parse_args(cut).cls == "edgeless"
+    parser.parse_args(["selfcheck", "--seed", "9", "--trials", "3"])
+    args = parser.parse_args(["selfcheck"])
+    assert (args.seed, args.trials) == (0, 50)
+    parser.parse_args(["reduce", "--graph", graph_files["C4"], "--s", "1", "--t", "3",
+                       "--cut", "2:4", "--k", "1"])
+    args = parser.parse_args(["reduce", "--graph", graph_files["C4"], "--k", "1"])
+    assert (args.s, args.t, args.cut) == (None, None, "")
+
+
+# the flags each command reads, required ones first; no command takes others
+ROWS = {
+    "minsep": (["--graph", "--s", "--t"], []),
+    "chain": (["--graph", "--s", "--t"], []),
+    "cover": (["--graph", "--s", "--t", "--k"], []),
+    "reduce": (["--graph", "--k"], ["--s", "--t", "--cut", "--uncut"]),
+    "decompose": (["--graph"], ["--td-out"]),
+    "gmincut": (["--graph", "--s", "--t", "--k"], ["--class"]),
+    "multicut": (["--graph", "--k"], ["--cut", "--uncut", "--class"]),
+    "stable-cut": (["--graph", "--s", "--t", "--k"], []),
+    "eivc": (["--graph", "--s", "--t", "--k"], []),
+    "oct": (["--graph", "--k"], []),
+    "stable-bip": (["--graph", "--k"], []),
+    "exact-stable-bip": (["--graph", "--k"], []),
+    "exact-c": (["--graph", "--s", "--t", "--k"], []),
+    "selfcheck": ([], ["--seed", "--trials", "--suites"]),
+}
+
+
+def _parser_rows():
+    """{command: (required flags, optional flags)} as the parser has them."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {name: tuple(sorted(flag for a in p._actions if a.dest != "help"
+                               and a.required == required for flag in a.option_strings)
+                        for required in (True, False))
+            for name, p in sub.choices.items()}
+
+
+def test_each_command_takes_only_its_flags():
+    want = {name: tuple(sorted(flags) for flags in row) for name, row in ROWS.items()}
+    assert _parser_rows() == want
+    assert sum(len(req) + len(opt) for req, opt in ROWS.values()) == 49
+
+
+@pytest.mark.parametrize("command", sorted(ROWS))
+def test_flag_outside_its_row_is_a_usage_error(graph_files, capsys, tmp_path, command):
+    # a flag the command does not read is refused, not silently ignored
+    values = {"--graph": graph_files["C4"], "--s": "1", "--t": "3", "--cut": "1:3",
+              "--uncut": "2:4", "--k": "2", "--class": "any",
+              "--td-out": str(tmp_path / "x.td"), "--seed": "1", "--trials": "0",
+              "--suites": "minsep"}
+    required, optional = ROWS[command]
+    given = [flag for flag in required + optional if flag != "--td-out"]
+    argv = [command] + [word for flag in given for word in (flag, values[flag])]
+    assert run_command(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    outside = [flag for flag in values if flag not in required + optional]
+    assert outside
+    for flag in outside:
+        assert run_command(argv + [flag, values[flag]]) == 1, flag
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage error: ")
+        assert out.err.count("\n") == 1 and flag in out.err
+    assert not (tmp_path / "x.td").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["stable-cut", "--graph", "none.gr", "--s", "1", "--t", "3", "--k", "2",
+      "--class", "any"], "--class any"),
+    (["stable-cut", "--graph", "none.gr", "--s", "1", "--t", "3", "--k", "2",
+      "--td-out", "x.td"], "--td-out x.td"),
+    (["oct", "--graph", "none.gr", "--k", "1", "--s", "99", "--class", "zzz"],
+     "--s 99 --class zzz"),
+    (["decompose", "--graph", "none.gr", "--class", "zzz", "--k", "-4", "--suites", "bogus"],
+     "--class zzz --k -4 --suites bogus"),
+    (["oct", "--graph", "none.gr", "--k", "-4"],
+     "argument --k: must be a non-negative integer, got '-4'"),
+    (["oct", "--graph", "none.gr", "--k", "x"],
+     "argument --k: must be a non-negative integer, got 'x'"),
+    (["oct", "--graph", "none.gr"], "--k"),
+    (["minsep", "--graph", "none.gr", "--s", "1"], "--t"),
+    (["selfcheck", "--t", "3"], "--t 3"),
+    (["multicut", "--graph", "none.gr", "--c", "1:3", "--k", "1"], "--c 1:3"),
+], ids=["stable-cut-class", "stable-cut-td-out", "oct-s-class", "decompose-k-suites",
+        "negative-k", "non-integer-k", "missing-k", "missing-t", "abbreviated-trials",
+        "abbreviated-cut"])
+def test_bad_flags_are_refused_before_the_graph_is_read(capsys, tmp_path, monkeypatch,
+                                                        argv, named):
+    # none.gr does not exist: the flag error comes first, with exit 1, not 2
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage error: ") and named in out.err
+    assert out.err.count("\n") == 1
+    assert not (tmp_path / "x.td").exists()
+
+
+def _readme_cli():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse():
+    block = _readme_cli().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sepkit ")]
+    assert {shlex.split(line)[1] for line in lines} == set(ROWS)
+    for line in lines:
+        _build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = {}
+    for line in _readme_cli().splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 3 and cells[0].strip().startswith("`"):
+            flags = tuple(sorted(re.findall(r"--[a-z-]+", cell)) for cell in cells[1:])
+            for name in re.findall(r"`([a-z-]+)`", cells[0]):
+                rows[name] = flags
+    assert rows == _parser_rows()
 
 
 @pytest.mark.parametrize("argv", [

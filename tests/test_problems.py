@@ -8,9 +8,10 @@ import sepkit.problems
 from sepkit.graphs import DomainError, Graph, delete_vertices, two_coloring, vset
 from sepkit.oracle import (FIXTURES, bf_edge_induced_vertex_cut,
                            bf_exact_stable_bipartization, bf_g_mincut,
-                           bf_odd_cycle_transversal, bf_separator_union,
-                           bf_stable_bipartization, complete_graph, cycle_graph,
-                           path_graph, _bipartite_after, _independent)
+                           bf_max_matching_size, bf_odd_cycle_transversal,
+                           bf_separator_union, bf_stable_bipartization,
+                           complete_graph, cycle_graph, path_graph,
+                           _bipartite_after, _independent)
 from sepkit.oracle import enumerate_minimal_separators
 from sepkit.problems import (AnnotatedInstance, EdgeCutWitness,
                              bipartite_max_independent_set,
@@ -221,6 +222,21 @@ def test_bipartite_max_independent_set():
     assert len(bipartite_max_independent_set(Graph(4))) == 4
     with pytest.raises(DomainError):
         bipartite_max_independent_set(cycle_graph(3))
+
+
+def test_bipartite_max_independent_set_is_maximum():
+    # König: the largest independent set of a bipartite graph leaves out one
+    # vertex per edge of a maximum matching
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        black = set(rng.sample(range(n), rng.randint(0, n)))
+        p = rng.random()
+        H = Graph(n, [(u, v) for u in black for v in range(n)
+                      if v not in black and rng.random() < p])
+        out = bipartite_max_independent_set(H)
+        assert _independent(H, out)
+        assert len(out) == n - bf_max_matching_size(H)
 
 
 def test_bipartite_max_independent_set_long_augmenting_paths():
