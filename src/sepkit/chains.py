@@ -2,10 +2,12 @@
 
 A chain is a strictly nested family X_1 c ... c X_q of s-sides whose
 boundaries all have minimum-separator size and together cover every minimum
-s-t separator. It is read off one maximum flow: for every vertex v on some
-minimum separator, the residual network gives the minimum separator closest
-to s that contains v (``Residual.separator_through``), and X_v, its s-side,
-joins the collection. The collection is sorted by (size, sorted ids) and the
+s-t separator. It is read off one maximum flow: one pass over the residual
+network names the vertices on some minimum separator
+(``Residual.separator_vertices``); for each such v the residual network
+gives the minimum separator closest to s that contains v
+(``Residual.separator_through``), and X_v, its s-side, joins the
+collection. The collection is sorted by (size, sorted ids) and the
 chain is the sequence of its running unions, one set each time the union
 grows.
 
@@ -54,9 +56,9 @@ def build_chain(G: Graph, s: int, t: int,
 
     # distinct minimum separators have distinct s-sides
     sides: dict[tuple[int, ...], frozenset[int]] = {}
-    for v in range(G.n):
+    for v in r.residual.separator_vertices():
         witness = r.residual.separator_through(v)
-        if witness is not None and witness not in sides:
+        if witness not in sides:
             sides[witness] = frozenset(reachable_from(G, (s,), witness))
     sets: list[tuple[int, ...]] = []
     bounds: list[tuple[int, ...]] = []

@@ -259,40 +259,43 @@ def two_coloring(G: Graph, removed: Iterable[int] = ()
 def shortest_odd_cycle(G: Graph) -> Optional[tuple[int, ...]]:
     """A minimum-length odd cycle, or None if G is bipartite.
 
-    Runs a BFS in the bipartite double cover from (v, even) to (v, odd) for
-    each v ascending; the best distance is the length of a shortest odd closed
-    walk, which at the global minimum is a simple cycle.
+    Runs a BFS in the bipartite double cover, whose node 2u + side is u at
+    path parity side, from (v, even) to (v, odd) for each v ascending; the
+    best distance is the length of a shortest odd closed walk, which at the
+    global minimum is a simple cycle. A search stops once it can no longer
+    beat the best distance so far.
     """
-    best: Optional[tuple[int, int]] = None   # (length, start vertex)
+    adj = G.adj
     best_cycle: Optional[tuple[int, ...]] = None
+    best = 2 * G.n + 1      # longer than any odd closed walk a search finds
     for v in range(G.n):
-        if best is not None and best[0] == 3:
+        if best == 3:
             break
-        dist = {}
-        parent = {}
-        src = (v, 0)
+        src, target = 2 * v, 2 * v + 1
+        dist = [-1] * (2 * G.n)
+        parent = [0] * (2 * G.n)
         dist[src] = 0
-        queue = deque([src])
-        target = (v, 1)
-        while queue:
-            u, side = queue.popleft()
-            if (u, side) == target:
+        queue = [src]
+        for x in queue:
+            d = dist[x] + 1
+            if x == target or d >= best:
                 break
-            for w in G.adj[u]:
-                nxt = (w, 1 - side)
-                if nxt not in dist:
-                    dist[nxt] = dist[(u, side)] + 1
-                    parent[nxt] = (u, side)
-                    queue.append(nxt)
-        if target in dist and (best is None or dist[target] < best[0]):
-            best = (dist[target], v)
+            flip = (x & 1) ^ 1
+            for w in adj[x >> 1]:
+                y = 2 * w + flip
+                if dist[y] < 0:
+                    dist[y] = d
+                    parent[y] = x
+                    queue.append(y)
+        if 0 <= dist[target] < best:
+            best = dist[target]
             walk = []
             cur = target
             while cur != src:
-                walk.append(cur[0])
+                walk.append(cur >> 1)
                 cur = parent[cur]
             walk.append(v)
-            walk.reverse()               # v ... v, length best[0]+1
+            walk.reverse()               # v ... v, length best + 1
             best_cycle = tuple(walk[:-1])
     if best_cycle is None:
         return None

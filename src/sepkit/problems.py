@@ -362,10 +362,11 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     if flow.size == 0 or flow.size > k:
         return ()
     out = []
+    on_minimum = set(flow.residual.separator_vertices())
     for v in cover_set(G, s, t, k, flow=flow):
         if v in (s, t):
             continue
-        if flow.residual.separator_through(v) is not None:
+        if v in on_minimum:
             out.append(v)
             continue
         rest = delete_vertices(G, (v,))

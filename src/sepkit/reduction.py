@@ -3,8 +3,8 @@ bounded-treewidth replacement graph.
 
 ``cover_set(G, s, t, k)`` returns a vertex set containing s, t, and every
 vertex of every minimal s-t separator of size at most k. At excess 0 those
-are the vertices on some minimum separator, which the residual network of
-the s-t flow names one by one (``Residual.separator_through``); no chain is
+are the vertices on some minimum separator, which one pass over the residual
+network of the s-t flow names (``Residual.separator_vertices``); no chain is
 built. For positive excess the chain boundaries go in, and each layer L
 between consecutive boundaries is covered by subproblems: a pair (A, B) of
 disjoint subsets of the two boundaries is contracted onto two fresh
@@ -22,15 +22,25 @@ N(B) & L, so a subproblem is keyed by that neighbourhood pair:
 prunes every (A, B) with an edge between A and B, whose contraction would
 have the edge a-b, for which no separator exists. A subproblem graph has
 the layer's vertices in ascending order, then a and b as its last two ids.
-The recursion solves each distinct subproblem once: the table is keyed by
-(subproblem graph, k, excess), since equal graphs can come from different
-layers, and holds the sub-cover in subproblem ids, or None when the capped
-flow exceeds k. This is exact: ``cover_set`` on a subproblem is a
-deterministic function of the graph and the budget, and the capped flow and
-the sub-budget ``min(k, size + excess - 1)`` are fixed by the key, so a hit
-returns what recomputing would. The table is made by the top-level call,
-shared by its whole recursion and dropped when it returns; relabelled
-inputs would never hit across calls.
+Every subproblem of a layer is flowed on one ``PairNetwork``, built once
+from G[L] on the layer's first miss; a flow copies its capacities and
+switches on a's and b's arcs. At sub-excess 0 the sub-cover is that flow's
+minimum-separator vertices, and only a sub-cover that recurses at
+sub-excess >= 1 builds its subproblem graph, to which the flow is bound.
+
+The recursion solves each distinct subproblem once. The table is keyed by
+(|L|, the edges of G[L] in layer positions, k, excess), then by the pair
+(N(A) & L, N(B) & L) as masks over the layer positions, and holds the
+sub-cover in layer positions, empty when the capped flow exceeds k. Two
+subproblems are equal graphs iff these keys are equal, since ``adj`` is
+sorted and positions rise with ids, so the edges come in one canonical
+order; equal graphs can come from different layers. This is exact:
+``cover_set`` on a subproblem is a deterministic function of the graph and
+the budget, and the capped flow and the sub-budget
+``min(k, size + excess - 1)`` are fixed by the key, so a hit returns what
+recomputing would. The table is made by the top-level call, shared by its
+whole recursion and dropped when it returns; relabelled inputs would never
+hit across calls.
 
 ``reduce_instance`` unions the covers of the cut pairs only and returns the
 torso of that cover C; every other terminal, such as an uncut pair's end or
@@ -47,16 +57,15 @@ form that ``reduce`` prints.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .chains import SeparatorChain, build_chain
 from .graphs import DomainError, Graph, components, induced_subgraph, vset
-from .separation import SeparatorResult, min_vertex_separator, st_flow
+from .separation import PairNetwork, SeparatorResult, st_flow
 
 GADGET = "gadget"
 SATURATION_LIMIT = 2 ** 63 - 1
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -193,8 +202,7 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     excess = k - int(r.size)
     if excess == 0:
         # the chain's boundaries hold exactly the minimum-separator vertices
-        return vset([s, t, *(v for v in range(G.n)
-                              if r.residual.separator_through(v) is not None)])
+        return vset([s, t, *r.residual.separator_vertices()])
 
     chain = build_chain(G, s, t, flow=r)
     cover: set[int] = {s, t}
@@ -205,27 +213,39 @@ def cover_set(G: Graph, s: int, t: int, k: int,
         memo = {}
     for layer, pool in layer_system(chain, s, t, G.n):
         pos = {v: i for i, v in enumerate(layer)}
-        inside = [(i, pos[w]) for i, v in enumerate(layer) for w in G.adj[v]
-                  if pos.get(w, -1) > i]
-        a, b = len(layer), len(layer) + 1
+        inside = tuple((i, pos[w]) for i, v in enumerate(layer) for w in G.adj[v]
+                       if pos.get(w, -1) > i)
+        table = memo.setdefault((len(layer), inside, k, excess), {})
+        network = None
         for na, nb in _neighbourhood_pairs(G, layer, pool):
             # a sub-cover maps back into the layer: nothing left to add
             if cover.issuperset(layer):
                 break
-            sub_graph = Graph(b + 1, inside + [(i, a) for i in range(a) if na >> i & 1]
-                              + [(i, b) for i in range(a) if nb >> i & 1])
-            key = (sub_graph, k, excess)
-            sub = memo.get(key, _MISSING)
-            if sub is _MISSING:
-                sub = None
-                rr = min_vertex_separator(sub_graph, (a,), (b,), cap=k)
-                if rr.within(k):
-                    sub_budget = min(k, int(rr.size) + excess - 1)
-                    sub = cover_set(sub_graph, a, b, sub_budget, flow=rr, memo=memo)
-                memo[key] = sub
-            if sub is not None:
-                cover.update(layer[i] for i in sub if i < a)
+            sub = table.get((na, nb))
+            if sub is None:
+                if network is None:
+                    network = PairNetwork(len(layer), inside)
+                sub = table[(na, nb)] = _layer_cover(network, na, nb, k, excess, memo)
+            cover.update(layer[i] for i in sub)
     return tuple(sorted(cover))
+
+
+def _layer_cover(network: PairNetwork, na: int, nb: int, k: int, excess: int,
+                 memo: dict) -> tuple[int, ...]:
+    """The cover of the layer subproblem (na, nb) without its terminals, in
+    layer positions; empty when its capped flow exceeds k. At sub-excess 0
+    it is the flow's minimum-separator vertices, and only a deeper
+    recursion builds the subproblem graph."""
+    r = network.flow(na, nb, cap=k)
+    if not r.within(k):
+        return ()
+    sub_budget = min(k, int(r.size) + excess - 1)
+    if sub_budget == r.size:
+        return r.residual.separator_vertices()
+    a, b = network.n, network.n + 1
+    H = network.graph(na, nb)
+    r = replace(r, graph=H, sources=frozenset((a,)), sinks=frozenset((b,)))
+    return tuple(i for i in cover_set(H, a, b, sub_budget, flow=r, memo=memo) if i < a)
 
 
 @dataclass(frozen=True)

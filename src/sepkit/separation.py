@@ -3,27 +3,35 @@
 The flow network splits every candidate vertex v into an in/out arc of
 capacity one; a super-source covers A and a super-sink covers B. The network
 is stored as flat arc arrays (head, residual capacity; the reverse of arc a
-is a ^ 1), and augmenting paths are found by BFS. Which paths it finds
-depends on the order of each node's arcs, but the flow's size and its
-canonical witness, the min cut closest to A, are the same for every maximum
-flow.
+is a ^ 1), built by one function, ``_network``, and every flow runs the same
+augmenting loop, ``_max_flow``, which finds augmenting paths by BFS. Which
+paths it finds depends on the order of each node's arcs, but the flow's size
+and its canonical witness, the min cut closest to A, are the same for every
+maximum flow.
+
+``min_vertex_separator`` builds a network for one graph and one pair of
+terminal sets. ``PairNetwork`` builds the network of a fixed graph once and
+runs many flows on it, each between two extra terminals a and b whose
+neighbourhoods the flow picks: it copies the capacity array and switches on
+the arcs of a's and b's neighbours. The cover recursion flows every
+subproblem of a layer this way.
 
 A finished flow keeps its residual network (``SeparatorResult.residual``).
 By Picard and Queyranne (1980) the closed sets of a maximum flow's residual
 network that contain the source and not the sink are exactly the minimum
 cuts. So one flow answers, for every vertex v at once, whether v lies on a
-minimum separator and which one is closest to A: the residual closure of the
-source and v's in-copy, when it reaches neither v's out-copy nor the sink.
-Since every maximum flow has the same closed sets, these answers do not
-depend on which augmenting paths were found.
+minimum separator (``Residual.separator_vertices``, one pass over the
+residual network) and which one is closest to A (``separator_through``: the
+residual closure of the source and v's in-copy, when it reaches neither v's
+out-copy nor the sink). Since every maximum flow has the same closed sets,
+these answers do not depend on which augmenting paths were found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import DomainError, Graph, components, vset
 
@@ -35,7 +43,8 @@ class Residual:
     """Residual network of a finished maximum flow between vertex sets.
 
     Node 2v is the in-copy of vertex v, 2v+1 its out-copy; the last two
-    nodes are the super-source and the super-sink.
+    nodes are the super-source and the super-sink. The first arc of an inner
+    vertex's in-copy is its in-out arc (``_network``).
     """
     inner: tuple[int, ...]          # vertices outside both terminal sets, ascending
     adj: list[list[int]]            # node -> arc ids
@@ -68,6 +77,93 @@ class Residual:
                         stack.append(y)
         return tuple(u for u in self.inner if seen[2 * u] and not seen[2 * u + 1])
 
+    def separator_vertices(self) -> tuple[int, ...]:
+        """The vertices on some minimum separator, ascending: those for
+        which ``separator_through`` is not None, found in one pass.
+
+        That closure of the source and v_in avoids v_out and the sink iff v's
+        in-arc is saturated, v_out is not reached from the source, v_in does
+        not reach the sink, and v_in is reached from the source or does not
+        reach v_out. A saturated in-arc has a residual arc v_out -> v_in, so
+        the last holds iff v_in and v_out lie in different strongly connected
+        components. One reverse search from the sink decides every vertex
+        but those whose in-arc is saturated and whose copies both lie
+        outside the source closure and do not reach the sink; one SCC pass
+        from their in-copies, over such nodes only (a path from v_in to
+        v_out stays among them), decides the rest. An unsaturated in-arc,
+        such as an isolated vertex's when no flow passes, puts v on no
+        minimum separator.
+        """
+        adj, head, cap, reach = self.adj, self.head, self.cap, self.reach
+        size = len(reach)
+        # done: the source closure, and the nodes that reach the sink
+        done = bytearray(reach)
+        done[-1] = 1
+        stack = [size - 1]
+        while stack:
+            for a in adj[stack.pop()]:
+                if cap[a ^ 1]:
+                    x = head[a]
+                    if not done[x]:
+                        done[x] = 1
+                        stack.append(x)
+        # in without a search: v_in in the source closure, or v_out reaching
+        # the sink while v_in does not; the rest of the saturated vertices
+        # outside both sets need the SCCs
+        out, roots = [], []
+        for v in self.inner:
+            v_in = 2 * v
+            if cap[adj[v_in][0]] or reach[v_in + 1]:
+                continue
+            if reach[v_in] or not done[v_in] and done[v_in + 1]:
+                out.append(v)
+            elif not done[v_in]:
+                roots.append(v)
+        if not roots:
+            return tuple(out)
+        # Tarjan's SCCs of the nodes outside ``done`` that the roots' in-copies
+        # reach, iteratively; comp 0 is not yet closed
+        number = [0] * size
+        low = [0] * size
+        comp = [0] * size
+        count = comps = 0
+        open_nodes = []
+        for v in roots:
+            root = 2 * v
+            if number[root]:
+                continue
+            count += 1
+            number[root] = low[root] = count
+            open_nodes.append(root)
+            path = [(root, iter(adj[root]))]
+            while path:
+                x, arcs = path[-1]
+                for a in arcs:
+                    if cap[a]:
+                        y = head[a]
+                        if done[y] or comp[y]:
+                            continue
+                        if not number[y]:
+                            count += 1
+                            number[y] = low[y] = count
+                            open_nodes.append(y)
+                            path.append((y, iter(adj[y])))
+                            break
+                        if number[y] < low[x]:
+                            low[x] = number[y]
+                else:
+                    path.pop()
+                    if path and low[x] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[x]
+                    if low[x] == number[x]:
+                        comps += 1
+                        y = -1
+                        while y != x:
+                            y = open_nodes.pop()
+                            comp[y] = comps
+        out += (v for v in roots if comp[2 * v] != comp[2 * v + 1])
+        return tuple(sorted(out))
+
 
 @dataclass(frozen=True)
 class SeparatorResult:
@@ -77,9 +173,10 @@ class SeparatorResult:
     and ``INFINITE`` when none can (terminal sets overlap or touch). When a
     cap was given and the search stopped early, ``exceeds_cap`` is set and
     ``size`` is the lower bound reached (cap + 1); this is a distinct state
-    from INFINITE. A finite result from ``min_vertex_separator`` carries the
-    residual network of its maximum flow. Every result of it records the graph
-    and terminal sets it answers for, outside ``==`` and ``repr``.
+    from INFINITE. A finite result from ``min_vertex_separator`` or
+    ``PairNetwork.flow`` carries the residual network of its maximum flow.
+    Every result of ``min_vertex_separator`` records the graph and terminal
+    sets it answers for, outside ``==`` and ``repr``.
     """
     size: float
     witness: tuple[int, ...] = ()
@@ -103,6 +200,77 @@ class SeparatorResult:
 _BIG = 1 << 30
 
 
+def _network(n: int, inner: tuple[int, ...], edges: Sequence[tuple[int, int]],
+             sources: Sequence[int], sinks: Sequence[int], terminal_cap: int):
+    """Arc arrays (adj, head, cap) of the split network on n vertices.
+
+    Node 2v is v's in-copy, 2v+1 its out-copy, 2n the super-source and 2n+1
+    the super-sink. The arcs, each followed by its reverse of capacity 0:
+    one in-out arc of capacity 1 per vertex of ``inner``; u_out -> v_in and
+    v_out -> u_in of capacity ``_BIG`` per edge (u, v) of inner vertices;
+    one arc from the source into each vertex of ``sources``; then one arc
+    from each vertex of ``sinks`` to the sink. The terminal arcs have
+    capacity ``terminal_cap``. Every node lists its arcs in id order, so an
+    inner in-copy's first arc is its in-out arc.
+    """
+    source, sink = 2 * n, 2 * n + 1
+    head = [x for v in inner for x in (2 * v + 1, 2 * v)]
+    head += [x for u, v in edges for x in (2 * v, 2 * u + 1, 2 * u, 2 * v + 1)]
+    head += [x for v in sources for x in (2 * v, source)]
+    head += [x for v in sinks for x in (sink, 2 * v + 1)]
+    cap = ([1, 0] * len(inner) + [_BIG, 0] * (2 * len(edges))
+           + [terminal_cap, 0] * (len(sources) + len(sinks)))
+    tail = head[:]
+    tail[0::2], tail[1::2] = head[1::2], head[0::2]
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    for a, x in enumerate(tail):
+        adj[x].append(a)
+    return adj, head, cap
+
+
+def _max_flow(adj: list[list[int]], head: list[int], cap: list[int],
+              inner: tuple[int, ...], limit: Optional[int], **about) -> SeparatorResult:
+    """Augment ``cap`` in place along shortest paths from the source to the
+    sink of a ``_network`` until none is left, or stop once the flow
+    exceeds ``limit``. ``about`` names the graph and terminal sets for the
+    result."""
+    sink = len(adj) - 1
+    source = sink - 1
+    flow = 0
+    while True:
+        if limit is not None and flow > limit:
+            return SeparatorResult(limit + 1, exceeds_cap=True, **about)
+        seen = bytearray(sink + 1)
+        seen[source] = 1
+        via = [0] * (sink + 1)
+        queue = [source]
+        for x in queue:
+            for a in adj[x]:
+                if cap[a]:
+                    y = head[a]
+                    if not seen[y]:
+                        seen[y] = 1
+                        via[y] = a
+                        queue.append(y)
+            if seen[sink]:
+                break
+        if not seen[sink]:
+            break
+        y = sink
+        while y != source:
+            a = via[y]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            y = head[a ^ 1]
+        flow += 1
+    # the last search reached exactly the source side of the source-closest
+    # min cut
+    witness = tuple(v for v in inner if seen[2 * v] and not seen[2 * v + 1])
+    assert len(witness) == flow
+    return SeparatorResult(flow, witness, residual=Residual(inner, adj, head, cap, seen, witness),
+                           **about)
+
+
 def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
                          cap: Optional[int] = None) -> SeparatorResult:
     """Minimum set of vertices outside A and B separating A from B.
@@ -115,87 +283,61 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
     B_s = frozenset(G.check_vertices(B))
     if not A_s or not B_s:
         raise DomainError("terminal sets must be non-empty")
-    result = partial(SeparatorResult, graph=G, sources=A_s, sinks=B_s)
+    about = {"graph": G, "sources": A_s, "sinks": B_s}
     if A_s & B_s:
-        return result(INFINITE)
+        return SeparatorResult(INFINITE, **about)
     for a in A_s:
         for w in G.adj[a]:
             if w in B_s:
-                return result(INFINITE)
+                return SeparatorResult(INFINITE, **about)
+    # A-A and B-B edges are irrelevant, and A-B edges were refused above
+    terminal = A_s | B_s
+    inner = tuple(v for v in range(G.n) if v not in terminal)
+    edges = [(u, v) for u in inner for v in G.adj[u] if u < v and v not in terminal]
+    sources = vset(w for a in A_s for w in G.adj[a] if w not in terminal)
+    sinks = vset(w for b in B_s for w in G.adj[b] if w not in terminal)
+    return _max_flow(*_network(G.n, inner, edges, sources, sinks, _BIG), inner, cap, **about)
 
-    source = 2 * G.n
-    sink = source + 1
-    adj: list[list[int]] = [[] for _ in range(sink + 1)]
-    head: list[int] = []
-    res: list[int] = []
 
-    def add_arc(x, y, c):
-        adj[x].append(len(head))
-        head.append(y)
-        res.append(c)
-        adj[y].append(len(head))
-        head.append(x)
-        res.append(0)
+class PairNetwork:
+    """One flow network for every graph on n + 2 vertices that has the given
+    edges among 0..n-1 and any edges from a = n and b = n + 1 to them.
 
-    inner = tuple(v for v in range(G.n) if v not in A_s and v not in B_s)
-    for v in inner:
-        add_arc(2 * v, 2 * v + 1, 1)
-    from_source: set[int] = set()
-    to_sink: set[int] = set()
-    for u, v in G.edges():
-        u_term, v_term = u in A_s or u in B_s, v in A_s or v in B_s
-        if not u_term and not v_term:
-            add_arc(2 * u + 1, 2 * v, _BIG)
-            add_arc(2 * v + 1, 2 * u, _BIG)
-            continue
-        if u_term == v_term:
-            continue    # A-A and B-B edges are irrelevant; A-B handled above
-        term, w = (u, v) if u_term else (v, u)
-        if term in A_s:
-            if w not in from_source:
-                from_source.add(w)
-                add_arc(source, 2 * w, _BIG)
-        elif w not in to_sink:
-            to_sink.add(w)
-            add_arc(2 * w + 1, sink, _BIG)
+    The network of G[0..n-1] is built once, with an arc from the source into
+    every vertex and one from every vertex to the sink, all switched off.
+    ``flow(na, nb, cap)`` copies the capacities, switches on the arcs of
+    the vertices in the bit masks na = N(a) and nb = N(b), and answers as
+    ``min_vertex_separator(H, (a,), (b,), cap)`` on that graph H would:
+    the same size, cap stop, witness and residual closures, with the same
+    node numbering, so the residual serves H. The result records no graph
+    (``graph``) unless the caller binds one with ``dataclasses.replace``.
+    """
 
-    flow = 0
-    while True:
-        if cap is not None and flow > cap:
-            return result(cap + 1, exceeds_cap=True)
-        seen = bytearray(sink + 1)
-        seen[source] = 1
-        via = [0] * (sink + 1)
-        queue = [source]
-        found = False
-        for x in queue:
-            for a in adj[x]:
-                if res[a]:
-                    y = head[a]
-                    if not seen[y]:
-                        seen[y] = 1
-                        via[y] = a
-                        queue.append(y)
-                        if y == sink:
-                            found = True
-                            break
-            if found:
-                break
-        if not found:
-            break
-        y = sink
-        while y != source:
-            a = via[y]
-            res[a] -= 1
-            res[a ^ 1] += 1
-            y = head[a ^ 1]
-        flow += 1
+    __slots__ = ("n", "inner", "edges", "_adj", "_head", "_cap", "_sources")
 
-    # the last search reached exactly the source side of the source-closest
-    # min cut
-    witness = tuple(v for v in inner if seen[2 * v] and not seen[2 * v + 1])
-    assert len(witness) == flow
-    return result(flow, witness, residual=Residual(inner, adj, head, res, seen, witness))
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        self.n = n
+        self.inner = tuple(range(n))
+        self.edges = edges
+        self._adj, self._head, self._cap = _network(n + 2, self.inner, edges,
+                                                    self.inner, self.inner, 0)
+        self._sources = 2 * n + 4 * len(edges)      # the first source arc; sink arcs follow
+
+    def graph(self, na: int, nb: int) -> Graph:
+        """The graph H that ``flow(na, nb)`` answers for."""
+        a, b = self.n, self.n + 1
+        return Graph(b + 1, [*self.edges, *((i, a) for i in self.inner if na >> i & 1),
+                             *((i, b) for i in self.inner if nb >> i & 1)])
+
+    def flow(self, na: int, nb: int, cap: Optional[int] = None) -> SeparatorResult:
+        """The a-b flow of ``graph(na, nb)``, stopped once it exceeds ``cap``."""
+        res = self._cap[:]
+        for mask, first in ((na, self._sources), (nb, self._sources + 2 * self.n)):
+            while mask:
+                low = mask & -mask
+                res[first + 2 * (low.bit_length() - 1)] = _BIG
+                mask ^= low
+        return _max_flow(self._adj, self._head, res, self.inner, cap)
 
 
 def st_flow(G: Graph, s: int, t: int, flow: Optional[SeparatorResult] = None,

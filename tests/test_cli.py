@@ -476,8 +476,16 @@ def _count_flows(monkeypatch) -> list:
         calls.append(1)
         return flow(*args, **kwargs)
 
-    for module in (sepkit.separation, sepkit.reduction, sepkit.solver, sepkit.cli):
+    for module in (sepkit.separation, sepkit.solver, sepkit.cli):
         monkeypatch.setattr(module, "min_vertex_separator", counted)
+    # a cover's layer subproblems are flowed on the layer's PairNetwork
+    layer_flow = sepkit.separation.PairNetwork.flow
+
+    def layer_counted(*args, **kwargs):
+        calls.append(1)
+        return layer_flow(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.separation.PairNetwork, "flow", layer_counted)
     return calls
 
 

@@ -14,7 +14,7 @@ from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
                               _neighbourhood_pairs, cover_set, layer_system,
                               reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
-from sepkit.separation import is_separator, min_vertex_separator
+from sepkit.separation import PairNetwork, is_separator, min_vertex_separator
 from sepkit.treedecomp import decompose
 
 from strategies import grid, nonadjacent_pair, seeded_graphs
@@ -250,24 +250,28 @@ def test_cover_matches_unmemoised_recursion():
     assert positive >= 100
 
 
-def test_cover_flows_once_per_distinct_subproblem(monkeypatch):
-    # the plain recursion runs 4,328 flows here: one per (A, B) pair, most of
-    # them adjacent pairs or repeats of a contracted graph already solved
+def _count_layer_flows(monkeypatch) -> list:
     calls = []
-    flow = sepkit.reduction.min_vertex_separator
+    flow = PairNetwork.flow
 
     def counted(*args, **kwargs):
         calls.append(1)
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(sepkit.reduction, "min_vertex_separator", counted)
+    monkeypatch.setattr(PairNetwork, "flow", counted)
+    return calls
+
+
+def test_cover_flows_once_per_distinct_subproblem(monkeypatch):
+    # the plain recursion runs 4,328 flows here: one per (A, B) pair, most of
+    # them adjacent pairs or repeats of a contracted graph already solved;
+    # every layer subproblem is flowed on its layer's PairNetwork
+    calls = _count_layer_flows(monkeypatch)
     assert cover_set(grid(4, 4), 0, 15, 5) == tuple(range(16))
-    assert len(calls) <= 250
+    assert len(calls) == 57
 
 
-def test_cover_builds_one_graph_per_neighbourhood_pair(monkeypatch):
-    # one subproblem graph per distinct (N(A) & L, N(B) & L) of a layer; one
-    # per (A, B) pair without an A-B edge built 4,978 here
+def _count_graph_builds(monkeypatch, G, s, t, k):
     builds = []
     init = Graph.__init__
 
@@ -275,12 +279,68 @@ def test_cover_builds_one_graph_per_neighbourhood_pair(monkeypatch):
         builds.append(1)
         init(self, *args, **kwargs)
 
-    G = random_graph(RandomModel(22, 0.25, 7))
     monkeypatch.setattr(Graph, "__init__", counted)
-    cover = cover_set(G, 0, 21, 8)
+    cover = cover_set(G, s, t, k)
     monkeypatch.undo()
+    return cover, len(builds)
+
+
+def test_cover_builds_one_graph_per_neighbourhood_pair(monkeypatch):
+    # a subproblem graph is built only for a sub-cover that recurses at
+    # sub-excess >= 1; one per distinct (N(A) & L, N(B) & L) of a layer
+    # built 1,560 here, and one per (A, B) pair without an A-B edge 4,978
+    G = random_graph(RandomModel(22, 0.25, 7))
+    cover, builds = _count_graph_builds(monkeypatch, G, 0, 21, 8)
     assert cover == tuple(v for v in range(22) if v != 3)
-    assert len(builds) == 1560
+    assert builds == 103
+
+
+def test_cover_cliff_builds_graphs_only_to_recurse(monkeypatch):
+    # the cover of gmincut's cover-bound cliff, gnp(30, 0.25, 30) 0-29 at
+    # k = 9: a graph per distinct neighbourhood pair built 55,454 here for
+    # 17,150 layer flows
+    G = random_graph(RandomModel(30, 0.25, 30))
+    calls = _count_layer_flows(monkeypatch)
+    cover, builds = _count_graph_builds(monkeypatch, G, 0, 29, 9)
+    assert cover == tuple(v for v in range(30) if v != 2)
+    assert builds == 1100 and len(calls) == 17150
+
+
+def test_layer_flows_match_min_vertex_separator():
+    # each subproblem of a layer, flowed on the layer's one network, answers
+    # as a fresh flow on its contracted graph does
+    checked = over = 0
+    for G, grng in seeded_graphs(150, seed=67, n_lo=6, n_hi=18, ps=(0.2, 0.3)):
+        pair = nonadjacent_pair(G, grng)
+        if pair is None:
+            continue
+        s, t = pair
+        r = min_vertex_separator(G, (s,), (t,))
+        if r.size == 0:
+            continue
+        k = int(r.size) + grng.randint(0, 2)
+        for layer, pool in layer_system(build_chain(G, s, t, flow=r), s, t, G.n):
+            pos = {v: i for i, v in enumerate(layer)}
+            inside = tuple((pos[u], pos[v]) for u, v in G.edges() if u in pos and v in pos)
+            network = PairNetwork(len(layer), inside)
+            a, b = len(layer), len(layer) + 1
+            for na, nb in _neighbourhood_pairs(G, layer, pool):
+                H = Graph(b + 1, [*inside, *((i, a) for i in range(a) if na >> i & 1),
+                                  *((i, b) for i in range(a) if nb >> i & 1)])
+                assert network.graph(na, nb) == H
+                want = min_vertex_separator(H, (a,), (b,), cap=k)
+                got = network.flow(na, nb, cap=k)
+                assert (got.size, got.exceeds_cap, got.witness) == \
+                    (want.size, want.exceeds_cap, want.witness)
+                checked += 1
+                if want.residual is None:
+                    over += 1
+                    continue
+                assert (got.residual.separator_vertices()
+                        == want.residual.separator_vertices())
+                assert ([got.residual.separator_through(v) for v in range(H.n)]
+                        == [want.residual.separator_through(v) for v in range(H.n)])
+    assert checked >= 500 and over >= 20, (checked, over)
 
 
 def test_separation_preservation_in_torso():

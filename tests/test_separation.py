@@ -230,6 +230,36 @@ def test_residual_membership_matches_deletion_definition():
     assert checked > 500 and found > 100
 
 
+def test_separator_vertices_match_per_vertex_searches():
+    # the one-pass membership against the per-vertex search and against the
+    # deletion definition, on sparse graphs too, where flows of size 0 and
+    # isolated vertices (an unsaturated in-arc) are common
+    assert min_vertex_separator(Graph(3), (0,), (2,)).residual.separator_vertices() == ()
+    assert min_vertex_separator(PP, (0,), (5,)).residual.separator_vertices() == (1, 2, 3, 4)
+    empty = isolated = set_terminals = found = 0
+    for G, rng in seeded_graphs(300, seed=29, n_lo=4, n_hi=24, ps=(0.05, 0.12, 0.25, 0.4)):
+        ends = rng.sample(range(G.n), 4)
+        A, B = {ends[0]}, {ends[1]}
+        if rng.random() < 0.5:
+            A.add(ends[2])
+            B.add(ends[3])
+        flow = min_vertex_separator(G, A, B)
+        if not flow.is_finite:
+            continue
+        got = flow.residual.separator_vertices()
+        assert got == tuple(v for v in range(G.n)
+                            if flow.residual.separator_through(v) is not None)
+        for v in range(G.n):
+            if v not in A and v not in B:
+                assert (v in got) == (_separator_through_by_deletion(G, A, B, v) is not None)
+        empty += flow.size == 0
+        isolated += any(not G.adj[v] for v in range(G.n) if v not in A | B)
+        set_terminals += len(A) == 2
+        found += len(got)
+    assert empty >= 20 and isolated >= 20 and set_terminals >= 40 and found >= 250, \
+        (empty, isolated, set_terminals, found)
+
+
 def test_min_separator_size_matches_networkx_past_oracle_cap():
     nx = pytest.importorskip("networkx")
     checked = 0

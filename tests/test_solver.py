@@ -632,8 +632,16 @@ def test_g_mincut_runs_one_flow(monkeypatch):
         calls.append(args[1:3])
         return flow(*args, **kwargs)
 
-    for module in (sepkit.separation, sepkit.reduction, sepkit.solver):
+    for module in (sepkit.separation, sepkit.solver):
         monkeypatch.setattr(module, "min_vertex_separator", counted)
+    # a cover's layer subproblems are flowed on the layer's PairNetwork
+    layer_flow = sepkit.separation.PairNetwork.flow
+
+    def layer_counted(network, na, nb, **kwargs):
+        calls.append((na, nb))
+        return layer_flow(network, na, nb, **kwargs)
+
+    monkeypatch.setattr(sepkit.separation.PairNetwork, "flow", layer_counted)
     with collect() as stats:
         assert g_mincut(FIXTURES["Q3"].graph, 0, 7, 3, ANY) is not None
     assert calls == [((0,), (7,))]
