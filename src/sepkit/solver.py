@@ -18,12 +18,15 @@ The deleted set is an int bitmask over G's vertex ids, so a pin's rank is the
 number of deleted bits below its own. A block is a pair of ints, the mask of
 its kept bag vertices and the mask of its marks (one bit per terminal, one
 per reach constraint), and a state's blocks are a sorted tuple, unique since
-vertex masks are disjoint. Two states are equal exactly when their encodings
-are, and a table is a dict filled in the order of its ``put`` calls, so the
-states it holds, their order and the first root state reached depend on the
-transitions alone, not on how a state is spelled: the encoding leaves
-``dp_states`` and every witness as they are. The neighbour masks of G and of
-``induced`` are built once per call.
+vertex masks are disjoint. One call gives each distinct blocks tuple and
+each distinct summary an int id, in the order they first appear, and a
+state is the triple (deleted mask, block id, summary id). Two states are
+equal exactly when their encodings are, and a table is a dict filled in the
+order of its ``put`` calls, so the states it holds, their order and the
+first root state reached depend on the transitions alone, not on how a
+state is spelled: the encoding leaves ``dp_states`` and every witness as
+they are. The neighbour masks of G and of ``induced`` are built once per
+call.
 
 A summary (``ClassSummary``) keeps of that graph only what decides how it can
 still be extended. The DP changes the graph in three ways: a new pin with
@@ -48,8 +51,8 @@ the whole graph, with the pins fixed, and judges it by membership
 Element 0 of every summary is m, the size of the deleted set, which the
 budget checks read: a join glues mL + mR - p deleted vertices. Every
 summary also fixes the pin count p. The join memo below is keyed by the two
-summaries, so a summary of m alone would let joins with different pin counts
-share an entry. Fields fixed by the pins, such as the pin-pin edges, never
+summaries' ids, so a summary of m alone would let joins with different pin
+counts share an entry. Fields fixed by the pins, such as the pin-pin edges, never
 split states, since the deleted bag vertices are part of the state anyway.
 
 Pruning: a state dies when its accumulated induced graph leaves the class
@@ -65,14 +68,18 @@ carried. Edges between deleted vertices are recorded
 when the later endpoint is introduced, which by the decomposition axioms
 reconstructs the exact induced subgraph.
 
-Every transition is a pure function of the state components it reads:
-introducing a kept vertex of the blocks, introducing a deleted vertex of the
-deleted set and the summary, and a join of each component pair (summaries,
-blocks) separately. Many states share components, and the chains of join
-nodes that the nice form builds over one bag meet the same pairs again, so
+Every transition is a pure function of the state components it reads, so
 one ``dp_constrained_cut`` call keeps each transition's result, pruning
-verdict included, in dicts that live as long as the call. The states
-visited, their order and the back-pointers are those of the plain loop.
+verdict included, in dicts keyed by ids that live as long as the call:
+keeping or forgetting a kept vertex v by (v, block id); ``add_pin`` by
+(summary id, rank, neighbour rank mask), which one entry serves for every
+deleted set that gives v that rank and mask; ``unpin`` by (summary id,
+rank); a join by the two summary ids and by the two block ids. Many states
+share components, and the chains of join nodes that the nice form builds
+over one bag meet the same pairs again. A table entry's value is its
+back-pointer: the child state itself below an introduce or forget node, the
+(left, right) pair below a join. The states visited, their order and the
+back-pointers are those of the plain loop.
 
 The budget k is first clamped to the number of deletable vertices, since no
 accumulated graph can have more; only then is it held against the class's
@@ -633,20 +640,17 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
         rest.append((verts, bmarks))
         return tuple(sorted(rest))
 
-    def delete_vertex(deleted: int, summ: tuple, v: int) -> tuple:
-        bit = 1 << v
-        nb = 0
-        rest = deleted & ind_nbrs[v]
-        while rest:
-            low = rest & -rest
-            nb |= 1 << (deleted & (low - 1)).bit_count()
-            rest ^= low
-        return summary.add_pin(summ, (deleted & (bit - 1)).bit_count(), nb), deleted | bit
-
-    def join_summaries(lsumm: tuple, rsumm: tuple, p: int) -> Optional[tuple]:
-        if lsumm[0] + rsumm[0] - p > k:
-            return None
-        return summary.join(lsumm, rsumm)
+    def forget_kept(blocks: tuple, bit: int) -> Optional[tuple]:
+        nblocks = []
+        for bv, bm in blocks:
+            if bv & bit:
+                if bv != bit:
+                    nblocks.append((bv ^ bit, bm))
+                elif not finished_ok(bm):
+                    return None     # the component is finished and fails
+            else:
+                nblocks.append((bv, bm))
+        return tuple(sorted(nblocks))
 
     def join_blocks(left: tuple, right: tuple) -> tuple:
         # each right block swallows the merged blocks it meets
@@ -663,72 +667,121 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
             out = rest
         return tuple(sorted(out))
 
-    # transition memos for this call (module docstring): introduce memos by
-    # vertex, then component; join memos by left, then right component;
-    # None marks a pruned join
+    # each distinct blocks tuple and summary gets an id for this call, and a
+    # state is (deleted, block id, summary id); the ids are one-to-one, so
+    # the tables hold the states of the tuple spelling in the same order
+    block_ids: dict = {}
+    block_list: list = []
+    summ_ids: dict = {}
+    summ_list: list = []
+    summ_m: list = []
+
+    def block_id(blocks: tuple) -> int:
+        bid = block_ids.get(blocks)
+        if bid is None:
+            bid = block_ids[blocks] = len(block_list)
+            block_list.append(blocks)
+        return bid
+
+    def summ_id(summ: Optional[tuple]) -> Optional[int]:
+        if summ is None:
+            return None
+        sid = summ_ids.get(summ)
+        if sid is None:
+            sid = summ_ids[summ] = len(summ_list)
+            summ_list.append(summ)
+            summ_m.append(summ[0])
+        return sid
+
+    def pin_of(deleted: int, v: int) -> tuple:
+        """Deleting v next to ``deleted``: the new deleted set, and v's rank
+        and neighbour rank mask with the add_pin memo of that pair."""
+        bit = 1 << v
+        nb = 0
+        rest = deleted & ind_nbrs[v]
+        while rest:
+            low = rest & -rest
+            nb |= 1 << (deleted & (low - 1)).bit_count()
+            rest ^= low
+        rank = (deleted & (bit - 1)).bit_count()
+        return deleted | bit, rank, nb, add_pin_memos.setdefault((rank, nb), {})
+
+    def join_summaries(lsid: int, rsid: int, p: int) -> Optional[int]:
+        if summ_m[lsid] + summ_m[rsid] - p > k:
+            return None
+        return summ_id(summary.join(summ_list[lsid], summ_list[rsid]))
+
+    # transition memos for this call (module docstring), all keyed by ids:
+    # keep and forget of a kept vertex by vertex, then block id; add_pin by
+    # (rank, neighbour rank mask), then summary id, with the (rank, mask) of
+    # each (vertex, deleted set) kept too; unpin by rank, then summary id;
+    # joins by left id, then right id. None marks a pruned transition
     keep_memos: dict = {}
-    del_memos: dict = {}
+    forget_memos: dict = {}
+    pin_memos: dict = {}
+    add_pin_memos: dict = {}
+    unpin_memos: dict = {}
     summary_joins: dict = {}
     block_joins: dict = {}
 
     tables: list[dict] = []
     total_states = 0
 
-    for idx, nd in enumerate(nice.nodes):
+    # an entry keeps what it came from: nothing at a leaf, the child key at
+    # an introduce or forget node and (left key, right key) at a join
+    for nd in nice.nodes:
         table: dict = {}
-
-        # an entry keeps the child keys it came from: (), (key,) or (lkey, rkey)
-        def put(key, back):
-            if key not in table:
-                table[key] = back
+        put = table.setdefault
 
         if nd.kind == LEAF:
-            put((0, (), summary.empty), ())
+            put((0, block_id(()), summ_id(summary.empty)), ())
 
         elif nd.kind == INTRODUCE:
             v = nd.vertex
-            child = nd.children[0]
             keep_memo = keep_memos.setdefault(v, {})
-            del_memo = del_memos.setdefault(v, {})
+            pin_memo = pin_memos.setdefault(v, {})
             deletable = v not in term_bit
-            for key in tables[child]:
-                deleted, blocks, summ = key
-                back = (key,)
+            for key in tables[nd.children[0]]:
+                deleted, bid, sid = key
                 # keep v
-                nblocks = keep_memo.get(blocks)
-                if nblocks is None:
-                    nblocks = keep_memo[blocks] = keep_vertex(blocks, v)
-                put((deleted, nblocks, summ), back)
+                nbid = keep_memo.get(bid)
+                if nbid is None:
+                    nbid = keep_memo[bid] = block_id(keep_vertex(block_list[bid], v))
+                put((deleted, nbid, sid), key)
                 # delete v
-                if deletable and summ[0] < k:
-                    dk = (deleted, summ)
-                    out = del_memo.get(dk)
-                    if out is None:
-                        out = del_memo[dk] = delete_vertex(deleted, summ, v)
-                    nsumm, ndel = out
-                    if nsumm is not None:
-                        put((ndel, blocks, nsumm), back)
+                if deletable and summ_m[sid] < k:
+                    pin = pin_memo.get(deleted)
+                    if pin is None:
+                        pin = pin_memo[deleted] = pin_of(deleted, v)
+                    ndel, rank, nb, add_pin_memo = pin
+                    nsid = add_pin_memo.get(sid, _MISSING)
+                    if nsid is _MISSING:
+                        nsid = add_pin_memo[sid] = summ_id(
+                            summary.add_pin(summ_list[sid], rank, nb))
+                    if nsid is not None:
+                        put((ndel, bid, nsid), key)
 
         elif nd.kind == FORGET:
             bit = 1 << nd.vertex
-            child = nd.children[0]
-            for key in tables[child]:
-                deleted, blocks, summ = key
+            below = bit - 1
+            forget_memo = forget_memos.setdefault(nd.vertex, {})
+            for key in tables[nd.children[0]]:
+                deleted, bid, sid = key
                 if deleted & bit:
-                    nsumm = summary.unpin(summ, (deleted & (bit - 1)).bit_count())
-                    put((deleted ^ bit, blocks, nsumm), (key,))
+                    rank = (deleted & below).bit_count()
+                    unpin_memo = unpin_memos.setdefault(rank, {})
+                    nsid = unpin_memo.get(sid)
+                    if nsid is None:
+                        nsid = unpin_memo[sid] = summ_id(summary.unpin(summ_list[sid], rank))
+                    put((deleted ^ bit, bid, nsid), key)
                 else:
-                    nblocks = []
-                    for bv, bm in blocks:
-                        if bv & bit:
-                            if bv != bit:
-                                nblocks.append((bv ^ bit, bm))
-                            elif not finished_ok(bm):
-                                break   # v's component is finished and fails
-                        else:
-                            nblocks.append((bv, bm))
-                    else:
-                        put((deleted, tuple(sorted(nblocks)), summ), (key,))
+                    nbid = forget_memo.get(bid, _MISSING)
+                    if nbid is _MISSING:
+                        nblocks = forget_kept(block_list[bid], bit)
+                        nbid = forget_memo[bid] = (None if nblocks is None
+                                                   else block_id(nblocks))
+                    if nbid is not None:
+                        put((deleted, nbid, sid), key)
 
         elif nd.kind == JOIN:
             lchild, rchild = nd.children
@@ -736,21 +789,22 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
             for rkey in tables[rchild]:
                 by_deleted.setdefault(rkey[0], []).append(rkey)
             for lkey in tables[lchild]:
-                deleted, lblocks, lsumm = lkey
-                summary_memo = summary_joins.setdefault(lsumm, {})
-                block_memo = block_joins.setdefault(lblocks, {})
+                deleted, lbid, lsid = lkey
+                summary_memo = summary_joins.setdefault(lsid, {})
+                block_memo = block_joins.setdefault(lbid, {})
                 for rkey in by_deleted.get(deleted, ()):
-                    _, rblocks, rsumm = rkey
-                    nsumm = summary_memo.get(rsumm, _MISSING)
-                    if nsumm is _MISSING:
-                        nsumm = summary_memo[rsumm] = join_summaries(lsumm, rsumm,
-                                                                     deleted.bit_count())
-                    if nsumm is None:
+                    _, rbid, rsid = rkey
+                    nsid = summary_memo.get(rsid, _MISSING)
+                    if nsid is _MISSING:
+                        nsid = summary_memo[rsid] = join_summaries(lsid, rsid,
+                                                                   deleted.bit_count())
+                    if nsid is None:
                         continue
-                    nblocks = block_memo.get(rblocks)
-                    if nblocks is None:
-                        nblocks = block_memo[rblocks] = join_blocks(lblocks, rblocks)
-                    put((deleted, nblocks, nsumm), (lkey, rkey))
+                    nbid = block_memo.get(rbid)
+                    if nbid is None:
+                        nbid = block_memo[rbid] = block_id(
+                            join_blocks(block_list[lbid], block_list[rbid]))
+                    put((deleted, nbid, nsid), (lkey, rkey))
 
         tables.append(table)
         total_states += len(table)
@@ -772,9 +826,14 @@ def _reconstruct(tables, nice, root_key) -> tuple[int, ...]:
     deleted = 0
     stack = [(len(nice.nodes) - 1, root_key)]
     while stack:
-        node_idx, key = stack.pop()
+        idx, key = stack.pop()
         deleted |= key[0]
-        stack.extend(zip(nice.nodes[node_idx].children, tables[node_idx][key]))
+        nd = nice.nodes[idx]
+        back = tables[idx][key]
+        if nd.kind == JOIN:
+            stack.extend(zip(nd.children, back))
+        elif nd.kind != LEAF:
+            stack.append((nd.children[0], back))
     return tuple(v for v in range(deleted.bit_length()) if deleted >> v & 1)
 
 

@@ -2,7 +2,9 @@
 solver DP, and PACE-style text export.
 
 Solver correctness relies only on decomposition validity; the heuristic width
-just controls DP table sizes.
+just controls DP table sizes. Min-fill, the bag construction and both
+validators work on int adjacency masks, a vertex's neighbours as the set
+bits of one int.
 """
 
 from __future__ import annotations
@@ -36,25 +38,39 @@ class TreeDecomposition:
         return [sorted(a) for a in adj]
 
 
-def _eliminate(adj: dict[int, set[int]], v: int) -> None:
-    nbrs = adj.pop(v)
-    for u in nbrs:
-        adj[u].discard(v)
-    for u in nbrs:
-        for w in nbrs:
-            if u < w:
-                adj[u].add(w)
-                adj[w].add(u)
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _fill_in(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = sorted(adj[v])
-    count = 0
-    for i, u in enumerate(nbrs):
-        for w in nbrs[i + 1:]:
-            if w not in adj[u]:
-                count += 1
-    return count
+def _adjacency_masks(G: Graph) -> list[int]:
+    return [sum(1 << u for u in a) for a in G.adj]
+
+
+def _eliminate(adj: list[int], v: int) -> int:
+    """Make v's neighbours a clique and drop v from them; v's mask is left
+    as it was and returned."""
+    nb = adj[v]
+    for u in _bits(nb):
+        adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+    return nb
+
+
+def _fill_in(adj: list[int], v: int) -> int:
+    """Non-adjacent pairs among v's neighbours: each neighbour u misses
+    the others outside its mask, and every pair is missed from both ends."""
+    nb = rest = adj[v]
+    missed = 0
+    while rest:
+        low = rest & -rest
+        missed += (nb & ~adj[low.bit_length() - 1]).bit_count()
+        rest ^= low
+    return (missed - nb.bit_count()) // 2
 
 
 def _decomposition_from_order(G: Graph, order: list[int]) -> TreeDecomposition:
@@ -63,18 +79,17 @@ def _decomposition_from_order(G: Graph, order: list[int]) -> TreeDecomposition:
     vertex among those neighbors."""
     if G.n == 0:
         return TreeDecomposition(((),), ())
-    adj = {v: set(G.adj[v]) for v in range(G.n)}
-    position = {v: i for i, v in enumerate(order)}
+    adj = _adjacency_masks(G)
+    position = [0] * G.n
+    for i, v in enumerate(order):
+        position[v] = i
     bags = []
-    rest : list[list[int]] = []
-    for v in order:
-        bags.append(tuple(sorted(adj[v] | {v})))
-        rest.append(sorted(adj[v], key=lambda u: position[u]))
-        _eliminate(adj, v)
     edges = []
-    for i, nbrs in enumerate(rest):
-        if nbrs:
-            edges.append((i, position[nbrs[0]]))
+    for i, v in enumerate(order):
+        nb = _eliminate(adj, v)
+        bags.append(tuple(_bits(nb | 1 << v)))
+        if nb:
+            edges.append((i, min(position[u] for u in _bits(nb))))
         elif i + 1 < len(order):
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
@@ -86,19 +101,20 @@ def min_fill_order(G: Graph) -> list[int]:
     Eliminating v changes the neighbourhood of v's neighbours and the
     adjacency inside the neighbourhood of their neighbours, so only those
     fill counts are recomputed."""
-    adj = {v: set(G.adj[v]) for v in range(G.n)}
-    fill = {v: _fill_in(adj, v) for v in adj}
+    adj = _adjacency_masks(G)
+    fill = [_fill_in(adj, v) for v in range(G.n)]
+    alive = list(range(G.n))
     order = []
-    while adj:
-        v = min(fill, key=lambda u: (fill[u], u))
+    while alive:
+        # the first minimum of an ascending list: ties go to the lowest id
+        v = min(alive, key=fill.__getitem__)
+        alive.remove(v)
         order.append(v)
-        nbrs = adj[v]
-        _eliminate(adj, v)
-        del fill[v]
-        stale = set(nbrs)
-        for u in nbrs:
-            stale.update(adj[u])
-        for u in stale:
+        nb = _eliminate(adj, v)
+        stale = nb
+        for u in _bits(nb):
+            stale |= adj[u]
+        for u in _bits(stale):
             fill[u] = _fill_in(adj, u)
     return order
 
@@ -109,47 +125,47 @@ def decompose(G: Graph) -> TreeDecomposition:
 
 
 def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
+    """Every vertex in a bag, every edge inside a bag, and each vertex's bags
+    a subtree: rooted at bag 0, exactly one of them has its parent's bag
+    without the vertex (or is the root)."""
     nb = len(td.bags)
     if nb == 0:
         return False
     if len(td.tree) != nb - 1:
         return False
     adj = td.neighbors()
-    seen = {0}
+    parent = [-1] * nb
+    seen = [False] * nb
+    seen[0] = True
     queue = deque([0])
     while queue:
         i = queue.popleft()
         for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
+            if not seen[j]:
+                seen[j] = True
+                parent[j] = i
                 queue.append(j)
-    if len(seen) != nb:
+    if not all(seen):
         return False
-    holds = [[] for _ in range(G.n)]
-    for i, bag in enumerate(td.bags):
+    masks = []
+    for bag in td.bags:
+        mask = 0
         for v in bag:
             if not 0 <= v < G.n:
                 return False
-            holds[v].append(i)
-    if any(not h for h in holds):
+            mask |= 1 << v
+        masks.append(mask)
+    reach = [0] * G.n       # the union of the bags holding each vertex
+    once = twice = 0        # vertices with one top bag, and with more
+    for i, mask in enumerate(masks):
+        for v in _bits(mask):
+            reach[v] |= mask
+        top = mask if parent[i] < 0 else mask & ~masks[parent[i]]
+        twice |= once & top
+        once |= top
+    if once != (1 << G.n) - 1 or twice:
         return False
-    for u, v in G.edges():
-        if not any(u in td.bags[i] and v in td.bags[i] for i in holds[u]):
-            return False
-    for v in range(G.n):
-        mine = set(holds[v])
-        start = holds[v][0]
-        seen_v = {start}
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if j in mine and j not in seen_v:
-                    seen_v.add(j)
-                    queue.append(j)
-        if seen_v != mine:
-            return False
-    return True
+    return all(not m & ~r for m, r in zip(_adjacency_masks(G), reach))
 
 
 # -- nice form --------------------------------------------------------------
@@ -246,38 +262,63 @@ def make_nice(td: TreeDecomposition, G: Graph, root_vertex: Optional[int] = None
 
 
 def validate_nice(G: Graph, nice: NiceDecomposition) -> bool:
-    """Shape and coverage checks for a nice decomposition of G."""
-    seen_vertices = set()
-    covered_edges = set()
-    for idx, nd in enumerate(nice.nodes):
-        if any(c >= idx for c in nd.children):
+    """Shape and coverage checks for a nice decomposition of G.
+
+    Each node's bag follows from its kind and its children's bags, every
+    node but the last (the root, with an empty bag) is the child of exactly
+    one later node, every vertex is forgotten exactly once and every edge
+    is met when its later endpoint is introduced. Since a vertex only
+    leaves a bag at its forget node on the way to the empty root, the nodes
+    holding it form a subtree: a tree decomposition of G."""
+    nodes = nice.nodes
+    if not nodes or nodes[-1].bag:
+        return False
+    n = G.n
+    nbrs = _adjacency_masks(G)
+    masks = []
+    parents = [0] * len(nodes)
+    met = [0] * n           # met[v]: neighbours v shared a bag with at an introduce
+    forgotten = twice = 0
+    for idx, nd in enumerate(nodes):
+        kids = nd.children
+        if any(not 0 <= c < idx for c in kids):
             return False
-        bag = set(nd.bag)
+        for c in kids:
+            parents[c] += 1
+        mask = 0
+        for u in nd.bag:
+            if not 0 <= u < n:
+                return False
+            mask |= 1 << u
+        masks.append(mask)
         if nd.kind == LEAF:
-            if nd.children or bag:
-                return False
-        elif nd.kind == INTRODUCE:
-            (c,) = nd.children
-            if set(nice.nodes[c].bag) | {nd.vertex} != bag or nd.vertex in nice.nodes[c].bag:
-                return False
-            seen_vertices.add(nd.vertex)
-            for u in nice.nodes[c].bag:
-                if G.has_edge(u, nd.vertex):
-                    covered_edges.add((min(u, nd.vertex), max(u, nd.vertex)))
-        elif nd.kind == FORGET:
-            (c,) = nd.children
-            if set(nice.nodes[c].bag) - {nd.vertex} != bag or nd.vertex not in nice.nodes[c].bag:
+            if kids or mask:
                 return False
         elif nd.kind == JOIN:
-            if len(nd.children) != 2:
+            if len(kids) != 2 or masks[kids[0]] != mask or masks[kids[1]] != mask:
                 return False
-            if any(nice.nodes[c].bag != nd.bag for c in nd.children):
+        elif nd.kind in (INTRODUCE, FORGET):
+            v = nd.vertex
+            if len(kids) != 1 or not isinstance(v, int) or not 0 <= v < n:
                 return False
+            bit, below = 1 << v, masks[kids[0]]
+            if nd.kind == INTRODUCE:
+                if below & bit or below | bit != mask:
+                    return False
+                hit = nbrs[v] & below
+                met[v] |= hit
+                for u in _bits(hit):
+                    met[u] |= bit
+            else:
+                if not below & bit or below ^ bit != mask:
+                    return False
+                twice |= forgotten & bit
+                forgotten |= bit
         else:
             return False
-    if nice.nodes[-1].bag:
+    if parents[-1] or any(p != 1 for p in parents[:-1]):
         return False
-    return seen_vertices == set(range(G.n)) and covered_edges == set(G.edges())
+    return forgotten == (1 << n) - 1 and not twice and met == nbrs
 
 
 # -- PACE-style text export ---------------------------------------------------

@@ -244,38 +244,56 @@ def _stats(**given):
     return {**_NULL_STATS, **given}
 
 
-# the full stats object of each C12 command; exact-c, oct, exact-stable-bip
-# and selfcheck report none
+_REDUCED_PP = {"cover": [1, 6], "edges": [[1, 3], [1, 4], [2, 3], [2, 4]], "k": 1, "n": 4,
+               "origin": [1, 6, "gadget", "gadget"], "terminals": [1, 6], "width_bound": 2}
+_Q3_TD = {"bags": [[1, 2, 3, 5], [2, 3, 4, 8], [2, 5, 6, 8], [2, 3, 5, 8], [3, 5, 7, 8],
+                   [5, 7, 8], [7, 8], [8]],
+          "tree": [[1, 4], [2, 4], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8]], "width": 3}
+
+
+# the full stats object and the witness of each C12 command; exact-c, oct,
+# exact-stable-bip and selfcheck report no stats
 @pytest.mark.parametrize("argv, want", [
-    (["minsep", "PP", "--s", "1", "--t", "6"], _stats(ell=2)),
-    (["chain", "PP", "--s", "1", "--t", "6"], _stats(ell=2)),
+    (["minsep", "PP", "--s", "1", "--t", "6"],
+     (_stats(ell=2), [2, 4])),
+    (["chain", "PP", "--s", "1", "--t", "6"],
+     (_stats(ell=2), {"boundaries": [[2, 4], [3, 4], [3, 5]], "ell": 2,
+                      "sets": [[1], [1, 2], [1, 2, 4]]})),
     (["cover", "Q3", "--s", "1", "--t", "8", "--k", "6"],
-     _stats(cover_size=8, ell=3, excess=3)),
+     (_stats(cover_size=8, ell=3, excess=3), [1, 2, 3, 4, 5, 6, 7, 8])),
     (["reduce", "PP", "--s", "1", "--t", "6", "--k", "1"],
-     _stats(cover_size=2, width_bound=2)),
-    (["decompose", "Q3"], _stats(width=3)),
+     (_stats(cover_size=2, width_bound=2), _REDUCED_PP)),
+    (["decompose", "Q3"],
+     (_stats(width=3), _Q3_TD)),
     (["gmincut", "PP", "--s", "1", "--t", "6", "--k", "3", "--class", "forest"],
-     _stats(cover_size=6, dp_states=92, ell=2, excess=1, width=2, width_bound=9517)),
+     (_stats(cover_size=6, dp_states=92, ell=2, excess=1, width=2, width_bound=9517),
+      [2, 4])),
     (["multicut", "PP", "--cut", "1:6", "--uncut", "2:4", "--k", "2", "--class", "any"],
-     _stats(cover_size=6, dp_states=34, width=2, width_bound=42)),
+     (_stats(cover_size=6, dp_states=34, width=2, width_bound=42), [3, 5])),
     (["stable-cut", "C4", "--s", "1", "--t", "3", "--k", "2"],
-     _stats(cover_size=4, dp_states=25, ell=2, excess=0, width=2, width_bound=40)),
+     (_stats(cover_size=4, dp_states=25, ell=2, excess=0, width=2, width_bound=40),
+      [2, 4])),
     (["eivc", "C4", "--s", "1", "--t", "3", "--k", "2"],
-     _stats(cover_size=4, dp_states=25, ell=2, excess=2, width=2, width_bound=2312428)),
-    (["oct", "D4", "--k", "1"], _NULL_STATS),
+     (_stats(cover_size=4, dp_states=25, ell=2, excess=2, width=2, width_bound=2312428),
+      {"deleted": [2, 4], "edges": [[1, 2], [1, 4]]})),
+    (["oct", "D4", "--k", "1"],
+     (_NULL_STATS, [4])),
     (["stable-bip", "D4", "--k", "2"],
-     _stats(cover_size=3, dp_states=11, ell=1, excess=1, width=1, width_bound=589)),
-    (["exact-stable-bip", "C4", "--k", "2"], _NULL_STATS),
-    (["exact-c", "PP", "--s", "1", "--t", "6", "--k", "2"], _NULL_STATS),
+     (_stats(cover_size=3, dp_states=11, ell=1, excess=1, width=1, width_bound=589),
+      [4])),
+    (["exact-stable-bip", "C4", "--k", "2"],
+     (_NULL_STATS, [2, 4])),
+    (["exact-c", "PP", "--s", "1", "--t", "6", "--k", "2"],
+     (_NULL_STATS, [2, 3, 4, 5])),
     (["selfcheck", "--trials", "10", "--seed", "7", "--suites", "minsep,chain,cover"],
-     _NULL_STATS),
+     (_NULL_STATS, {"mismatches": [], "trials": 25})),
 ])
 def test_c12_command_stats_pinned(graph_files, capsys, argv, want):
     if argv[0] != "selfcheck":
         argv = [argv[0], "--graph", graph_files[argv[1]]] + argv[2:]
     code, doc, err = _run(capsys, argv)
     assert code == 0, err
-    assert doc["stats"] == want
+    assert (doc["stats"], doc["witness"]) == want
 
 
 def test_cli_json_deterministic(graph_files, capsys):

@@ -25,7 +25,7 @@ from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            dp_constrained_cut, g_mincut,
                            g_multicut_uncut, matching_deficiency,
                            maximum_matching, parse_class, verify_solution)
-from sepkit.treedecomp import INTRODUCE, JOIN, LEAF, decompose, make_nice
+from sepkit.treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice
 
 from strategies import graphs, grid, seeded_graphs
 
@@ -75,6 +75,147 @@ def test_dp_stats_populated():
     with collect() as stats:
         dp_constrained_cut(C4, _nice(C4), CutConstraints(((0, 2),)), 2, EDGELESS)
     assert stats["dp_states"] > 0 and stats["width"] == 2
+
+
+def _twin_dp(G, nice, cons, k, cls, induced=None):
+    """Reference twin of dp_constrained_cut: one plain loop over tuple
+    states (deleted vertices, blocks as (vertices, marks) tuples, summary),
+    no memos and no ids, with the library's transition order. A mark is
+    ("t", v) for terminal v and ("r", i) for a target of reach constraint i.
+    Returns (witness or None, states visited)."""
+    induced = G if induced is None else induced
+    terminals = set(cons.terminals)
+    ops = cls.summary
+    k = min(k, G.n - len(terminals))
+
+    def marks_of(v):
+        out = {("t", v)} if v in terminals else set()
+        return out | {("r", i) for i, (_, B) in enumerate(cons.reach) if v in B}
+
+    def finished_ok(m):
+        return (not any(("t", a) in m and ("t", b) in m for a, b in cons.cut_pairs)
+                and not any((("t", a) in m) != (("t", b) in m) for a, b in cons.uncut_pairs)
+                and not any(("t", a) in m and ("r", i) not in m
+                            for i, (a, _) in enumerate(cons.reach)))
+
+    def block(verts, m):
+        return (tuple(sorted(verts)), tuple(sorted(m)))
+
+    tables = []
+    for nd in nice.nodes:
+        table = {}
+
+        def put(key, back):
+            if key not in table:
+                table[key] = back
+
+        if nd.kind == LEAF:
+            put(((), (), ops.empty), ())
+        elif nd.kind == INTRODUCE:
+            v = nd.vertex
+            for key in tables[nd.children[0]]:
+                deleted, blocks, summ = key
+                verts, m, rest = {v}, marks_of(v), []
+                for bv, bm in blocks:
+                    if any(G.has_edge(u, v) for u in bv):
+                        verts.update(bv)
+                        m.update(bm)
+                    else:
+                        rest.append((bv, bm))
+                put((deleted, tuple(sorted(rest + [block(verts, m)])), summ), key)
+                if v not in terminals and summ[0] < k:
+                    rank = sum(1 for u in deleted if u < v)
+                    nb = sum(1 << i for i, u in enumerate(deleted) if induced.has_edge(u, v))
+                    nsumm = ops.add_pin(summ, rank, nb)
+                    if nsumm is not None:
+                        put((tuple(sorted(deleted + (v,))), blocks, nsumm), key)
+        elif nd.kind == FORGET:
+            v = nd.vertex
+            for key in tables[nd.children[0]]:
+                deleted, blocks, summ = key
+                if v in deleted:
+                    put((tuple(u for u in deleted if u != v), blocks,
+                         ops.unpin(summ, deleted.index(v))), key)
+                    continue
+                rest, ok = [], True
+                for bv, bm in blocks:
+                    if v not in bv:
+                        rest.append((bv, bm))
+                    elif len(bv) > 1:
+                        rest.append((tuple(u for u in bv if u != v), bm))
+                    else:
+                        ok = finished_ok(set(bm))
+                if ok:
+                    put((deleted, tuple(sorted(rest)), summ), key)
+        else:
+            lchild, rchild = nd.children
+            for lkey in tables[lchild]:
+                for rkey in tables[rchild]:
+                    deleted = lkey[0]
+                    if rkey[0] != deleted or lkey[2][0] + rkey[2][0] - len(deleted) > k:
+                        continue
+                    nsumm = ops.join(lkey[2], rkey[2])
+                    if nsumm is None:
+                        continue
+                    out = list(lkey[1])
+                    for bv, bm in rkey[1]:
+                        verts, m, rest = set(bv), set(bm), []
+                        for ov, om in out:
+                            if verts & set(ov):
+                                verts.update(ov)
+                                m.update(om)
+                            else:
+                                rest.append((ov, om))
+                        out = rest + [block(verts, m)]
+                    put((deleted, tuple(sorted(out)), nsumm), (lkey, rkey))
+        tables.append(table)
+    states = sum(map(len, tables))
+    if not tables[-1]:
+        return None, states
+    deleted, stack = set(), [(len(tables) - 1, next(iter(tables[-1])))]
+    while stack:
+        idx, key = stack.pop()
+        deleted.update(key[0])
+        back = tables[idx][key]
+        kids = nice.nodes[idx].children
+        stack.extend(zip(kids, back) if len(kids) == 2 else zip(kids, [back]))
+    return tuple(sorted(deleted)), states
+
+
+TWIN_CLASSES = ("any", "edgeless", "forest", "bipartite", "maxdeg:1", "matchdef:1",
+                "forbid:Bw")
+
+
+def test_dp_matches_plain_loop_twin():
+    # the interned ids and transition memos of dp_constrained_cut leave its
+    # states, their order and its witness those of the plain loop
+    kinds = {"uncut": 0, "reach": 0, "induced": 0, "yes": 0}
+    for i, (G, rng) in enumerate(seeded_graphs(360, seed=83, n_lo=3, n_hi=12,
+                                               ps=(0.2, 0.3, 0.45, 0.6))):
+        cls = parse_class(TWIN_CLASSES[i % len(TWIN_CLASSES)])
+        vs = range(G.n)
+        apart = [(a, b) for a, b in itertools.combinations(vs, 2) if not G.has_edge(a, b)]
+        if not apart:
+            continue
+        cut = tuple(rng.sample(apart, min(len(apart), rng.randint(1, 2))))
+        uncut = tuple(tuple(rng.sample(vs, 2)) for _ in range(rng.choice((0, 0, 1, 2))))
+        reach = tuple((rng.choice(vs), tuple(rng.sample(vs, rng.randint(1, 3))))
+                      for _ in range(rng.choice((0, 0, 1, 2))))
+        cons = CutConstraints(cut, uncut, reach)
+        induced = None
+        if rng.random() < 0.3:
+            induced = Graph(G.n, [e for e in G.edges() if rng.random() < 0.7])
+        nice = make_nice(decompose(G), G, root_vertex=rng.randrange(G.n))
+        k = rng.randint(0, 4)
+        with collect() as stats:
+            wit = dp_constrained_cut(G, nice, cons, k, cls, induced)
+        assert (wit, stats["dp_states"]) == _twin_dp(G, nice, cons, k, cls, induced), \
+            (G.edges(), cons, k, cls)
+        kinds["uncut"] += bool(uncut)
+        kinds["reach"] += bool(reach)
+        kinds["induced"] += induced is not None
+        kinds["yes"] += wit is not None
+    assert min(kinds.values()) >= 60, kinds
 
 
 def test_g_mincut_examples():
@@ -425,6 +566,11 @@ Q3 = FIXTURES["Q3"].graph
     # a torso of 90 vertices: deleted sets and blocks past one machine word
     (grid(3, 30), 0, 89, 3, "edgeless", (5684, 3, (2, 33, 62))),
     (grid(3, 30), 0, 89, 3, "bipartite", (7446, 3, (2, 32, 62))),
+    # classes by membership alone keep canonical forms
+    (Q3, 0, 7, 5, "matchdef:1", (141, 3, None)),
+    (_gnp(12, 0.4, 121), 4, 7, 4, "matchdef:1", (343, 4, (10,))),
+    (Q3, 0, 7, 5, "forbid:Bw", (452, 3, (3, 5, 6))),
+    (grid(3, 6), 0, 17, 4, "forbid:Bw,CF", (4353, 3, (2, 8, 14))),
 ])
 def test_dp_state_counts_pinned(G, s, t, k, cls, want):
     with collect() as stats:

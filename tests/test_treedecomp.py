@@ -4,9 +4,8 @@ from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (FIXTURES, bf_treewidth, complete_graph, cycle_graph,
                            hypercube)
 from sepkit.treedecomp import (INTRODUCE, JOIN, LEAF, TreeDecomposition,
-                               _eliminate, _fill_in, decompose, format_td,
-                               make_nice, min_fill_order, validate_decomposition,
-                               validate_nice)
+                               decompose, format_td, make_nice, min_fill_order,
+                               validate_decomposition, validate_nice)
 
 from strategies import seeded_graphs
 
@@ -122,6 +121,49 @@ def test_validate_nice_negative_shapes():
     assert not validate_nice(Graph(1), bad)
 
 
+def test_validate_nice_requires_a_tree_decomposition():
+    # each shape passes the per-node checks and meets every vertex and edge
+    # of P3, but is no tree decomposition; on it the DP would cut 0 from 2
+    # without deleting 1 at k=0
+    from sepkit.solver import ANY, CutConstraints, dp_constrained_cut
+    from sepkit.treedecomp import FORGET, NiceDecomposition, NiceNode
+    P3 = Graph(3, [(0, 1), (1, 2)])
+
+    def node(kind, vertex, bag, *children):
+        return NiceNode(kind, vertex, bag, children)
+
+    shapes = {
+        # 1 is introduced, forgotten and introduced again on one path
+        "reintroduced": (
+            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 0),
+            node(INTRODUCE, 1, (0, 1), 1), node(FORGET, 1, (0,), 2),
+            node(FORGET, 0, (), 3), node(INTRODUCE, 1, (1,), 4),
+            node(INTRODUCE, 2, (1, 2), 5), node(FORGET, 1, (2,), 6),
+            node(FORGET, 2, (), 7)),
+        # 1 is forgotten in both branches of a join
+        "forgotten twice": (
+            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 0),
+            node(INTRODUCE, 1, (0, 1), 1), node(FORGET, 1, (0,), 2),
+            node(LEAF, None, ()), node(INTRODUCE, 1, (1,), 4),
+            node(INTRODUCE, 2, (1, 2), 5), node(FORGET, 1, (2,), 6),
+            node(FORGET, 2, (), 7), node(INTRODUCE, 0, (0,), 8),
+            node(JOIN, None, (0,), 3, 9), node(FORGET, 0, (), 10)),
+        # nodes that no path from the root reaches introduce 1
+        "unreachable": (
+            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 0),
+            node(INTRODUCE, 1, (0, 1), 1), node(INTRODUCE, 2, (0, 1, 2), 2),
+            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 4),
+            node(FORGET, 0, (), 5), node(INTRODUCE, 2, (2,), 6),
+            node(FORGET, 2, (), 7)),
+    }
+    cons = CutConstraints(((0, 2),))
+    assert dp_constrained_cut(P3, make_nice(decompose(P3), P3), cons, 0, ANY) is None
+    for name, nodes in shapes.items():
+        assert not validate_nice(P3, NiceDecomposition(nodes)), name
+        with pytest.raises(DomainError):
+            dp_constrained_cut(P3, NiceDecomposition(nodes), cons, 0, ANY)
+
+
 def test_imported_td_drives_the_solver():
     # a decomposition built by hand feeds make_nice and the DP end to end
     from sepkit.solver import EDGELESS, CutConstraints, dp_constrained_cut
@@ -147,9 +189,25 @@ def test_pace_roundtrip():
         "1 2\n2 3\n3 4\n4 5\n5 6\n")
 
 
+def _eliminate(adj, v):
+    nbrs = adj.pop(v)
+    for u in nbrs:
+        adj[u].discard(v)
+    for u in nbrs:
+        for w in nbrs:
+            if u < w:
+                adj[u].add(w)
+                adj[w].add(u)
+
+
+def _fill_in(adj, v):
+    nbrs = sorted(adj[v])
+    return sum(1 for i, u in enumerate(nbrs) for w in nbrs[i + 1:] if w not in adj[u])
+
+
 def _min_fill_rescan(G):
-    """Reference twin of min_fill_order: every fill count recomputed at
-    every step."""
+    """Reference twin of min_fill_order on adjacency sets: every fill count
+    recomputed at every step."""
     adj = {v: set(G.adj[v]) for v in range(G.n)}
     order = []
     while adj:
@@ -159,7 +217,27 @@ def _min_fill_rescan(G):
     return order
 
 
+def _bags_from_order(G, order):
+    """Reference twin of the bag construction on adjacency sets: v's bag is
+    v and its neighbours when eliminated, hung off the bag of the earliest
+    eliminated of them (or the next bag)."""
+    adj = {v: set(G.adj[v]) for v in range(G.n)}
+    position = {v: i for i, v in enumerate(order)}
+    bags, edges = [], []
+    for i, v in enumerate(order):
+        nbrs = set(adj[v])
+        bags.append(tuple(sorted(nbrs | {v})))
+        if nbrs:
+            edges.append((i, min(position[u] for u in nbrs)))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+        _eliminate(adj, v)
+    return TreeDecomposition(tuple(bags) or ((),), tuple(edges))
+
+
 def test_min_fill_order_matches_full_rescan():
     for G, _rng in seeded_graphs(1000, seed=53, n_lo=0, n_hi=30,
                                  ps=(0.05, 0.1, 0.2, 0.3, 0.5)):
-        assert min_fill_order(G) == _min_fill_rescan(G)
+        order = _min_fill_rescan(G)
+        assert min_fill_order(G) == order
+        assert decompose(G) == _bags_from_order(G, order)
