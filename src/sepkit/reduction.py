@@ -5,10 +5,12 @@ bounded-treewidth replacement graph.
 vertex of every minimal s-t separator of size at most k. At excess 0 those
 are the vertices on some minimum separator, which one pass over the residual
 network of the s-t flow names (``Residual.separator_vertices``); no chain is
-built. For positive excess the chain boundaries go in, and each layer L
-between consecutive boundaries is covered by subproblems: a pair (A, B) of
-disjoint subsets of the two boundaries is contracted onto two fresh
-terminals a and b, and the cover recurses with a smaller excess. Each
+built. A flow of size 0 leaves only the empty separator, so the cover is
+{s, t} at any budget. For positive excess the chain boundaries go in, and
+each layer L between consecutive boundaries is covered by subproblems: a
+pair (A, B) of disjoint subsets of the two boundaries is contracted onto
+two fresh terminals a and b, and the cover recurses with a smaller excess.
+Each
 terminal pair costs one max-flow: the flow that decides whether a pair has a
 separator within budget is handed to ``cover_set`` and on to
 ``build_chain``, which reads the chain from its residual network;
@@ -22,6 +24,21 @@ N(B) & L, so a subproblem is keyed by that neighbourhood pair:
 prunes every (A, B) with an edge between A and B, whose contraction would
 have the edge a-b, for which no separator exists. A subproblem graph has
 the layer's vertices in ascending order, then a and b as its last two ids.
+
+Each layer between boundaries S_{i-1} and S_i (S_0 = {s}, S_{q+1} = {t})
+first flows its boundary pair, A = S_{i-1} - S_i and B = S_i - S_{i-1},
+when both are non-empty and no A-B edge exists (``_boundary_pair``). It is
+oriented as the walk orients a pair, with the lowest vertex in A, so it has
+the walk's table key and the walk's own visit is a hit. Its sub-cover
+usually covers the whole layer at once, so a layer stops after one flow
+whatever the vertex ids; the walk alone, in id order, meets the pair that
+covers the layer early or late depending on the labelling. The visit order
+cannot change the cover: the boundary pair is itself a pair of the walk; a
+layer's loop stops only once the cover holds the whole layer, after which a
+pair could add only layer vertices, and until then it adds the sub-cover of
+every pair it meets; and by induction over the recursion, each table value
+is the same function of its key in any visit order.
+
 Every subproblem of a layer is flowed on one ``PairNetwork``, built once
 from G[L] on the layer's first miss; a flow copies its capacities and
 switches on a's and b's arcs. At sub-excess 0 the sub-cover is that flow's
@@ -56,6 +73,7 @@ form that ``reduce`` prints.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -178,18 +196,44 @@ def _neighbourhood_pairs(G: Graph, layer: tuple[int, ...], pool: tuple[int, ...]
         stack.append((j, A, B, na, nb, low))
 
 
+def _boundary_pair(G: Graph, pos: dict, prev: tuple[int, ...],
+                   cur: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The layer's boundary pair A = prev - cur, B = cur - prev as
+    (N(A) & L, N(B) & L), masks over the layer positions ``pos``, oriented
+    as ``_neighbourhood_pairs`` orients it: the side with the lowest vertex
+    is A. A 1-tuple, or empty when a side is empty or an A-B edge exists."""
+    A, B = set(prev).difference(cur), set(cur).difference(prev)
+    if not A or not B or any(w in B for v in A for w in G.adj[v]):
+        return ()
+    masks = []
+    for side in sorted((A, B), key=min):
+        # OR, not sum: two vertices of a side can share a neighbour
+        mask = 0
+        for v in side:
+            for w in G.adj[v]:
+                if w in pos:
+                    mask |= 1 << pos[w]
+        masks.append(mask)
+    return ((masks[0], masks[1]),)
+
+
 def cover_set(G: Graph, s: int, t: int, k: int,
               flow: Optional[SeparatorResult] = None,
               memo: Optional[dict] = None) -> tuple[int, ...]:
     """All vertices on minimal s-t separators of size <= k, plus s and t.
 
-    Degrades to {s, t} when the terminals are adjacent or no separator of
-    size <= k exists. At excess 0 the minimum-separator vertices are read
-    off the flow's residual network; they are exactly the union of the
-    chain's boundaries (see ``chains``). ``flow``, a finished s-t flow of
-    G, is reused instead of running a new one. ``memo`` is the recursion's
-    table of layer subproblems; callers leave it unset and the
-    top-level call makes it.
+    Degrades to {s, t} when the terminals are adjacent, no separator of
+    size <= k exists or the flow has size 0, whose only minimal separator is
+    the empty set; returning there keeps the recursion from descending once
+    per unit of a huge budget. At excess 0 the minimum-separator vertices
+    are read off the flow's residual network; they are exactly the union of
+    the chain's boundaries (see ``chains``). Otherwise each layer flows its
+    boundary pair before the walk over its neighbourhood pairs, and stops
+    once the layer is covered; the cover is the same in any visit order
+    (see the module docstring). ``flow``, a finished s-t flow of G, is
+    reused instead of running a new one. ``memo`` is the recursion's table
+    of layer subproblems; callers leave it unset and the top-level call
+    makes it.
     """
     G.check_vertices((s, t))
     if s == t:
@@ -197,7 +241,8 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     if G.has_edge(s, t):
         return vset((s, t))
     r = st_flow(G, s, t, flow, cap=k)
-    if not r.within(k):
+    if not r.within(k) or r.size == 0:
+        # a flow of size 0 leaves only the empty set as a minimal separator
         return vset((s, t))
     excess = k - int(r.size)
     if excess == 0:
@@ -211,13 +256,15 @@ def cover_set(G: Graph, s: int, t: int, k: int,
 
     if memo is None:
         memo = {}
-    for layer, pool in layer_system(chain, s, t, G.n):
+    bounds = [(s,), *chain.boundaries, (t,)]
+    for (layer, pool), prev, cur in zip(layer_system(chain, s, t, G.n), bounds, bounds[1:]):
         pos = {v: i for i, v in enumerate(layer)}
         inside = tuple((i, pos[w]) for i, v in enumerate(layer) for w in G.adj[v]
                        if pos.get(w, -1) > i)
         table = memo.setdefault((len(layer), inside, k, excess), {})
         network = None
-        for na, nb in _neighbourhood_pairs(G, layer, pool):
+        for na, nb in itertools.chain(_boundary_pair(G, pos, prev, cur),
+                                      _neighbourhood_pairs(G, layer, pool)):
             # a sub-cover maps back into the layer: nothing left to add
             if cover.issuperset(layer):
                 break

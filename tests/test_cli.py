@@ -144,6 +144,30 @@ def test_reduce_clamps_a_huge_budget(tmp_path, capsys):
     assert huge == clamped
 
 
+def test_budget_past_a_flow_of_size_0(tmp_path, capsys):
+    # P2 + P2 from 1 to 4: the flow has size 0, so every command answers at
+    # k = 2000 as at k = 2, apart from the printed excess; the cover's
+    # recursion, one level per unit of budget, overflowed the stack there
+    path = tmp_path / "p2p2.gr"
+    path.write_text(serialize_graph(Graph(4, [(0, 1), (2, 3)])))
+    for argv in (["cover", "--s", "1", "--t", "4"],
+                 ["gmincut", "--s", "1", "--t", "4", "--class", "any"],
+                 ["stable-cut", "--s", "1", "--t", "4"],
+                 ["reduce", "--s", "1", "--t", "4"],
+                 ["multicut", "--cut", "1:4", "--class", "any"]):
+        docs = []
+        for k in ("2000", "2"):
+            code, doc, err = _run(capsys, [argv[0], "--graph", str(path), *argv[1:], "--k", k])
+            assert code == 0, err
+            docs.append(doc)
+        huge, small = docs
+        if small["stats"]["excess"] is not None:
+            assert (huge["stats"]["excess"], small["stats"]["excess"]) == (2000, 2)
+            huge["stats"]["excess"] = 2
+        assert huge == small
+        assert small["witness"] in ([], [1, 4]) or small["witness"]["cover"] == [1, 4]
+
+
 def test_decompose_writes_td(graph_files, capsys, tmp_path):
     out = tmp_path / "out.td"
     code, doc, _ = _run(capsys, ["decompose", "--graph", graph_files["Q3"],

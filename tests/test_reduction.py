@@ -11,8 +11,8 @@ from sepkit.graphs import DomainError, Graph, induced_subgraph
 from sepkit.oracle import (FIXTURES, RandomModel, enumerate_minimal_separators,
                            path_graph, random_graph)
 from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
-                              _neighbourhood_pairs, cover_set, layer_system,
-                              reduce_instance, torso, tw_bound)
+                              _boundary_pair, _neighbourhood_pairs, cover_set,
+                              layer_system, reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
 from sepkit.separation import PairNetwork, is_separator, min_vertex_separator
 from sepkit.treedecomp import decompose
@@ -233,6 +233,46 @@ def test_neighbourhood_pairs_are_first_occurrences_of_subset_pairs():
     assert adjacent_pools >= 100 and lonely >= 100, (adjacent_pools, lonely)
 
 
+def test_boundary_pair_is_a_pair_of_the_walk():
+    # A = S_{i-1} - S_i and B = S_i - S_{i-1}, oriented as the walk orients
+    # a pair, so that the walk's own visit is a table hit
+    cases = []
+    for G, grng in seeded_graphs(400, seed=71, n_lo=6, n_hi=20, ps=(0.15, 0.2, 0.3)):
+        pair = nonadjacent_pair(G, grng)
+        if pair is not None:
+            cases.append((G, *pair))
+    rng = random.Random(71)
+    for rows, cols in ((2, 6), (3, 6), (3, 9), (4, 5), (4, 8)) * 4:
+        label = list(range(rows * cols))
+        rng.shuffle(label)
+        cases.append((Graph(rows * cols, [(label[u], label[v]) for u, v in grid(rows, cols).edges()]),
+                      label[0], label[-1]))
+    met = flipped = shared = 0
+    for G, s, t in cases:
+        r = min_vertex_separator(G, (s,), (t,))
+        if r.size == 0:
+            continue
+        chain = build_chain(G, s, t, flow=r)
+        bounds = [(s,), *chain.boundaries, (t,)]
+        for (layer, pool), prev, cur in zip(layer_system(chain, s, t, G.n), bounds, bounds[1:]):
+            pos = {v: i for i, v in enumerate(layer)}
+            got = _boundary_pair(G, pos, prev, cur)
+            A, B = set(prev) - set(cur), set(cur) - set(prev)
+            if not A or not B or any(G.has_edge(u, v) for u in A for v in B):
+                assert got == ()
+                continue
+            if min(B) < min(A):
+                A, B = B, A
+                flipped += 1
+            na, nb = ({w for v in side for w in G.adj[v] if w in pos} for side in (A, B))
+            want = (sum(1 << pos[w] for w in na), sum(1 << pos[w] for w in nb))
+            assert got == (want,) and want in set(_neighbourhood_pairs(G, layer, pool))
+            met += 1
+            # OR, not sum: two vertices of a side share a layer neighbour
+            shared += sum(len([w for w in G.adj[v] if w in pos]) for v in A) > len(na)
+    assert met >= 80 and flipped >= 20 and shared >= 20, (met, flipped, shared)
+
+
 def test_cover_matches_unmemoised_recursion():
     cases = [(grid(r, c), 0, r * c - 1, k)
              for r, c in ((2, 5), (3, 3), (3, 5), (4, 4)) for k in range(1, 6)]
@@ -250,12 +290,16 @@ def test_cover_matches_unmemoised_recursion():
     assert positive >= 100
 
 
-def _count_layer_flows(monkeypatch) -> list:
+def _count_layer_flows(monkeypatch, cap=None) -> list:
+    """Records each ``PairNetwork.flow`` call; past ``cap`` calls it raises,
+    so a cover that would run far more flows fails at once."""
     calls = []
     flow = PairNetwork.flow
 
     def counted(*args, **kwargs):
         calls.append(1)
+        if cap is not None and len(calls) > cap:
+            raise AssertionError(f"more than {cap} layer flows")
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(PairNetwork, "flow", counted)
@@ -265,10 +309,41 @@ def _count_layer_flows(monkeypatch) -> list:
 def test_cover_flows_once_per_distinct_subproblem(monkeypatch):
     # the plain recursion runs 4,328 flows here: one per (A, B) pair, most of
     # them adjacent pairs or repeats of a contracted graph already solved;
-    # every layer subproblem is flowed on its layer's PairNetwork
+    # every layer subproblem is flowed on its layer's PairNetwork, and the
+    # boundary pair, flowed first, covers each layer (the walk alone, in
+    # vertex-id order, ran 57)
     calls = _count_layer_flows(monkeypatch)
     assert cover_set(grid(4, 4), 0, 15, 5) == tuple(range(16))
-    assert len(calls) == 57
+    assert len(calls) == 2
+
+
+def test_cover_at_a_flow_of_size_0_is_the_terminals():
+    # no 0-3 path: the only minimal separator is the empty set, and the
+    # recursion, one level per unit of budget, overflowed the stack at k = 2000
+    G = Graph(4, [(0, 1), (2, 3)])
+    assert cover_set(G, 0, 3, 2) == cover_set(G, 0, 3, 2000) == (0, 3)
+
+
+@pytest.mark.parametrize("rows, cols, k, flows", [
+    (3, 6, 6, 1), (3, 20, 3, 1), (3, 20, 40, 1), (4, 4, 5, 2)])
+def test_cover_flows_do_not_depend_on_the_labelling(monkeypatch, rows, cols, k, flows):
+    # corner to corner; the walk alone, in vertex-id order, ran 1-190 layer
+    # flows on grid 3x6 over these relabellings and did not finish grid 3x20
+    # at k = 40; flowing each layer's boundary pair first runs the same
+    # number on every labelling, and the cover is the same set
+    G = grid(rows, cols)
+    n = G.n
+    calls = _count_layer_flows(monkeypatch, cap=flows)
+    covers = set()
+    for seed in range(8):
+        label = list(range(n))
+        random.Random(seed).shuffle(label)
+        H = Graph(n, [(label[u], label[v]) for u, v in G.edges()])
+        calls.clear()
+        cover = cover_set(H, label[0], label[n - 1], k)
+        assert len(calls) == flows, seed
+        covers.add(frozenset(label.index(v) for v in cover))
+    assert len(covers) == 1
 
 
 def _count_graph_builds(monkeypatch, G, s, t, k):
@@ -297,13 +372,13 @@ def test_cover_builds_one_graph_per_neighbourhood_pair(monkeypatch):
 
 def test_cover_cliff_builds_graphs_only_to_recurse(monkeypatch):
     # the cover of gmincut's cover-bound cliff, gnp(30, 0.25, 30) 0-29 at
-    # k = 9: a graph per distinct neighbourhood pair built 55,454 here for
-    # 17,150 layer flows
+    # k = 9: a graph per distinct neighbourhood pair built 55,454 here; the
+    # boundary pairs, flowed first, add 7 layer flows to the walk's 17,150
     G = random_graph(RandomModel(30, 0.25, 30))
     calls = _count_layer_flows(monkeypatch)
     cover, builds = _count_graph_builds(monkeypatch, G, 0, 29, 9)
     assert cover == tuple(v for v in range(30) if v != 2)
-    assert builds == 1100 and len(calls) == 17150
+    assert builds == 1100 and len(calls) == 17157
 
 
 def test_layer_flows_match_min_vertex_separator():
