@@ -3,13 +3,11 @@
 A chain is a strictly nested family X_1 c ... c X_q of s-sides whose
 boundaries all have minimum-separator size and together cover every minimum
 s-t separator. It is read off one maximum flow: one pass over the residual
-network names the vertices on some minimum separator
-(``Residual.separator_vertices``); for each such v the residual network
-gives the minimum separator closest to s that contains v
-(``Residual.separator_through``), and X_v, its s-side, joins the
-collection. The collection is sorted by (size, sorted ids) and the
-chain is the sequence of its running unions, one set each time the union
-grows.
+network (``Residual.sides``) names every vertex v on some minimum separator
+together with its side, so that X_v = {s} | side is the s-side of the
+minimum separator closest to s that contains v. The distinct X_v are sorted
+by (size, sorted ids) and the chain is the sequence of their running unions,
+one set each time the union grows.
 
 This is exact. The union of two minimum-separator s-sides is again one, by
 submodularity of |N(.)|, so every running union has a minimum boundary.
@@ -23,9 +21,10 @@ takes in X_v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
-from .graphs import DomainError, Graph, boundary, reachable_from
+from .graphs import DomainError, Graph, bits, boundary
 from .separation import SeparatorResult, st_flow
 
 
@@ -38,6 +37,14 @@ class SeparatorChain:
     @property
     def q(self) -> int:
         return len(self.sets)
+
+
+def _by_size_then_ids(X: int, Y: int) -> int:
+    """Order vertex masks by size, then by their ascending ids: among masks
+    of one size, the one holding the lowest id of X ^ Y comes first."""
+    if X.bit_count() != Y.bit_count():
+        return X.bit_count() - Y.bit_count()
+    return -1 if X & (X ^ Y) & -(X ^ Y) else 1
 
 
 def build_chain(G: Graph, s: int, t: int,
@@ -55,20 +62,18 @@ def build_chain(G: Graph, s: int, t: int,
     ell = int(r.size)
 
     # distinct minimum separators have distinct s-sides
-    sides: dict[tuple[int, ...], frozenset[int]] = {}
-    for v in r.residual.separator_vertices():
-        witness = r.residual.separator_through(v)
-        if witness not in sides:
-            sides[witness] = frozenset(reachable_from(G, (s,), witness))
+    sides = {X | 1 << s for X in r.residual.sides().values()}
     sets: list[tuple[int, ...]] = []
     bounds: list[tuple[int, ...]] = []
-    union: frozenset[int] = frozenset()
-    for X in sorted(sides.values(), key=lambda X: (len(X), sorted(X))):
-        if X <= union:
+    union, ids = 0, ()
+    for X in sorted(sides, key=cmp_to_key(_by_size_then_ids)):
+        if not X & ~union:
             continue
+        # the union grows, so this sort merges two ascending runs
+        ids = tuple(sorted((*ids, *bits(X & ~union))))
         union |= X
-        sets.append(tuple(sorted(union)))
-        bounds.append(boundary(G, union))
+        sets.append(ids)
+        bounds.append(boundary(G, ids))
         assert len(bounds[-1]) == ell
     return SeparatorChain(ell, tuple(sets), tuple(bounds))
 

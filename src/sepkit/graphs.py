@@ -32,6 +32,16 @@ def vset(vertices: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(vertices)))
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending: the vertices of a vertex mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
@@ -181,25 +191,6 @@ def components(G: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
                     queue.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def reachable_from(G: Graph, sources: Iterable[int], removed: Iterable[int] = ()) -> tuple[int, ...]:
-    """Vertices reachable from ``sources`` in G minus ``removed`` (sources not
-    in ``removed`` are included)."""
-    gone = set(removed)
-    seen = set()
-    queue = deque()
-    for s in sorted(set(sources)):
-        if s not in gone and s not in seen:
-            seen.add(s)
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for w in G.adj[v]:
-            if w not in gone and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)

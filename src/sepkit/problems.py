@@ -362,7 +362,7 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     if flow.size == 0 or flow.size > k:
         return ()
     out = []
-    on_minimum = set(flow.residual.separator_vertices())
+    on_minimum = flow.residual.sides()
     for v in cover_set(G, s, t, k, flow=flow):
         if v in (s, t):
             continue

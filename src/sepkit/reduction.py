@@ -3,17 +3,17 @@ bounded-treewidth replacement graph.
 
 ``cover_set(G, s, t, k)`` returns a vertex set containing s, t, and every
 vertex of every minimal s-t separator of size at most k. At excess 0 those
-are the vertices on some minimum separator, which one pass over the residual
-network of the s-t flow names (``Residual.separator_vertices``); no chain is
+are the vertices on some minimum separator, the keys of the one pass over
+the residual network of the s-t flow (``Residual.sides``); no chain is
 built. A flow of size 0 leaves only the empty separator, so the cover is
 {s, t} at any budget. For positive excess the chain boundaries go in, and
 each layer L between consecutive boundaries is covered by subproblems: a
 pair (A, B) of disjoint subsets of the two boundaries is contracted onto
 two fresh terminals a and b, and the cover recurses with a smaller excess.
-Each
-terminal pair costs one max-flow: the flow that decides whether a pair has a
-separator within budget is handed to ``cover_set`` and on to
-``build_chain``, which reads the chain from its residual network;
+Each terminal pair costs one max-flow: the flow that decides whether a pair
+has a separator within budget is handed to ``cover_set`` and on to
+``build_chain``, which reads every side of the chain from one pass over its
+residual network;
 ``g_mincut`` hands its own flow, run for ``ell`` and ``excess``, to
 ``reduce_instance``, and ``exact_separator_union`` hands the flow of G - v
 to its one call on G - v.
@@ -225,9 +225,10 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     Degrades to {s, t} when the terminals are adjacent, no separator of
     size <= k exists or the flow has size 0, whose only minimal separator is
     the empty set; returning there keeps the recursion from descending once
-    per unit of a huge budget. At excess 0 the minimum-separator vertices
-    are read off the flow's residual network; they are exactly the union of
-    the chain's boundaries (see ``chains``). Otherwise each layer flows its
+    per unit of a huge budget. At excess 0 the cover is the minimum-separator
+    vertices, the keys of the flow's ``Residual.sides``; they are exactly the
+    union of the chain's boundaries (see ``chains``), which is not built.
+    Otherwise each layer flows its
     boundary pair before the walk over its neighbourhood pairs, and stops
     once the layer is covered; the cover is the same in any visit order
     (see the module docstring). ``flow``, a finished s-t flow of G, is
@@ -247,7 +248,7 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     excess = k - int(r.size)
     if excess == 0:
         # the chain's boundaries hold exactly the minimum-separator vertices
-        return vset([s, t, *r.residual.separator_vertices()])
+        return vset([s, t, *r.residual.sides()])
 
     chain = build_chain(G, s, t, flow=r)
     cover: set[int] = {s, t}
@@ -288,7 +289,7 @@ def _layer_cover(network: PairNetwork, na: int, nb: int, k: int, excess: int,
         return ()
     sub_budget = min(k, int(r.size) + excess - 1)
     if sub_budget == r.size:
-        return r.residual.separator_vertices()
+        return tuple(r.residual.sides())
     a, b = network.n, network.n + 1
     H = network.graph(na, nb)
     r = replace(r, graph=H, sources=frozenset((a,)), sinks=frozenset((b,)))

@@ -19,12 +19,12 @@ subproblem of a layer this way.
 A finished flow keeps its residual network (``SeparatorResult.residual``).
 By Picard and Queyranne (1980) the closed sets of a maximum flow's residual
 network that contain the source and not the sink are exactly the minimum
-cuts. So one flow answers, for every vertex v at once, whether v lies on a
-minimum separator (``Residual.separator_vertices``, one pass over the
-residual network) and which one is closest to A (``separator_through``: the
-residual closure of the source and v's in-copy, when it reaches neither v's
-out-copy nor the sink). Since every maximum flow has the same closed sets,
-these answers do not depend on which augmenting paths were found.
+cuts. So one pass over the residual network (``Residual.sides``) names every
+vertex v on a minimum separator together with its side: the A-side of the
+minimum separator closest to A among those containing v, read off the
+residual closure of the source and v's in-copy. Since every maximum flow has
+the same closed sets, these answers do not depend on which augmenting paths
+were found.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .graphs import DomainError, Graph, components, vset
+from .graphs import DomainError, Graph, bits, boundary, components, vset
 
 INFINITE = math.inf
 
@@ -51,48 +51,25 @@ class Residual:
     head: list[int]
     cap: list[int]                  # residual capacity per arc
     reach: bytearray                # nodes residual-reachable from the source
-    witness: tuple[int, ...]        # the source-closest minimum separator
 
-    def separator_through(self, v: int) -> Optional[tuple[int, ...]]:
-        """The minimum separator closest to A among those containing v, or
-        None when v lies on no minimum separator (or is a terminal)."""
-        v_in, v_out = 2 * v, 2 * v + 1
-        adj, head, cap, reach = self.adj, self.head, self.cap, self.reach
-        if not adj[v_in] or reach[v_out]:   # a terminal's copies have no arcs
-            return None
-        if reach[v_in]:
-            return self.witness
-        sink = len(reach) - 1
-        seen = bytearray(reach)
-        seen[v_in] = 1
-        stack = [v_in]
-        while stack:
-            for a in adj[stack.pop()]:
-                if cap[a]:
-                    y = head[a]
-                    if not seen[y]:
-                        if y == v_out or y == sink:
-                            return None
-                        seen[y] = 1
-                        stack.append(y)
-        return tuple(u for u in self.inner if seen[2 * u] and not seen[2 * u + 1])
+    def sides(self) -> dict[int, int]:
+        """{v: side} in ascending v for every vertex v on a minimum
+        separator. The side is the bit mask of the inner vertices whose
+        out-copy lies in the residual closure of the source and v's in-copy;
+        with A the source set, A | side is the A-side X_v of the minimum
+        separator closest to A among those containing v, and that separator
+        is the boundary of X_v.
 
-    def separator_vertices(self) -> tuple[int, ...]:
-        """The vertices on some minimum separator, ascending: those for
-        which ``separator_through`` is not None, found in one pass.
-
-        That closure of the source and v_in avoids v_out and the sink iff v's
-        in-arc is saturated, v_out is not reached from the source, v_in does
-        not reach the sink, and v_in is reached from the source or does not
-        reach v_out. A saturated in-arc has a residual arc v_out -> v_in, so
-        the last holds iff v_in and v_out lie in different strongly connected
-        components. One reverse search from the sink decides every vertex
-        but those whose in-arc is saturated and whose copies both lie
-        outside the source closure and do not reach the sink; one SCC pass
-        from their in-copies, over such nodes only (a path from v_in to
-        v_out stays among them), decides the rest. An unsaturated in-arc,
-        such as an isolated vertex's when no flow passes, puts v on no
-        minimum separator.
+        v lies on a minimum separator iff that closure reaches neither v's
+        out-copy nor the sink. One reverse search from the sink marks the
+        source closure and every node that reaches the sink. From an
+        unmarked in-copy, the closure adds only unmarked nodes, so one
+        iterative Tarjan pass over them gives every closure: Tarjan closes a
+        strongly connected component after all of its successors, so the
+        closure of a component is its own out-copies OR'd with its
+        successors' closures. An unsaturated in-arc, such as an isolated
+        vertex's when no flow passes, puts v on no minimum separator, and
+        needs no search.
         """
         adj, head, cap, reach = self.adj, self.head, self.cap, self.reach
         size = len(reach)
@@ -107,30 +84,22 @@ class Residual:
                     if not done[x]:
                         done[x] = 1
                         stack.append(x)
-        # in without a search: v_in in the source closure, or v_out reaching
-        # the sink while v_in does not; the rest of the saturated vertices
-        # outside both sets need the SCCs
-        out, roots = [], []
+        base = 0
         for v in self.inner:
-            v_in = 2 * v
-            if cap[adj[v_in][0]] or reach[v_in + 1]:
-                continue
-            if reach[v_in] or not done[v_in] and done[v_in + 1]:
-                out.append(v)
-            elif not done[v_in]:
-                roots.append(v)
-        if not roots:
-            return tuple(out)
-        # Tarjan's SCCs of the nodes outside ``done`` that the roots' in-copies
-        # reach, iteratively; comp 0 is not yet closed
+            if reach[2 * v + 1]:
+                base |= 1 << v
+        # Tarjan's SCCs of the nodes outside ``done`` that the saturated
+        # in-copies reach, iteratively; comp 0 is not yet closed, and
+        # closure[c] holds the out-copies that component c reaches
         number = [0] * size
         low = [0] * size
         comp = [0] * size
-        count = comps = 0
+        closure = [0]
+        count = 0
         open_nodes = []
-        for v in roots:
+        for v in self.inner:
             root = 2 * v
-            if number[root]:
+            if done[root] or number[root] or cap[adj[root][0]]:
                 continue
             count += 1
             number[root] = low[root] = count
@@ -156,13 +125,31 @@ class Residual:
                     if path and low[x] < low[path[-1][0]]:
                         low[path[-1][0]] = low[x]
                     if low[x] == number[x]:
-                        comps += 1
+                        # a successor is closed, in this component or
+                        # still open in it (comp 0): the last two add 0
+                        c = len(closure)
+                        closure.append(0)
+                        mask = 0
                         y = -1
                         while y != x:
                             y = open_nodes.pop()
-                            comp[y] = comps
-        out += (v for v in roots if comp[2 * v] != comp[2 * v + 1])
-        return tuple(sorted(out))
+                            comp[y] = c
+                            if y & 1:
+                                mask |= 1 << (y >> 1)
+                            for a in adj[y]:
+                                if cap[a] and not done[head[a]]:
+                                    mask |= closure[comp[head[a]]]
+                        closure[c] = mask
+        out = {}
+        for v in self.inner:
+            v_in = 2 * v
+            if cap[adj[v_in][0]] or reach[v_in + 1]:
+                continue
+            if reach[v_in]:
+                out[v] = base
+            elif not done[v_in] and not closure[comp[v_in]] >> v & 1:
+                out[v] = base | closure[comp[v_in]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -267,7 +254,7 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int],
     # min cut
     witness = tuple(v for v in inner if seen[2 * v] and not seen[2 * v + 1])
     assert len(witness) == flow
-    return SeparatorResult(flow, witness, residual=Residual(inner, adj, head, cap, seen, witness),
+    return SeparatorResult(flow, witness, residual=Residual(inner, adj, head, cap, seen),
                            **about)
 
 
@@ -385,8 +372,8 @@ def minimalize_separator(G: Graph, S: Iterable[int], A: Iterable[int],
 
 def min_separator_containing(G: Graph, s: int, t: int, v: int) -> Optional[SeparatorResult]:
     """The minimum s-t separator closest to s among those containing v, if v
-    lies on any minimum s-t separator; one s-t flow decides it (see
-    ``Residual.separator_through``).
+    lies on any minimum s-t separator: the boundary of v's side in one s-t
+    flow (``Residual.sides``).
     """
     G.check_vertices((s, t, v))
     if s == t or G.has_edge(s, t):
@@ -394,7 +381,7 @@ def min_separator_containing(G: Graph, s: int, t: int, v: int) -> Optional[Separ
     if v in (s, t):
         raise DomainError("candidate vertex must differ from the terminals")
     r = min_vertex_separator(G, (s,), (t,))
-    witness = r.residual.separator_through(v)
-    if witness is None:
+    side = r.residual.sides().get(v)
+    if side is None:
         return None
-    return SeparatorResult(int(r.size), witness)
+    return SeparatorResult(int(r.size), boundary(G, [s, *bits(side)]))

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import DomainError, Graph
+from .graphs import DomainError, Graph, bits
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
@@ -38,16 +38,6 @@ class TreeDecomposition:
         return [sorted(a) for a in adj]
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _adjacency_masks(G: Graph) -> list[int]:
     return [sum(1 << u for u in a) for a in G.adj]
 
@@ -56,7 +46,7 @@ def _eliminate(adj: list[int], v: int) -> int:
     """Make v's neighbours a clique and drop v from them; v's mask is left
     as it was and returned."""
     nb = adj[v]
-    for u in _bits(nb):
+    for u in bits(nb):
         adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
     return nb
 
@@ -87,9 +77,9 @@ def _decomposition_from_order(G: Graph, order: list[int]) -> TreeDecomposition:
     edges = []
     for i, v in enumerate(order):
         nb = _eliminate(adj, v)
-        bags.append(tuple(_bits(nb | 1 << v)))
+        bags.append(tuple(bits(nb | 1 << v)))
         if nb:
-            edges.append((i, min(position[u] for u in _bits(nb))))
+            edges.append((i, min(position[u] for u in bits(nb))))
         elif i + 1 < len(order):
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
@@ -112,9 +102,9 @@ def min_fill_order(G: Graph) -> list[int]:
         order.append(v)
         nb = _eliminate(adj, v)
         stale = nb
-        for u in _bits(nb):
+        for u in bits(nb):
             stale |= adj[u]
-        for u in _bits(stale):
+        for u in bits(stale):
             fill[u] = _fill_in(adj, u)
     return order
 
@@ -158,7 +148,7 @@ def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
     reach = [0] * G.n       # the union of the bags holding each vertex
     once = twice = 0        # vertices with one top bag, and with more
     for i, mask in enumerate(masks):
-        for v in _bits(mask):
+        for v in bits(mask):
             reach[v] |= mask
         top = mask if parent[i] < 0 else mask & ~masks[parent[i]]
         twice |= once & top
@@ -307,7 +297,7 @@ def validate_nice(G: Graph, nice: NiceDecomposition) -> bool:
                     return False
                 hit = nbrs[v] & below
                 met[v] |= hit
-                for u in _bits(hit):
+                for u in bits(hit):
                     met[u] |= bit
             else:
                 if not below & bit or below ^ bit != mask:

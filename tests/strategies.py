@@ -1,12 +1,14 @@
-"""Shared hypothesis strategies and small deterministic samplers."""
+"""Shared hypothesis strategies, small deterministic samplers and reference
+twins."""
 
 import itertools
 import random
 
 from hypothesis import strategies as st
 
-from sepkit.graphs import Graph
+from sepkit.graphs import Graph, delete_vertices
 from sepkit.oracle import RandomModel, random_graph
+from sepkit.separation import min_vertex_separator
 
 
 @st.composite
@@ -24,6 +26,16 @@ def grid(rows, cols):
                  + [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)])
 
 
+def walled_grid(rows, cols):
+    """The rows x cols grid plus s = rows * cols joined to all of column 0 and
+    t = s + 1 joined to all of the last column: (graph, s, t), with a
+    minimum s-t separator of size rows."""
+    s = rows * cols
+    G = grid(rows, cols)
+    return Graph(s + 2, [*G.edges(), *((s, i * cols) for i in range(rows)),
+                         *((s + 1, i * cols + cols - 1) for i in range(rows))]), s, s + 1
+
+
 def seeded_graphs(count, seed, n_lo, n_hi, ps=(0.2, 0.3, 0.45)):
     """Deterministic stream of (graph, rng) pairs."""
     for i in range(count):
@@ -37,3 +49,18 @@ def nonadjacent_pair(G, rng):
     pairs = [(i, j) for i in range(G.n) for j in range(i + 1, G.n)
              if not G.has_edge(i, j)]
     return rng.choice(pairs) if pairs else None
+
+
+def separator_through_by_deletion(G, A, B, v):
+    """Reference twin of a vertex's side in ``Residual.sides``, by definition:
+    v lies on a minimum A-B separator iff deleting v lowers the minimum
+    separator size by one, and the separator closest to A among those
+    containing v is then the one closest to A in G minus v, plus v. None when
+    v lies on no minimum separator."""
+    ell = min_vertex_separator(G, A, B).size
+    sub = delete_vertices(G, (v,))
+    r = min_vertex_separator(sub.graph, [sub.to_new(a) for a in A],
+                             [sub.to_new(b) for b in B])
+    if not r.is_finite or r.size != ell - 1:
+        return None
+    return tuple(sorted(sub.map_back(r.witness) + (v,)))

@@ -1,11 +1,13 @@
 import pytest
 
 from sepkit.chains import SeparatorChain, build_chain, validate_chain
-from sepkit.graphs import DomainError, Graph, boundary, reachable_from
+from sepkit.graphs import DomainError, Graph, boundary, components
 from sepkit.oracle import FIXTURES, enumerate_minimal_separators
+from sepkit.reduction import cover_set
 from sepkit.separation import min_vertex_separator
 
-from strategies import nonadjacent_pair, seeded_graphs
+from strategies import (nonadjacent_pair, seeded_graphs, separator_through_by_deletion,
+                        walled_grid)
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -87,17 +89,24 @@ def test_chain_reuses_given_flow():
         build_chain(PP, 0, 5, flow=min_vertex_separator(C4, (0,), (2,)))
 
 
-def _uncrossed_chain(G, s, t):
-    """Reference twin: the same per-vertex s-sides made laminar by pairwise
-    uncrossing (a crossing pair is replaced by intersection and union)."""
-    r = min_vertex_separator(G, (s,), (t,))
-    ell = int(r.size)
-    sides = {}
+def _sides_by_deletion(G, s, t):
+    """The distinct s-sides X_v of the minimum separators closest to s
+    through each vertex v, from the by-deletion twin and ``components``,
+    sorted by (size, sorted ids) as ``build_chain`` sorts them."""
+    sides = set()
     for v in range(G.n):
-        witness = r.residual.separator_through(v)
-        if witness is not None and witness not in sides:
-            sides[witness] = frozenset(reachable_from(G, (s,), witness))
-    collection = sorted(sides.values(), key=lambda X: (len(X), sorted(X)))
+        if v not in (s, t):
+            S = separator_through_by_deletion(G, (s,), (t,), v)
+            if S is not None:
+                sides.add(next(frozenset(C) for C in components(G, S) if s in C))
+    return sorted(sides, key=lambda X: (len(X), sorted(X)))
+
+
+def _uncrossed_chain(G, s, t):
+    """Reference twin: the per-vertex s-sides made laminar by pairwise
+    uncrossing (a crossing pair is replaced by intersection and union)."""
+    ell = int(min_vertex_separator(G, (s,), (t,)).size)
+    collection = _sides_by_deletion(G, s, t)
     max_steps = G.n * len(collection) ** 2
     steps = 0
     crossing = True
@@ -150,3 +159,20 @@ def test_chain_matches_uncrossing_twin():
             assert validate_chain(G, s, t, ch, ()), name
         checked += 1
     assert checked >= 300
+
+
+def test_walled_grid_chain_matches_deletion_twin():
+    # past the oracle's n <= 14 cap: on the walled grid 4x30 (n = 122) each
+    # chain set moves the cut by one vertex, and the running unions of the
+    # by-deletion sides are the chain
+    G, s, t = walled_grid(4, 30)
+    ch = build_chain(G, s, t)
+    sets, union = [], frozenset()
+    for X in _sides_by_deletion(G, s, t):
+        if not X <= union:
+            union |= X
+            sets.append(tuple(sorted(union)))
+    assert ch.ell == 4 and ch.q == 4 * 30 - 3
+    assert ch.sets == tuple(sets)
+    assert ch.boundaries == tuple(boundary(G, X) for X in sets)
+    assert cover_set(G, s, t, 5) == tuple(range(G.n))

@@ -327,10 +327,11 @@ def _separator_union_reference(G, s, t, k):
     if flow.size == 0 or flow.size > k:
         return ()
     out = []
+    on_minimum = flow.residual.sides()
     for v in range(G.n):
         if v in (s, t):
             continue
-        if flow.residual.separator_through(v) is not None:
+        if v in on_minimum:
             out.append(v)
             continue
         rest = delete_vertices(G, (v,))

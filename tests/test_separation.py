@@ -2,14 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit.graphs import DomainError, Graph, delete_vertices
+from sepkit.graphs import DomainError, Graph, bits, boundary, components
 from sepkit.oracle import (FIXTURES, bf_max_disjoint_paths,
                            bf_min_separator_size, enumerate_minimal_separators)
 from sepkit.separation import (INFINITE, SeparatorResult, is_separator,
                                min_separator_containing, min_vertex_separator,
                                minimalize_separator)
 
-from strategies import graphs, nonadjacent_pair, seeded_graphs
+from strategies import (graphs, nonadjacent_pair, seeded_graphs,
+                        separator_through_by_deletion)
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -190,18 +191,8 @@ def test_every_outcome_records_its_graph_and_terminals():
     assert min_vertex_separator(C4, (0,), (1,)) == outcomes[2]
 
 
-def _separator_through_by_deletion(G, A, B, v):
-    """Reference twin of ``Residual.separator_through``, by definition: v lies
-    on a minimum A-B separator iff deleting v lowers the minimum separator
-    size by one, and the separator closest to A among those containing v is
-    then the one closest to A in G minus v, plus v."""
-    ell = min_vertex_separator(G, A, B).size
-    sub = delete_vertices(G, (v,))
-    r = min_vertex_separator(sub.graph, [sub.to_new(a) for a in A],
-                             [sub.to_new(b) for b in B])
-    if not r.is_finite or r.size != ell - 1:
-        return None
-    return tuple(sorted(sub.map_back(r.witness) + (v,)))
+def _side_set(A, side):
+    return set(A) | set(bits(side))
 
 
 def test_residual_membership_matches_deletion_definition():
@@ -218,24 +209,33 @@ def test_residual_membership_matches_deletion_definition():
             if not (G.has_edge(a2, b2) or G.has_edge(a2, pair[1])
                     or G.has_edge(pair[0], b2)):
                 A, B = A + (a2,), B + (b2,)
-        flow = min_vertex_separator(G, A, B)
+        sides = min_vertex_separator(G, A, B).residual.sides()
+        assert list(sides) == sorted(sides)
         for v in range(G.n):
             if v in A or v in B:
-                assert flow.residual.separator_through(v) is None
+                assert v not in sides
                 continue
-            expected = _separator_through_by_deletion(G, A, B, v)
-            assert flow.residual.separator_through(v) == expected
+            expected = separator_through_by_deletion(G, A, B, v)
+            assert (v in sides) == (expected is not None)
+            if expected is not None:
+                # A | side is the A-side of that separator: its boundary, and
+                # the components of G minus it that meet A
+                X = _side_set(A, sides[v])
+                assert boundary(G, X) == expected
+                assert X == {u for C in components(G, expected) if set(C) & set(A) for u in C}
             checked += 1
             found += expected is not None
     assert checked > 500 and found > 100
 
 
-def test_separator_vertices_match_per_vertex_searches():
-    # the one-pass membership against the per-vertex search and against the
-    # deletion definition, on sparse graphs too, where flows of size 0 and
-    # isolated vertices (an unsaturated in-arc) are common
-    assert min_vertex_separator(Graph(3), (0,), (2,)).residual.separator_vertices() == ()
-    assert min_vertex_separator(PP, (0,), (5,)).residual.separator_vertices() == (1, 2, 3, 4)
+def test_sides_match_deletion_definition_on_sparse_graphs():
+    # on sparse graphs too, where flows of size 0 and isolated vertices (an
+    # unsaturated in-arc) are common
+    assert min_vertex_separator(Graph(3), (0,), (2,)).residual.sides() == {}
+    # PP from 0 to 5: the separators closest to 0 through 1 and 3, 2, and 4
+    # are (1, 3), (2, 3) and (1, 4), with 0-sides {0}, {0, 1} and {0, 3}
+    assert min_vertex_separator(PP, (0,), (5,)).residual.sides() == \
+        {1: 0, 2: 0b10, 3: 0, 4: 0b1000}
     empty = isolated = set_terminals = found = 0
     for G, rng in seeded_graphs(300, seed=29, n_lo=4, n_hi=24, ps=(0.05, 0.12, 0.25, 0.4)):
         ends = rng.sample(range(G.n), 4)
@@ -246,16 +246,17 @@ def test_separator_vertices_match_per_vertex_searches():
         flow = min_vertex_separator(G, A, B)
         if not flow.is_finite:
             continue
-        got = flow.residual.separator_vertices()
-        assert got == tuple(v for v in range(G.n)
-                            if flow.residual.separator_through(v) is not None)
+        sides = flow.residual.sides()
         for v in range(G.n):
             if v not in A and v not in B:
-                assert (v in got) == (_separator_through_by_deletion(G, A, B, v) is not None)
+                expected = separator_through_by_deletion(G, A, B, v)
+                assert (v in sides) == (expected is not None)
+                if expected is not None:
+                    assert boundary(G, _side_set(A, sides[v])) == expected
         empty += flow.size == 0
         isolated += any(not G.adj[v] for v in range(G.n) if v not in A | B)
         set_terminals += len(A) == 2
-        found += len(got)
+        found += len(sides)
     assert empty >= 20 and isolated >= 20 and set_terminals >= 40 and found >= 250, \
         (empty, isolated, set_terminals, found)
 
