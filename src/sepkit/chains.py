@@ -20,16 +20,14 @@ takes in X_v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import DomainError, Graph, bits, boundary
 from .separation import SeparatorResult, st_flow
 
 
-@dataclass(frozen=True)
-class SeparatorChain:
+class SeparatorChain(NamedTuple):
     ell: int
     sets: tuple[tuple[int, ...], ...]          # X_1..X_q, ascending by size
     boundaries: tuple[tuple[int, ...], ...]    # S_i = boundary(X_i)

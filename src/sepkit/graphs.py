@@ -9,8 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphError(Exception):
@@ -102,6 +101,11 @@ class Graph:
 # `c <comment>` lines ignored, exactly one `p <n> <m>` header, then `e <u> <v>`
 # with 1-based endpoints. Duplicate edge lines collapse; loops are rejected.
 
+# the most vertices a header may declare: ``Graph`` allocates per vertex, so a
+# huge count in a one-line file would otherwise exhaust memory before failing
+MAX_VERTICES = 2 ** 20
+
+
 def parse_graph(text: str) -> Graph:
     n = None
     declared_m = 0
@@ -124,6 +128,9 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError("non-integer header field", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative count in header", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"header declares {n} vertices, more than "
+                                 f"the limit of {MAX_VERTICES}", lineno)
             header_line = lineno
         elif fields[0] == "e":
             if n is None:
@@ -193,8 +200,7 @@ def components(G: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     return comps
 
 
-@dataclass(frozen=True)
-class InducedSubgraph:
+class InducedSubgraph(NamedTuple):
     graph: Graph
     orig: tuple[int, ...]          # new id -> original id
 

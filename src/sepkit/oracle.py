@@ -11,8 +11,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphs import DomainError, Graph, components, two_coloring, serialize_graph
 
@@ -280,8 +279,7 @@ def brute_force_solve(problem: str, G: Graph, *args, cap: int = DEFAULT_CAP, **k
 
 # -- fixtures -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     graph: Graph
     s: int
@@ -322,8 +320,7 @@ FIXTURES = {
 
 # -- random instances ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RandomModel:
+class RandomModel(NamedTuple):
     n: int
     p: float
     seed: int
@@ -342,21 +339,26 @@ ALL_SUITES = ("minsep", "chain", "cover", "gmincut", "multicut", "oct",
               "stablebip", "exactbip", "eivc", "exactc")
 
 
-@dataclass
 class CheckConfig:
-    trials: int = 50
-    seed: int = 0
-    n_max: int = 9
-    k_max: int = 3
-    suites: tuple[str, ...] = ALL_SUITES
-    inject_fault: bool = False   # test hook: corrupt one fast answer
+    __slots__ = ("trials", "seed", "n_max", "k_max", "suites", "inject_fault")
+
+    def __init__(self, trials: int = 50, seed: int = 0, n_max: int = 9, k_max: int = 3,
+                 suites: tuple[str, ...] = ALL_SUITES, inject_fault: bool = False):
+        self.trials = trials
+        self.seed = seed
+        self.n_max = n_max
+        self.k_max = k_max
+        self.suites = suites
+        self.inject_fault = inject_fault   # test hook: corrupt one fast answer
 
 
-@dataclass
 class CheckReport:
-    trials: int = 0
-    mismatches: list = field(default_factory=list)
-    elapsed: dict = field(default_factory=dict)
+    __slots__ = ("trials", "mismatches", "elapsed")
+
+    def __init__(self):
+        self.trials = 0
+        self.mismatches: list = []
+        self.elapsed: dict = {}
 
     def record(self, suite: str, G: Graph, params: dict, fast, slow):
         self.mismatches.append({

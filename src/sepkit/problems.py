@@ -8,9 +8,7 @@ Every returned witness is re-verified against the original instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
                      shortest_odd_cycle, two_coloring, vset)
@@ -85,36 +83,53 @@ def odd_cycle_transversal(G: Graph, k: int) -> Optional[tuple[int, ...]]:
 
 # -- stable bipartization ---------------------------------------------------------
 
-@dataclass(frozen=True)
 class BipartizationBranch:
     """One way of resolving an odd-cycle transversal S0: remove R, color B0
     black and W0 white, then separate the forced sides X and Y in the graph
     with fresh terminals attached. Every s-t separator of ``graph`` contains
     R, because both terminals are adjacent to all of R, so the separators
     are R plus those of ``core``, the graph without R. Each graph is built
-    on first read, so a branch its caller skips costs no graph."""
-    S0: tuple[int, ...]
-    R: tuple[int, ...]
-    B0: tuple[int, ...]
-    W0: tuple[int, ...]
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    s: int
-    t: int
-    orig: tuple[int, ...]   # graph id -> original id, for the original part
-    G: Graph = field(compare=False, repr=False)   # the graph S0 belongs to
+    on first read, so a branch its caller skips costs no graph. ``==`` and
+    ``hash`` read every field but ``G``, the graph S0 belongs to."""
 
-    @cached_property
+    __slots__ = ("S0", "R", "B0", "W0", "X", "Y", "s", "t", "orig", "G", "_graph", "_core")
+
+    def __init__(self, S0: tuple[int, ...], R: tuple[int, ...], B0: tuple[int, ...],
+                 W0: tuple[int, ...], X: tuple[int, ...], Y: tuple[int, ...], s: int, t: int,
+                 orig: tuple[int, ...], G: Graph):
+        self.S0, self.R, self.B0, self.W0, self.X, self.Y = S0, R, B0, W0, X, Y
+        self.s, self.t = s, t
+        self.orig = orig        # graph id -> original id, for the original part
+        self.G = G
+        self._graph: Optional[Graph] = None
+        self._core: Optional[tuple[Graph, tuple[int, ...]]] = None
+
+    def _key(self) -> tuple:
+        return self.S0, self.R, self.B0, self.W0, self.X, self.Y, self.s, self.t, self.orig
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
     def graph(self) -> Graph:
         """G minus B0 and W0, plus s joined to X and R and t to Y and R."""
-        return _attached(self.G, self.orig, self.X + self.R, self.Y + self.R)
+        if self._graph is None:
+            self._graph = _attached(self.G, self.orig, self.X + self.R, self.Y + self.R)
+        return self._graph
 
-    @cached_property
+    @property
     def core(self) -> tuple[Graph, tuple[int, ...]]:
         """``graph`` without R, and its map to original ids: s and t are its
         last two vertices, joined to X and to Y."""
-        orig = tuple(v for v in self.orig if v not in self.R)
-        return _attached(self.G, orig, self.X, self.Y), orig
+        if self._core is None:
+            orig = tuple(v for v in self.orig if v not in self.R)
+            self._core = _attached(self.G, orig, self.X, self.Y), orig
+        return self._core
 
     def map_back(self, vs) -> tuple[int, ...]:
         return tuple(sorted(self.orig[v] for v in vs))
@@ -214,18 +229,20 @@ def _split_outside(G: Graph, allowed: set[int], copies: int) -> tuple[Graph, tup
     return Graph(nxt, edges), tuple(orig)
 
 
-@dataclass(frozen=True)
 class AnnotatedInstance:
     """State of the exact search: deletions chosen so far (independent in the
     original graph) and the vertices still allowed, which exclude every chosen
     vertex and its neighborhood."""
-    graph: Graph
-    allowed: tuple[int, ...]
-    budget: int
-    chosen: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        assert not set(self.allowed) & set(self.chosen)
+    __slots__ = ("graph", "allowed", "budget", "chosen")
+
+    def __init__(self, graph: Graph, allowed: tuple[int, ...], budget: int,
+                 chosen: tuple[int, ...] = ()):
+        assert not set(allowed) & set(chosen)
+        self.graph = graph
+        self.allowed = allowed
+        self.budget = budget
+        self.chosen = chosen
 
     def pick(self, v: int) -> "AnnotatedInstance":
         nbrs = set(self.graph.adj[v])
@@ -298,8 +315,7 @@ def _exact_solve(inst: AnnotatedInstance) -> Optional[tuple[int, ...]]:
 
 # -- edge-induced vertex cut --------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeCutWitness:
+class EdgeCutWitness(NamedTuple):
     edges: tuple[tuple[int, int], ...]
     deleted: tuple[int, ...]
 

@@ -75,8 +75,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .chains import SeparatorChain, build_chain
 from .graphs import DomainError, Graph, components, induced_subgraph, vset
@@ -86,8 +85,7 @@ GADGET = "gadget"
 SATURATION_LIMIT = 2 ** 63 - 1
 
 
-@dataclass(frozen=True)
-class TreewidthBounds:
+class TreewidthBounds(NamedTuple):
     ell: int
     excess: int
     g_value: int
@@ -123,8 +121,7 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
     return TreewidthBounds(ell, excess, g, f, saturated)
 
 
-@dataclass(frozen=True)
-class TorsoResult:
+class TorsoResult(NamedTuple):
     graph: Graph                       # on C, relabeled ascending
     orig: tuple[int, ...]              # new id -> original id
     added_edges: tuple[tuple[int, int], ...]   # original ids, absent from G
@@ -292,12 +289,12 @@ def _layer_cover(network: PairNetwork, na: int, nb: int, k: int, excess: int,
         return tuple(r.residual.sides())
     a, b = network.n, network.n + 1
     H = network.graph(na, nb)
-    r = replace(r, graph=H, sources=frozenset((a,)), sinks=frozenset((b,)))
+    r = SeparatorResult(r.size, r.witness, r.exceeds_cap, r.residual,
+                        H, frozenset((a,)), frozenset((b,)))
     return tuple(i for i in cover_set(H, a, b, sub_budget, flow=r, memo=memo) if i < a)
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(NamedTuple):
     """Torso of the cover, which keeps the minimal separators of size <= k
     of the cut pairs and every other terminal, with bookkeeping to map
     answers back."""

@@ -30,7 +30,6 @@ were found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .graphs import DomainError, Graph, bits, boundary, components, vset
@@ -38,7 +37,6 @@ from .graphs import DomainError, Graph, bits, boundary, components, vset
 INFINITE = math.inf
 
 
-@dataclass(eq=False, repr=False, slots=True)
 class Residual:
     """Residual network of a finished maximum flow between vertex sets.
 
@@ -46,11 +44,16 @@ class Residual:
     nodes are the super-source and the super-sink. The first arc of an inner
     vertex's in-copy is its in-out arc (``_network``).
     """
-    inner: tuple[int, ...]          # vertices outside both terminal sets, ascending
-    adj: list[list[int]]            # node -> arc ids
-    head: list[int]
-    cap: list[int]                  # residual capacity per arc
-    reach: bytearray                # nodes residual-reachable from the source
+
+    __slots__ = ("inner", "adj", "head", "cap", "reach")
+
+    def __init__(self, inner: tuple[int, ...], adj: list[list[int]], head: list[int],
+                 cap: list[int], reach: bytearray):
+        self.inner = inner      # vertices outside both terminal sets, ascending
+        self.adj = adj          # node -> arc ids
+        self.head = head
+        self.cap = cap          # residual capacity per arc
+        self.reach = reach      # nodes residual-reachable from the source
 
     def sides(self) -> dict[int, int]:
         """{v: side} in ascending v for every vertex v on a minimum
@@ -152,7 +155,6 @@ class Residual:
         return out
 
 
-@dataclass(frozen=True)
 class SeparatorResult:
     """Outcome of a minimum-separator computation.
 
@@ -163,15 +165,38 @@ class SeparatorResult:
     from INFINITE. A finite result from ``min_vertex_separator`` or
     ``PairNetwork.flow`` carries the residual network of its maximum flow.
     Every result of ``min_vertex_separator`` records the graph and terminal
-    sets it answers for, outside ``==`` and ``repr``.
+    sets it answers for. ``==``, ``hash`` and ``repr`` read only ``size``,
+    ``witness`` and ``exceeds_cap``; a result is not changed once built.
     """
-    size: float
-    witness: tuple[int, ...] = ()
-    exceeds_cap: bool = False
-    residual: Optional[Residual] = field(default=None, compare=False, repr=False)
-    graph: Optional[Graph] = field(default=None, compare=False, repr=False)
-    sources: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
-    sinks: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
+
+    __slots__ = ("size", "witness", "exceeds_cap", "residual", "graph", "sources", "sinks")
+
+    def __init__(self, size: float, witness: tuple[int, ...] = (), exceeds_cap: bool = False,
+                 residual: Optional[Residual] = None, graph: Optional[Graph] = None,
+                 sources: Optional[frozenset[int]] = None,
+                 sinks: Optional[frozenset[int]] = None):
+        self.size = size
+        self.witness = witness
+        self.exceeds_cap = exceeds_cap
+        self.residual = residual
+        self.graph = graph
+        self.sources = sources
+        self.sinks = sinks
+
+    def _key(self) -> tuple:
+        return self.size, self.witness, self.exceeds_cap
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SeparatorResult(size={self.size!r}, witness={self.witness!r}, "
+                f"exceeds_cap={self.exceeds_cap!r})")
 
     @property
     def is_finite(self) -> bool:
@@ -297,7 +322,8 @@ class PairNetwork:
     ``min_vertex_separator(H, (a,), (b,), cap)`` on that graph H would:
     the same size, cap stop, witness and residual closures, with the same
     node numbering, so the residual serves H. The result records no graph
-    (``graph``) unless the caller binds one with ``dataclasses.replace``.
+    (``graph``); a caller that needs one builds a new result with the graph
+    and terminals bound, as ``reduction._layer_cover`` does.
     """
 
     __slots__ = ("n", "inner", "edges", "_adj", "_head", "_cap", "_sources")

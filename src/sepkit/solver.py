@@ -101,7 +101,6 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -464,8 +463,7 @@ def parse_class(selector: str) -> HereditaryClass:
 
 # -- constraints and witnesses --------------------------------------------------
 
-@dataclass(frozen=True)
-class CutConstraints:
+class CutConstraints(NamedTuple):
     """Each cut pair ends in two components of G - S and each uncut pair in
     one. A reach constraint (a, B) keeps a, and a's component holds a kept
     vertex of B; the vertices of B may be deleted. The terminals, which S

@@ -10,8 +10,7 @@ bits of one int.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import DomainError, Graph, bits
 
@@ -21,8 +20,7 @@ FORGET = "forget"
 JOIN = "join"
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     bags: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int], ...]     # edges over bag indices
 
@@ -160,16 +158,14 @@ def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
 
 # -- nice form --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str
     vertex: Optional[int]
     bag: tuple[int, ...]
     children: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NiceDecomposition:
+class NiceDecomposition(NamedTuple):
     """Rooted nice decomposition in post-order (children precede parents);
     the last node is the root and has an empty bag."""
     nodes: tuple[NiceNode, ...]

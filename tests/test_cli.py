@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import time
 import warnings
@@ -237,6 +238,10 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert run_command(["minsep", "--graph", str(tmp_path / "none.gr"),
                         "--s", "1", "--t", "2"]) == 2
     capsys.readouterr()
+    # a vertex count far past the limit is refused before anything is built
+    bad.write_text("p 99999999999 0\n")
+    assert run_command(["decompose", "--graph", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 1: header declares")
 
 
 def test_unreadable_graph_exit_2(tmp_path, capsys):
@@ -657,6 +662,19 @@ def test_failed_exact_stable_bip_check_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert err == ("verification error: stable bipartization failed re-verification; "
                    f"replay: sepkit {shlex.join(argv)}\n")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, because this one has loaded both; together they
+    # took most of a one-shot command's start-up. Only what the import adds
+    # counts, not what site-packages hooks loaded before it.
+    src = str(pathlib.Path(sepkit.cli.__file__).resolve().parents[1])
+    probe = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+             "import sepkit.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_cli_has_no_assert_statements():

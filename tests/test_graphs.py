@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit.graphs import (DomainError, Graph, ParseError, boundary, components,
-                           delete_vertices, induced_subgraph, parse_graph,
+from sepkit.graphs import (MAX_VERTICES, DomainError, Graph, ParseError, boundary,
+                           components, delete_vertices, induced_subgraph, parse_graph,
                            serialize_graph, shortest_odd_cycle, two_coloring)
 from sepkit.oracle import FIXTURES, cycle_graph
 
@@ -44,6 +44,13 @@ def test_parse_errors_name_lines():
         with pytest.raises(ParseError) as exc:
             parse_graph(text)
         assert exc.value.line == line
+
+
+def test_parse_refuses_a_vertex_count_above_the_limit():
+    # refused at the header, before Graph allocates one set per vertex
+    with pytest.raises(ParseError) as exc:
+        parse_graph(f"c one past the limit\np {MAX_VERTICES + 1} 0\n")
+    assert exc.value.line == 2 and f"limit of {MAX_VERTICES}" in str(exc.value)
 
 
 def test_parse_collapses_duplicate_edge_lines():

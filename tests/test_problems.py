@@ -13,7 +13,7 @@ from sepkit.oracle import (FIXTURES, bf_edge_induced_vertex_cut,
                            complete_graph, cycle_graph, path_graph,
                            _bipartite_after, _independent)
 from sepkit.oracle import enumerate_minimal_separators
-from sepkit.problems import (AnnotatedInstance, EdgeCutWitness,
+from sepkit.problems import (AnnotatedInstance, BipartizationBranch, EdgeCutWitness,
                              bipartite_max_independent_set,
                              bipartization_branches, edge_induced_vertex_cut,
                              exact_separator_union, exact_stable_bipartization,
@@ -452,11 +452,26 @@ def test_every_branch_separator_contains_r():
         next(bipartization_branches(G, ()))    # C5 itself is not bipartite
 
 
+def test_branch_equality_leaves_out_its_graph():
+    G = cycle_graph(5)
+    branches = list(bipartization_branches(G, odd_cycle_transversal(G, 2)))
+    br = branches[0]
+    fields = (br.S0, br.R, br.B0, br.W0, br.X, br.Y, br.s, br.t, br.orig)
+    twin = BipartizationBranch(*fields, Graph(G.n))
+    assert twin == br and hash(twin) == hash(br)
+    assert all(other != br for other in branches[1:])
+    assert BipartizationBranch(*fields[:6], br.t, br.s, br.orig, G) != br
+    # each graph is built once, on first read
+    assert br.graph is br.graph and br.core is br.core
+
+
 def test_annotated_instance_pick_updates_allowed():
     inst = AnnotatedInstance(cycle_graph(5), (0, 1, 2, 3, 4), 2)
     nxt = inst.pick(0)
     assert nxt.chosen == (0,) and nxt.budget == 1
     assert set(nxt.allowed) == {2, 3}   # 0 and its neighbors 1, 4 removed
+    with pytest.raises(AssertionError):
+        AnnotatedInstance(cycle_graph(5), (0, 2), 1, (2,))    # 2 chosen and allowed
 
 
 def test_oct_witnesses_verify():

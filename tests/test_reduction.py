@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -63,7 +62,7 @@ def test_tw_bound_stops_once_saturated():
 
 
 def test_treewidth_bounds_fields():
-    names = [f.name for f in dataclasses.fields(TreewidthBounds)]
+    names = list(TreewidthBounds._fields)
     assert names == ["ell", "excess", "g_value", "f_value", "saturated"]
 
 

@@ -171,8 +171,12 @@ def test_membership_test_agrees_with_enumeration():
 
 def test_residual_is_outside_equality_and_repr():
     r = min_vertex_separator(PP, (0,), (5,))
-    assert r.residual is not None and "residual" not in repr(r)
-    assert r == SeparatorResult(2, (1, 3))
+    assert r.residual is not None and r.graph is PP and r.sources == {0} and r.sinks == {5}
+    bare = SeparatorResult(2, (1, 3))
+    assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
+    assert repr(r) == "SeparatorResult(size=2, witness=(1, 3), exceeds_cap=False)"
+    assert r != SeparatorResult(2, (1, 3), exceeds_cap=True) and r != SeparatorResult(2, (2, 4))
+    assert r != (2, (1, 3), False)
     # a flow stopped at its cap is not a maximum flow and keeps no residual
     assert min_vertex_separator(PP, (0,), (5,), cap=1).residual is None
     assert min_vertex_separator(C4, (0, 1), (1, 2)).residual is None
