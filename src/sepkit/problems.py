@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Optional
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
                      shortest_odd_cycle, two_coloring, vset)
 from .reduction import cover_set
-from .separation import is_separator, min_vertex_separator
+from .separation import PairNetwork, is_separator, min_vertex_separator
 from .solver import (ANY, EDGELESS, MATCH_DEFICIENCY, CutConstraints, VerificationError,
                      g_mincut, g_multicut_uncut, maximum_matching)
 
@@ -34,21 +34,69 @@ def stable_st_cut(G: Graph, s: int, t: int, k: int) -> Optional[tuple[int, ...]]
 
 def _compress_oct(G: Graph, S0: tuple[int, ...], k: int) -> Optional[tuple[int, ...]]:
     """One compression step: an odd-cycle transversal of size <= k given one
-    of size k+1, by one capped vertex cut per branch of S0. Every cut of a
-    branch graph is R plus a cut of its ``core``, so the core is cut within
-    k - |R|."""
+    of size k+1, by one capped vertex cut per branch of S0.
+
+    Every cut of a branch graph is R plus a cut of its core: G - S0 in
+    ascending vertex order, plus s joined to X and t joined to Y. So every
+    branch flows on one ``PairNetwork`` of G - S0, built once per step, with
+    its X and Y switched on, and its core is cut within k - |R|. The flow
+    has the size, cap stop and witness that ``min_vertex_separator`` gives
+    on the core, and the first branch with a cut within budget wins."""
+    s0 = set(S0)
+    rest = tuple(v for v in range(G.n) if v not in s0)
+    index = {v: i for i, v in enumerate(rest)}
+    network = PairNetwork(len(rest), tuple((i, index[w]) for i, v in enumerate(rest)
+                                           for w in G.adj[v] if w > v and w in index))
     for br in bipartization_branches(G, S0):
         budget = k - len(br.R)
         if budget < 0:
             continue
-        H, orig = br.core
-        r = min_vertex_separator(H, (H.n - 2,), (H.n - 1,), cap=budget)
+        r = network.flow(sum(1 << index[x] for x in br.X),
+                         sum(1 << index[y] for y in br.Y), cap=budget)
         if r.within(budget):
-            out = vset(br.R + tuple(orig[v] for v in r.witness))
+            out = vset(br.R + tuple(rest[i] for i in r.witness))
             if two_coloring(G, out) is None:
                 raise VerificationError("odd cycle transversal failed re-verification")
             return out
     return None
+
+
+class _ParityForest:
+    """Union-find over a bipartite graph that is built one vertex at a time:
+    each vertex stores its parent and its colour relative to that parent,
+    so a vertex's colour relative to its root is the XOR along its path."""
+
+    __slots__ = ("parent", "parity")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+
+    def find(self, v: int) -> tuple[int, int]:
+        """v's root and v's colour relative to it; compresses the path."""
+        parent, parity = self.parent, self.parity
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        root, above = v, 0
+        for u in reversed(path):        # nearest the root first
+            above ^= parity[u]
+            parent[u], parity[u] = root, above
+        return root, parity[path[0]] if path else 0
+
+    def add(self, v: int, nbrs: Iterable[int]) -> bool:
+        """Join v to its already added neighbours ``nbrs`` if the graph stays
+        bipartite, that is unless two of them in one component need v on
+        opposite sides; on a conflict nothing changes and False is returned."""
+        want: dict[int, int] = {}      # root -> v's colour relative to it
+        for w in nbrs:
+            root, colour = self.find(w)
+            if want.setdefault(root, colour ^ 1) != colour ^ 1:
+                return False
+        for root, colour in want.items():
+            self.parent[root], self.parity[root] = v, colour
+        return True
 
 
 def odd_cycle_transversal(G: Graph, k: int) -> Optional[tuple[int, ...]]:
@@ -57,22 +105,34 @@ def odd_cycle_transversal(G: Graph, k: int) -> Optional[tuple[int, ...]]:
     Iterative compression over the vertices in ascending order, followed by
     repeated compression of the final transversal: compression from any
     transversal finds a strictly smaller one whenever that exists, so the
-    loop bottoms out at minimum size. The prefix G[0..i] is colored in place
-    as G minus the later vertices, and built only for a compression step.
+    loop bottoms out at minimum size. G[0..i-1] minus the current
+    transversal is kept in a parity union-find, and vertex i joins it unless
+    two of its earlier neighbours outside the transversal need opposite
+    colours in one component. Only then does i enter the transversal, or a
+    compression step replace it; that step builds the prefix graph G[0..i],
+    and the union-find is rebuilt from scratch after it.
     """
     current: tuple[int, ...] = ()
+    out: set[int] = set()
+    forest = _ParityForest(G.n)
     for i in range(G.n):
-        if two_coloring(G, current + tuple(range(i + 1, G.n))) is not None:
+        if forest.add(i, [w for w in G.adj[i] if w < i and w not in out]):
             continue
         candidate = vset(current + (i,))
         if len(candidate) <= k:
             current = candidate
+            out.add(i)
             continue
         prefix = induced_subgraph(G, range(i + 1)).graph   # ids coincide
         compressed = _compress_oct(prefix, candidate, k)
         if compressed is None:
             return None
-        current = compressed
+        current, out = compressed, set(compressed)
+        forest = _ParityForest(G.n)
+        for v in range(i + 1):
+            if v not in out:
+                joined = forest.add(v, [w for w in G.adj[v] if w < v and w not in out])
+                assert joined, "the prefix minus the transversal must be bipartite"
     while current:
         smaller = _compress_oct(G, current, len(current) - 1)
         if smaller is None:
@@ -88,11 +148,11 @@ class BipartizationBranch:
     black and W0 white, then separate the forced sides X and Y in the graph
     with fresh terminals attached. Every s-t separator of ``graph`` contains
     R, because both terminals are adjacent to all of R, so the separators
-    are R plus those of ``core``, the graph without R. Each graph is built
-    on first read, so a branch its caller skips costs no graph. ``==`` and
-    ``hash`` read every field but ``G``, the graph S0 belongs to."""
+    are R plus those of the graph without R. The graph is built on first
+    read, so a branch its caller skips costs no graph. ``==`` and ``hash``
+    read every field but ``G``, the graph S0 belongs to."""
 
-    __slots__ = ("S0", "R", "B0", "W0", "X", "Y", "s", "t", "orig", "G", "_graph", "_core")
+    __slots__ = ("S0", "R", "B0", "W0", "X", "Y", "s", "t", "orig", "G", "_graph")
 
     def __init__(self, S0: tuple[int, ...], R: tuple[int, ...], B0: tuple[int, ...],
                  W0: tuple[int, ...], X: tuple[int, ...], Y: tuple[int, ...], s: int, t: int,
@@ -102,7 +162,6 @@ class BipartizationBranch:
         self.orig = orig        # graph id -> original id, for the original part
         self.G = G
         self._graph: Optional[Graph] = None
-        self._core: Optional[tuple[Graph, tuple[int, ...]]] = None
 
     def _key(self) -> tuple:
         return self.S0, self.R, self.B0, self.W0, self.X, self.Y, self.s, self.t, self.orig
@@ -121,15 +180,6 @@ class BipartizationBranch:
         if self._graph is None:
             self._graph = _attached(self.G, self.orig, self.X + self.R, self.Y + self.R)
         return self._graph
-
-    @property
-    def core(self) -> tuple[Graph, tuple[int, ...]]:
-        """``graph`` without R, and its map to original ids: s and t are its
-        last two vertices, joined to X and to Y."""
-        if self._core is None:
-            orig = tuple(v for v in self.orig if v not in self.R)
-            self._core = _attached(self.G, orig, self.X, self.Y), orig
-        return self._core
 
     def map_back(self, vs) -> tuple[int, ...]:
         return tuple(sorted(self.orig[v] for v in vs))
@@ -267,6 +317,11 @@ def exact_stable_bipartization(G: Graph, k: int,
 
 
 def _exact_solve(inst: AnnotatedInstance) -> Optional[tuple[int, ...]]:
+    # a budget above the allowed count never fills: the bipartite case keeps
+    # at most every allowed vertex, a pick lowers both by at least one, and
+    # the long-cycle case needs more than 3 * budget + 1 allowed vertices
+    if inst.budget > len(inst.allowed):
+        return None
     G = inst.graph
     if two_coloring(G, inst.chosen) is not None:
         if inst.budget == 0:

@@ -14,7 +14,8 @@ terminal sets. ``PairNetwork`` builds the network of a fixed graph once and
 runs many flows on it, each between two extra terminals a and b whose
 neighbourhoods the flow picks: it copies the capacity array and switches on
 the arcs of a's and b's neighbours. The cover recursion flows every
-subproblem of a layer this way.
+subproblem of a layer this way, and a compression step of odd cycle
+transversal every branch.
 
 A finished flow keeps its residual network (``SeparatorResult.residual``).
 By Picard and Queyranne (1980) the closed sets of a maximum flow's residual

@@ -6,7 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from sepkit.graphs import Graph, delete_vertices
+import sepkit.problems
+from sepkit.graphs import Graph, delete_vertices, induced_subgraph, two_coloring, vset
 from sepkit.oracle import RandomModel, random_graph
 from sepkit.separation import min_vertex_separator
 
@@ -64,3 +65,29 @@ def separator_through_by_deletion(G, A, B, v):
     if not r.is_finite or r.size != ell - 1:
         return None
     return tuple(sorted(sub.map_back(r.witness) + (v,)))
+
+
+def odd_cycle_transversal_by_recolouring(G, k):
+    """Reference twin of ``odd_cycle_transversal``'s prefix loop: vertex i
+    joins unless G[0..i] minus the current transversal, coloured afresh by
+    one BFS of G minus the transversal and the later vertices, has an odd
+    cycle. The compression steps and the final shrinking loop are
+    ``_compress_oct``'s, looked up at call time."""
+    current = ()
+    for i in range(G.n):
+        if two_coloring(G, current + tuple(range(i + 1, G.n))) is not None:
+            continue
+        candidate = vset(current + (i,))
+        if len(candidate) <= k:
+            current = candidate
+            continue
+        prefix = induced_subgraph(G, range(i + 1)).graph
+        current = sepkit.problems._compress_oct(prefix, candidate, k)
+        if current is None:
+            return None
+    while current:
+        smaller = sepkit.problems._compress_oct(G, current, len(current) - 1)
+        if smaller is None:
+            break
+        current = smaller
+    return current

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import sepkit.cli
+import sepkit.oracle
 import sepkit.problems
 import sepkit.reduction
 import sepkit.separation
@@ -62,6 +63,25 @@ def test_selfcheck_command(capsys):
     assert code == 0
     assert doc["answer"] == "OK" and doc["witness"]["mismatches"] == []
     assert "elapsed" not in doc["witness"]
+
+
+def test_selfcheck_runs_every_suite_by_default(capsys):
+    base = ["selfcheck", "--trials", "3", "--seed", "7"]
+    assert run_command(base) == 0
+    every = capsys.readouterr()
+    assert run_command(base + ["--suites", ",".join(sepkit.oracle.ALL_SUITES)]) == 0
+    named = capsys.readouterr()
+    assert every.out == named.out and json.loads(every.out)["answer"] == "OK"
+
+
+def test_selfcheck_oracle_cap_exits_1(capsys, monkeypatch):
+    def refuses(config):
+        raise sepkit.oracle.OracleCapError("oracle refuses n=15 > cap 14")
+
+    monkeypatch.setattr(sepkit.oracle, "cross_check", refuses)
+    assert run_command(["selfcheck", "--trials", "1"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "usage error: oracle refuses n=15 > cap 14\n")
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -667,11 +687,12 @@ def test_failed_exact_stable_bip_check_exit_3(tmp_path, capsys, monkeypatch):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, because this one has loaded both; together they
     # took most of a one-shot command's start-up. Only what the import adds
-    # counts, not what site-packages hooks loaded before it.
+    # counts, not what site-packages hooks loaded before it. The oracles are
+    # loaded by selfcheck alone.
     src = str(pathlib.Path(sepkit.cli.__file__).resolve().parents[1])
     probe = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
-             "import sepkit.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+             "import sepkit.cli; print(sorted({'dataclasses', 'inspect', 'sepkit.oracle'}"
+             " & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-I", "-c", probe, src],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -19,10 +19,10 @@ from sepkit.problems import (AnnotatedInstance, BipartizationBranch, EdgeCutWitn
                              exact_separator_union, exact_stable_bipartization,
                              odd_cycle_transversal, stable_bipartization,
                              stable_st_cut)
-from sepkit.separation import is_separator, min_vertex_separator
+from sepkit.separation import PairNetwork, is_separator, min_vertex_separator
 from sepkit.solver import ANY, MATCH_DEFICIENCY, CutConstraints, collect, g_multicut_uncut
 
-from strategies import nonadjacent_pair, seeded_graphs
+from strategies import nonadjacent_pair, odd_cycle_transversal_by_recolouring, seeded_graphs
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -130,8 +130,8 @@ def _near_bipartite(n, degree, odd, seed):
 
 
 def test_oct_builds_one_prefix_graph_per_compression_step(monkeypatch):
-    # the prefix pass colours G minus the later vertices in place; only a
-    # compression step builds its prefix graph
+    # the prefix pass grows a parity union-find; only a compression step
+    # builds its prefix graph
     builds, steps = [], []
     induced, compress = sepkit.graphs.induced_subgraph, sepkit.problems._compress_oct
 
@@ -152,6 +152,83 @@ def test_oct_builds_one_prefix_graph_per_compression_step(monkeypatch):
         steps.clear()
         odd_cycle_transversal(G, k)
         assert steps and len(builds) <= len(steps), (k, len(builds), len(steps))
+
+
+def test_oct_colours_only_in_compression_steps(monkeypatch):
+    # the prefix pass decides each vertex in its parity union-find; two_coloring
+    # runs only in a compression step, once for its branches and once to
+    # re-verify its answer
+    colourings, steps = [], []
+    colour, compress = sepkit.problems.two_coloring, sepkit.problems._compress_oct
+
+    def counted(*args):
+        colourings.append(1)
+        return colour(*args)
+
+    def counted_step(*args):
+        steps.append(1)
+        return compress(*args)
+
+    monkeypatch.setattr(sepkit.problems, "two_coloring", counted)
+    monkeypatch.setattr(sepkit.problems, "_compress_oct", counted_step)
+    G = _near_bipartite(100, 4.0, 3, 103)
+    for k in (1, 2, 3):
+        colourings.clear()
+        steps.clear()
+        odd_cycle_transversal(G, k)
+        assert steps and len(colourings) <= 2 * len(steps), (k, len(colourings), len(steps))
+
+
+def test_compress_oct_builds_one_network_per_step(monkeypatch):
+    # every branch flows on the step's one PairNetwork of G - S0: no branch
+    # builds a graph of its own
+    built = {"network": 0, "attached": 0, "graph": 0}
+    per_step = []
+    init, attached, graph_init = PairNetwork.__init__, sepkit.problems._attached, Graph.__init__
+    compress = sepkit.problems._compress_oct
+
+    def counter(key, real):
+        def counted(*args, **kwargs):
+            built[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    def step(*args):
+        before = dict(built)
+        out = compress(*args)
+        per_step.append(tuple(built[key] - before[key] for key in built))
+        return out
+
+    monkeypatch.setattr(PairNetwork, "__init__", counter("network", init))
+    monkeypatch.setattr(sepkit.problems, "_attached", counter("attached", attached))
+    monkeypatch.setattr(Graph, "__init__", counter("graph", graph_init))
+    monkeypatch.setattr(sepkit.problems, "_compress_oct", step)
+    for k in (1, 2, 3):
+        odd_cycle_transversal(_near_bipartite(100, 4.0, 3, 103), k)
+    for G, rng in seeded_graphs(40, seed=97, n_lo=5, n_hi=14):
+        odd_cycle_transversal(G, rng.randint(0, 4))
+    assert len(per_step) >= 40 and set(per_step) == {(1, 0, 0)}, per_step
+
+
+def test_oct_matches_recolouring_twin():
+    # the union-find prefix loop keeps every verdict of a fresh colouring
+    # per vertex, so each compression step and transversal are the same
+    found = 0
+    for G, rng in seeded_graphs(300, seed=101, n_lo=1, n_hi=40,
+                                ps=(0.05, 0.1, 0.15, 0.25)):
+        k = rng.randint(0, 5)
+        out = odd_cycle_transversal(G, k)
+        assert out == odd_cycle_transversal_by_recolouring(G, k), (G, k)
+        found += out is not None
+    rng = random.Random(107)
+    for _ in range(40):
+        G = _near_bipartite(rng.randint(60, 150), rng.choice((2.0, 3.0, 4.0)),
+                            rng.randint(1, 5), rng.randrange(10 ** 6))
+        k = rng.randint(0, 5)
+        out = odd_cycle_transversal(G, k)
+        assert out == odd_cycle_transversal_by_recolouring(G, k), (G, k)
+        found += out is not None
+    assert 100 <= found <= 300, found
 
 
 def test_stable_bipartization_dp_states_sum_over_branches(monkeypatch):
@@ -191,6 +268,27 @@ def test_exact_stable_bipartization_examples():
     assert exact_stable_bipartization(complete_graph(3), 2) is None
     out = exact_stable_bipartization(P3, 1)
     assert out is not None and len(out) == 1
+
+
+def test_exact_stable_bipartization_budget_above_n_answers_at_once(monkeypatch):
+    # a budget above the allowed vertices can never fill, so the search
+    # stops at its root instead of branching on the cycle vertices; a call
+    # count, not a time, bounds it
+    calls = []
+    solve = sepkit.problems._exact_solve
+
+    def counted(inst):
+        calls.append(1)
+        if len(calls) > 50:
+            raise RuntimeError("exact search did not stop")
+        return solve(inst)
+
+    monkeypatch.setattr(sepkit.problems, "_exact_solve", counted)
+    G = _near_bipartite(100, 4.0, 3, 103)
+    for k in (G.n + 1, 1_000_000):
+        calls.clear()
+        assert exact_stable_bipartization(G, k) is None
+        assert len(calls) == 1
 
 
 def test_exact_stable_bipartization_split_branch():
@@ -461,8 +559,8 @@ def test_branch_equality_leaves_out_its_graph():
     assert twin == br and hash(twin) == hash(br)
     assert all(other != br for other in branches[1:])
     assert BipartizationBranch(*fields[:6], br.t, br.s, br.orig, G) != br
-    # each graph is built once, on first read
-    assert br.graph is br.graph and br.core is br.core
+    # the graph is built once, on first read
+    assert br.graph is br.graph
 
 
 def test_annotated_instance_pick_updates_allowed():
