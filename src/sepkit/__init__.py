@@ -21,8 +21,6 @@ from .graphs import (
     two_coloring,
 )
 from .problems import (
-    AnnotatedInstance,
-    BipartizationBranch,
     EdgeCutWitness,
     edge_induced_vertex_cut,
     exact_separator_union,
@@ -74,8 +72,8 @@ from .treedecomp import (
 )
 
 __all__ = [
-    "ANY", "AnnotatedInstance", "BIPARTITE", "BipartizationBranch",
-    "CutConstraints", "DomainError", "EDGELESS", "EdgeCutWitness",
+    "ANY", "BIPARTITE", "CutConstraints", "DomainError", "EDGELESS",
+    "EdgeCutWitness",
     "FORBIDDEN_INDUCED", "FOREST", "GADGET", "Graph", "GraphError",
     "HereditaryClass", "INFINITE", "MATCH_DEFICIENCY", "MAX_DEGREE",
     "NiceDecomposition", "ParseError", "ReducedInstance", "SeparatorChain",

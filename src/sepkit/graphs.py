@@ -41,6 +41,11 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def adjacency_masks(G: Graph) -> list[int]:
+    """Each vertex's neighbours as a vertex mask, indexed by vertex."""
+    return [sum(1 << u for u in a) for a in G.adj]
+
+
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 

@@ -143,48 +143,6 @@ def odd_cycle_transversal(G: Graph, k: int) -> Optional[tuple[int, ...]]:
 
 # -- stable bipartization ---------------------------------------------------------
 
-class BipartizationBranch:
-    """One way of resolving an odd-cycle transversal S0: remove R, color B0
-    black and W0 white, then separate the forced sides X and Y in the graph
-    with fresh terminals attached. Every s-t separator of ``graph`` contains
-    R, because both terminals are adjacent to all of R, so the separators
-    are R plus those of the graph without R. The graph is built on first
-    read, so a branch its caller skips costs no graph. ``==`` and ``hash``
-    read every field but ``G``, the graph S0 belongs to."""
-
-    __slots__ = ("S0", "R", "B0", "W0", "X", "Y", "s", "t", "orig", "G", "_graph")
-
-    def __init__(self, S0: tuple[int, ...], R: tuple[int, ...], B0: tuple[int, ...],
-                 W0: tuple[int, ...], X: tuple[int, ...], Y: tuple[int, ...], s: int, t: int,
-                 orig: tuple[int, ...], G: Graph):
-        self.S0, self.R, self.B0, self.W0, self.X, self.Y = S0, R, B0, W0, X, Y
-        self.s, self.t = s, t
-        self.orig = orig        # graph id -> original id, for the original part
-        self.G = G
-        self._graph: Optional[Graph] = None
-
-    def _key(self) -> tuple:
-        return self.S0, self.R, self.B0, self.W0, self.X, self.Y, self.s, self.t, self.orig
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    @property
-    def graph(self) -> Graph:
-        """G minus B0 and W0, plus s joined to X and R and t to Y and R."""
-        if self._graph is None:
-            self._graph = _attached(self.G, self.orig, self.X + self.R, self.Y + self.R)
-        return self._graph
-
-    def map_back(self, vs) -> tuple[int, ...]:
-        return tuple(sorted(self.orig[v] for v in vs))
-
-
 def _attached(G: Graph, orig: tuple[int, ...], X: Iterable[int], Y: Iterable[int]) -> Graph:
     """G on ``orig``, renumbered in that order, plus s = len(orig) joined to
     X and t = s + 1 joined to Y."""
@@ -197,14 +155,27 @@ def _attached(G: Graph, orig: tuple[int, ...], X: Iterable[int], Y: Iterable[int
     return Graph(s + 2, edges)
 
 
+class _Branch(NamedTuple):
+    """One way of resolving an odd-cycle transversal S0: remove R, colour B0
+    black and W0 white; a removal that then separates the forced sides X
+    and Y makes G bipartite."""
+    R: tuple[int, ...]
+    B0: tuple[int, ...]
+    W0: tuple[int, ...]
+    X: tuple[int, ...]
+    Y: tuple[int, ...]
+
+
 def bipartization_branches(G: Graph, S0: tuple[int, ...]):
-    """The 3^{|S0|} branch instances with both color classes independent,
-    vertices of S0 ascending, digits ordered (remove, black, white).
+    """The branches ``(R, B0, W0, X, Y)`` of the 3^{|S0|} splits of S0 that
+    leave both colour classes independent, vertices of S0 ascending, digits
+    ordered (remove, black, white).
 
     G minus S0 is bipartite with sides Bp, Wp. A neighbour of W0 outside S0
     is forced black and one of B0 forced white; X holds the forced vertices
     that keep their side and Y those that must switch, so a valid removal
-    separates X from Y."""
+    separates X from Y. A branch is only these five sorted tuples: each
+    caller builds what it cuts on."""
     col = two_coloring(G, S0)
     if col is None:
         raise DomainError("S0 must be an odd cycle transversal of G")
@@ -218,24 +189,31 @@ def bipartization_branches(G: Graph, S0: tuple[int, ...]):
         W = {u for b in B0 for u in G.adj[b]} - s0
         X = (B & Bp) | (W & Wp)
         Y = (B & Wp) | (W & Bp)
-        colored = set(B0 + W0)
-        orig = tuple(v for v in range(G.n) if v not in colored)
-        yield BipartizationBranch(tuple(S0), R, B0, W0, vset(X), vset(Y),
-                                  len(orig), len(orig) + 1, orig, G)
+        yield _Branch(R, B0, W0, vset(X), vset(Y))
 
 
 def stable_bipartization(G: Graph, k: int) -> Optional[tuple[int, ...]]:
-    """Independent set of size at most k whose removal makes G bipartite."""
+    """Independent set of size at most k whose removal makes G bipartite.
+
+    A branch of the transversal runs only if R fits in k and is independent.
+    It then cuts independently within k on ``kept``, the vertices outside
+    B0 and W0 in ascending order, with s = len(kept) joined to X and R and
+    t = s + 1 to Y and R. Every s-t separator of that graph contains R,
+    because both terminals are adjacent to all of R, and the class check
+    sees R's edges."""
     S0 = odd_cycle_transversal(G, k)
     if S0 is None:
         return None
-    for branch in bipartization_branches(G, S0):
-        if len(branch.R) > k or not _is_independent(G, branch.R):
+    for R, B0, W0, X, Y in bipartization_branches(G, S0):
+        if len(R) > k or not _is_independent(G, R):
             continue
-        wit = g_mincut(branch.graph, branch.s, branch.t, k, EDGELESS)
+        colored = set(B0 + W0)
+        kept = tuple(v for v in range(G.n) if v not in colored)
+        wit = g_mincut(_attached(G, kept, X + R, Y + R), len(kept), len(kept) + 1,
+                       k, EDGELESS)
         if wit is None:
             continue
-        S = branch.map_back(wit)
+        S = vset(kept[v] for v in wit)
         if not (_is_independent(G, S) and two_coloring(G, S) is not None and len(S) <= k):
             raise VerificationError("stable bipartization failed re-verification")
         return S
@@ -279,30 +257,6 @@ def _split_outside(G: Graph, allowed: set[int], copies: int) -> tuple[Graph, tup
     return Graph(nxt, edges), tuple(orig)
 
 
-class AnnotatedInstance:
-    """State of the exact search: deletions chosen so far (independent in the
-    original graph) and the vertices still allowed, which exclude every chosen
-    vertex and its neighborhood."""
-
-    __slots__ = ("graph", "allowed", "budget", "chosen")
-
-    def __init__(self, graph: Graph, allowed: tuple[int, ...], budget: int,
-                 chosen: tuple[int, ...] = ()):
-        assert not set(allowed) & set(chosen)
-        self.graph = graph
-        self.allowed = allowed
-        self.budget = budget
-        self.chosen = chosen
-
-    def pick(self, v: int) -> "AnnotatedInstance":
-        nbrs = set(self.graph.adj[v])
-        return AnnotatedInstance(
-            self.graph,
-            tuple(u for u in self.allowed if u != v and u not in nbrs),
-            self.budget - 1,
-            vset(self.chosen + (v,)))
-
-
 def exact_stable_bipartization(G: Graph, k: int,
                                allowed: Optional[Iterable[int]] = None) -> Optional[tuple[int, ...]]:
     """Independent set of size exactly k whose removal makes G bipartite.
@@ -313,56 +267,64 @@ def exact_stable_bipartization(G: Graph, k: int,
     if k < 0:
         raise DomainError("k must be non-negative")
     D = vset(range(G.n)) if allowed is None else G.check_vertices(allowed)
-    return _exact_solve(AnnotatedInstance(G, D, k))
+    return _exact_solve(G, D, k, ())
 
 
-def _exact_solve(inst: AnnotatedInstance) -> Optional[tuple[int, ...]]:
+def _exact_solve(G: Graph, allowed: tuple[int, ...], budget: int,
+                 chosen: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """One node of the exact search: ``chosen`` holds the deletions so far,
+    independent in G, and ``allowed`` the vertices still allowed, which
+    exclude every chosen vertex and its neighbourhood. Returns chosen plus
+    ``budget`` allowed vertices that make G bipartite, or None. A pick of v
+    recurses with v added to chosen and v and N(v) dropped from allowed."""
+    assert not set(allowed) & set(chosen), "allowed must avoid chosen"
     # a budget above the allowed count never fills: the bipartite case keeps
     # at most every allowed vertex, a pick lowers both by at least one, and
     # the long-cycle case needs more than 3 * budget + 1 allowed vertices
-    if inst.budget > len(inst.allowed):
+    if budget > len(allowed):
         return None
-    G = inst.graph
-    if two_coloring(G, inst.chosen) is not None:
-        if inst.budget == 0:
-            return inst.chosen
+    if two_coloring(G, chosen) is not None:
+        if budget == 0:
+            return chosen
         # allowed avoids chosen, so G[allowed] lies in G minus chosen
-        sub = induced_subgraph(G, inst.allowed)
+        sub = induced_subgraph(G, allowed)
         best = bipartite_max_independent_set(sub.graph)
-        if len(best) < inst.budget:
+        if len(best) < budget:
             return None
-        return vset(inst.chosen + sub.map_back(best[:inst.budget]))
-    if inst.budget == 0:
+        return vset(chosen + sub.map_back(best[:budget]))
+    if budget == 0:
         return None
-    live = delete_vertices(G, inst.chosen)
+    live = delete_vertices(G, chosen)
     cyc = tuple(live.orig[v] for v in shortest_odd_cycle(live.graph))
-    d_set = set(inst.allowed)
+    d_set = set(allowed)
     on_d = [v for v in cyc if v in d_set]
     if not on_d:
         return None
-    if len(on_d) <= 3 * inst.budget + 1:
+    if len(on_d) <= 3 * budget + 1:
         for v in sorted(on_d):
-            result = _exact_solve(inst.pick(v))
+            nbrs = set(G.adj[v])
+            result = _exact_solve(G, tuple(u for u in allowed if u != v and u not in nbrs),
+                                  budget - 1, vset(chosen + (v,)))
             if result is not None:
                 return result
         return None
     # long chordless odd cycle rich in allowed vertices: solve the at-most-k
     # problem restricted to the allowed set, then pad with independent cycle
     # vertices (each deleted vertex rules out at most three of them)
-    allowed_live = {live.to_new(v) for v in inst.allowed}
-    split, orig_of = _split_outside(live.graph, allowed_live, inst.budget + 1)
-    found = stable_bipartization(split, inst.budget)
+    allowed_live = {live.to_new(v) for v in allowed}
+    split, orig_of = _split_outside(live.graph, allowed_live, budget + 1)
+    found = stable_bipartization(split, budget)
     if found is None:
         return None
     S = live.map_back(x for x in {orig_of[y] for y in found} if x in allowed_live)
-    missing = inst.budget - len(S)
+    missing = budget - len(S)
     if missing:
         blocked = set(S) | {u for v in S for u in G.adj[v]}
         free = [v for v in cyc if v in d_set and v not in blocked]
         assert len(free) >= 3 * missing + 1, "cycle must retain enough allowed vertices"
         S = vset(S + tuple(free[0:2 * missing:2]))
-    out = vset(inst.chosen + S)
-    assert len(out) == len(inst.chosen) + inst.budget
+    out = vset(chosen + S)
+    assert len(out) == len(chosen) + budget
     if not (_is_independent(G, out) and two_coloring(G, out) is not None):
         raise VerificationError("stable bipartization failed re-verification")
     return out

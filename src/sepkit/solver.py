@@ -104,8 +104,8 @@ from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .graphs import (DomainError, Graph, components, induced_subgraph,
-                     two_coloring, vset)
+from .graphs import (DomainError, Graph, adjacency_masks, bits, components,
+                     induced_subgraph, two_coloring, vset)
 from .reduction import reduce_instance
 from .separation import SeparatorResult, minimalize_separator, min_vertex_separator
 from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, validate_nice
@@ -171,16 +171,11 @@ class HereditaryClass:
 # removing rank r moves ranks > r down. A set of pins is a mask over their
 # ranks; pin-pin edges are a sorted tuple of rank pairs.
 
-def _ranks(mask: int) -> list[int]:
-    """The set bits of a rank mask, ascending."""
-    return [r for r in range(mask.bit_length()) if mask >> r & 1]
-
-
 def _pin_edges_add(edges: tuple, rank: int, nb: int) -> tuple:
     def lift(x):
         return x + (x >= rank)
     return tuple(sorted([(lift(a), lift(b)) for a, b in edges]
-                        + [tuple(sorted((rank, lift(r)))) for r in _ranks(nb)]))
+                        + [tuple(sorted((rank, lift(r)))) for r in bits(nb)]))
 
 
 def _pin_edges_drop(edges: tuple, rank: int) -> tuple:
@@ -204,7 +199,7 @@ def _degree_summary(d: int) -> ClassSummary:
     def add_pin(s, rank, nb):
         m, degs, edges = s
         degs = list(degs)
-        for r in _ranks(nb):
+        for r in bits(nb):
             degs[r] += 1
         degs.insert(rank, nb.bit_count())
         if max(degs) > d:
@@ -426,17 +421,17 @@ def decode_graph6(token: str) -> Graph:
     n = data[0]
     if n == 63:
         raise DomainError("graph6 strings with n > 62 not supported")
-    bits = []
+    flags = []
     for x in data[1:]:
-        bits.extend((x >> s) & 1 for s in range(5, -1, -1))
+        flags.extend((x >> s) & 1 for s in range(5, -1, -1))
     need = n * (n - 1) // 2
-    if len(bits) < need:
+    if len(flags) < need:
         raise DomainError(f"graph6 token too short for n={n}")
     edges = []
     i = 0
     for col in range(1, n):
         for row in range(col):
-            if bits[i]:
+            if flags[i]:
                 edges.append((row, col))
             i += 1
     return Graph(n, edges)
@@ -516,7 +511,7 @@ def _form_add_pin(form: tuple, rank: int, nb: int) -> tuple:
         return x + 1
 
     new_edges = [tuple(sorted((remap(a), remap(b)))) for a, b in edges]
-    new_edges += [tuple(sorted((rank, remap(r)))) for r in _ranks(nb)]
+    new_edges += [tuple(sorted((rank, remap(r)))) for r in bits(nb)]
     return _canon(m + 1, p + 1, tuple(new_edges))
 
 
@@ -595,10 +590,10 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     if not validate_nice(G, nice):
         raise DomainError("nice decomposition does not match the graph")
     induced = G if induced is None else induced
-    nbrs = [sum(1 << u for u in a) for a in G.adj]
+    nbrs = adjacency_masks(G)
     if induced.n != G.n:
         raise DomainError("induced graph must have the vertices of G")
-    ind_nbrs = [sum(1 << u for u in a) for a in induced.adj]
+    ind_nbrs = adjacency_masks(induced)
     if any(b & ~a for a, b in zip(nbrs, ind_nbrs)):
         raise DomainError("induced graph must be a subgraph of G")
     terminals = G.check_vertices(cons.terminals)

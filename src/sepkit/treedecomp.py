@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import DomainError, Graph, bits
+from .graphs import DomainError, Graph, adjacency_masks, bits
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
@@ -34,10 +34,6 @@ class TreeDecomposition(NamedTuple):
             adj[i].append(j)
             adj[j].append(i)
         return [sorted(a) for a in adj]
-
-
-def _adjacency_masks(G: Graph) -> list[int]:
-    return [sum(1 << u for u in a) for a in G.adj]
 
 
 def _eliminate(adj: list[int], v: int) -> int:
@@ -67,7 +63,7 @@ def _decomposition_from_order(G: Graph, order: list[int]) -> TreeDecomposition:
     vertex among those neighbors."""
     if G.n == 0:
         return TreeDecomposition(((),), ())
-    adj = _adjacency_masks(G)
+    adj = adjacency_masks(G)
     position = [0] * G.n
     for i, v in enumerate(order):
         position[v] = i
@@ -89,7 +85,7 @@ def min_fill_order(G: Graph) -> list[int]:
     Eliminating v changes the neighbourhood of v's neighbours and the
     adjacency inside the neighbourhood of their neighbours, so only those
     fill counts are recomputed."""
-    adj = _adjacency_masks(G)
+    adj = adjacency_masks(G)
     fill = [_fill_in(adj, v) for v in range(G.n)]
     alive = list(range(G.n))
     order = []
@@ -153,7 +149,7 @@ def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
         once |= top
     if once != (1 << G.n) - 1 or twice:
         return False
-    return all(not m & ~r for m, r in zip(_adjacency_masks(G), reach))
+    return all(not m & ~r for m, r in zip(adjacency_masks(G), reach))
 
 
 # -- nice form --------------------------------------------------------------
@@ -260,7 +256,7 @@ def validate_nice(G: Graph, nice: NiceDecomposition) -> bool:
     if not nodes or nodes[-1].bag:
         return False
     n = G.n
-    nbrs = _adjacency_masks(G)
+    nbrs = adjacency_masks(G)
     masks = []
     parents = [0] * len(nodes)
     met = [0] * n           # met[v]: neighbours v shared a bag with at an introduce

@@ -13,14 +13,14 @@ from sepkit.oracle import (FIXTURES, bf_edge_induced_vertex_cut,
                            complete_graph, cycle_graph, path_graph,
                            _bipartite_after, _independent)
 from sepkit.oracle import enumerate_minimal_separators
-from sepkit.problems import (AnnotatedInstance, BipartizationBranch, EdgeCutWitness,
-                             bipartite_max_independent_set,
+from sepkit.problems import (EdgeCutWitness, _attached, bipartite_max_independent_set,
                              bipartization_branches, edge_induced_vertex_cut,
                              exact_separator_union, exact_stable_bipartization,
                              odd_cycle_transversal, stable_bipartization,
                              stable_st_cut)
 from sepkit.separation import PairNetwork, is_separator, min_vertex_separator
-from sepkit.solver import ANY, MATCH_DEFICIENCY, CutConstraints, collect, g_multicut_uncut
+from sepkit.solver import (ANY, EDGELESS, MATCH_DEFICIENCY, CutConstraints, collect, g_mincut,
+                           g_multicut_uncut)
 
 from strategies import nonadjacent_pair, odd_cycle_transversal_by_recolouring, seeded_graphs
 
@@ -231,6 +231,55 @@ def test_oct_matches_recolouring_twin():
     assert 100 <= found <= 300, found
 
 
+def _stable_bipartization_reference(G, k):
+    """Reference twin of ``stable_bipartization``: the branch loop with its
+    own split of the transversal S0, each branch graph built as G minus B0
+    and W0 plus s joined to X and R and t joined to Y and R."""
+    S0 = odd_cycle_transversal(G, k)
+    if S0 is None:
+        return None
+    Bp, Wp = map(set, two_coloring(G, S0))
+    for digits in itertools.product((0, 1, 2), repeat=len(S0)):
+        R, B0, W0 = (tuple(v for v, d in zip(S0, digits) if d == side) for side in range(3))
+        if not (_independent(G, B0) and _independent(G, W0)):
+            continue
+        if len(R) > k or not _independent(G, R):
+            continue
+        B = {u for w in W0 for u in G.adj[w]} - set(S0)
+        W = {u for b in B0 for u in G.adj[b]} - set(S0)
+        X = (B & Bp) | (W & Wp) | set(R)
+        Y = (B & Wp) | (W & Bp) | set(R)
+        rest = delete_vertices(G, B0 + W0)
+        s = rest.graph.n
+        H = Graph(s + 2, [*rest.graph.edges(), *((s, rest.to_new(v)) for v in X),
+                          *((s + 1, rest.to_new(v)) for v in Y)])
+        wit = g_mincut(H, s, s + 1, k, EDGELESS)
+        if wit is not None:
+            return rest.map_back(wit)
+    return None
+
+
+def test_stable_bipartization_matches_branch_graph_twin():
+    # branch graphs built from the plain branch record give the witnesses
+    # that the graph of G minus B0 and W0 gives, past the oracle's n <= 14
+    found = 0
+    for G, rng in seeded_graphs(300, seed=109, n_lo=1, n_hi=40,
+                                ps=(0.05, 0.1, 0.15, 0.25)):
+        k = rng.randint(0, 5)
+        out = stable_bipartization(G, k)
+        assert out == _stable_bipartization_reference(G, k), (G, k)
+        found += out is not None
+    rng = random.Random(113)
+    for _ in range(40):
+        G = _near_bipartite(rng.randint(60, 150), rng.choice((2.0, 3.0, 4.0)),
+                            rng.randint(1, 5), rng.randrange(10 ** 6))
+        k = rng.randint(0, 5)
+        out = stable_bipartization(G, k)
+        assert out == _stable_bipartization_reference(G, k), (G, k)
+        found += out is not None
+    assert 100 <= found <= 300, found
+
+
 def test_stable_bipartization_dp_states_sum_over_branches(monkeypatch):
     G = _near_bipartite(20, 3.0, 3, 4)
     with collect() as stats:
@@ -277,11 +326,11 @@ def test_exact_stable_bipartization_budget_above_n_answers_at_once(monkeypatch):
     calls = []
     solve = sepkit.problems._exact_solve
 
-    def counted(inst):
+    def counted(*args):
         calls.append(1)
         if len(calls) > 50:
             raise RuntimeError("exact search did not stop")
-        return solve(inst)
+        return solve(*args)
 
     monkeypatch.setattr(sepkit.problems, "_exact_solve", counted)
     G = _near_bipartite(100, 4.0, 3, 103)
@@ -537,39 +586,20 @@ def test_every_branch_separator_contains_r():
     G = cycle_graph(5)
     S0 = odd_cycle_transversal(G, 2)
     saw_nonempty_r = False
-    for br in bipartization_branches(G, S0):
-        assert _independent(G, br.B0) and _independent(G, br.W0)
-        if not br.R:
+    for R, B0, W0, X, Y in bipartization_branches(G, S0):
+        assert _independent(G, B0) and _independent(G, W0)
+        if not R:
             continue
         saw_nonempty_r = True
-        r_ids = {i for i, o in enumerate(br.orig) if o in br.R}
-        for S in enumerate_minimal_separators(br.graph, br.s, br.t, br.graph.n):
+        colored = set(B0 + W0)
+        kept = tuple(v for v in range(G.n) if v not in colored)
+        H = _attached(G, kept, X + R, Y + R)
+        r_ids = {kept.index(v) for v in R}
+        for S in enumerate_minimal_separators(H, len(kept), len(kept) + 1, H.n):
             assert r_ids <= set(S)
     assert saw_nonempty_r
     with pytest.raises(DomainError):
         next(bipartization_branches(G, ()))    # C5 itself is not bipartite
-
-
-def test_branch_equality_leaves_out_its_graph():
-    G = cycle_graph(5)
-    branches = list(bipartization_branches(G, odd_cycle_transversal(G, 2)))
-    br = branches[0]
-    fields = (br.S0, br.R, br.B0, br.W0, br.X, br.Y, br.s, br.t, br.orig)
-    twin = BipartizationBranch(*fields, Graph(G.n))
-    assert twin == br and hash(twin) == hash(br)
-    assert all(other != br for other in branches[1:])
-    assert BipartizationBranch(*fields[:6], br.t, br.s, br.orig, G) != br
-    # the graph is built once, on first read
-    assert br.graph is br.graph
-
-
-def test_annotated_instance_pick_updates_allowed():
-    inst = AnnotatedInstance(cycle_graph(5), (0, 1, 2, 3, 4), 2)
-    nxt = inst.pick(0)
-    assert nxt.chosen == (0,) and nxt.budget == 1
-    assert set(nxt.allowed) == {2, 3}   # 0 and its neighbors 1, 4 removed
-    with pytest.raises(AssertionError):
-        AnnotatedInstance(cycle_graph(5), (0, 2), 1, (2,))    # 2 chosen and allowed
 
 
 def test_oct_witnesses_verify():
