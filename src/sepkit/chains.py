@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import DomainError, Graph, bits, boundary
+from .graphs import DomainError, Graph, adjacency_masks, bits, boundary
 from .separation import SeparatorResult, st_flow
 
 
@@ -49,6 +49,9 @@ def build_chain(G: Graph, s: int, t: int,
                 flow: Optional[SeparatorResult] = None) -> SeparatorChain:
     """Construct the nested chain for non-adjacent distinct s, t.
 
+    The running union's neighbourhood is kept as a mask that takes in the
+    neighbours of the vertices each union gains, so each boundary is that
+    mask minus the union and no vertex's neighbours are read twice.
     ``flow``, a finished s-t flow of G such as ``cover_set`` already holds,
     is reused instead of running a new one.
     """
@@ -63,15 +66,19 @@ def build_chain(G: Graph, s: int, t: int,
     sides = {X | 1 << s for X in r.residual.sides().values()}
     sets: list[tuple[int, ...]] = []
     bounds: list[tuple[int, ...]] = []
-    union, ids = 0, ()
+    adj = adjacency_masks(G)
+    union, near, ids = 0, 0, ()
     for X in sorted(sides, key=cmp_to_key(_by_size_then_ids)):
-        if not X & ~union:
+        gained = bits(X & ~union)
+        if not gained:
             continue
         # the union grows, so this sort merges two ascending runs
-        ids = tuple(sorted((*ids, *bits(X & ~union))))
+        ids = tuple(sorted((*ids, *gained)))
         union |= X
+        for v in gained:
+            near |= adj[v]
         sets.append(ids)
-        bounds.append(boundary(G, ids))
+        bounds.append(tuple(bits(near & ~union)))
         assert len(bounds[-1]) == ell
     return SeparatorChain(ell, tuple(sets), tuple(bounds))
 

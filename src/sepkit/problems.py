@@ -26,7 +26,9 @@ def _is_independent(G: Graph, S: Iterable[int]) -> bool:
 # -- stable s-t cut -----------------------------------------------------------
 
 def stable_st_cut(G: Graph, s: int, t: int, k: int) -> Optional[tuple[int, ...]]:
-    """Independent s-t separator of size at most k."""
+    """Independent s-t separator of size at most k. The CLI calls
+    ``g_mincut`` itself; this stays because ``perfbench/spans.py`` wraps it
+    by name, so its deletion belongs to a change of the benchmark."""
     return g_mincut(G, s, t, k, EDGELESS)
 
 

@@ -150,14 +150,12 @@ def torso(G: Graph, C: Iterable[int]) -> TorsoResult:
 def layer_system(chain: SeparatorChain, s: int, t: int, n: int) -> list[tuple]:
     """(layer L_i, pool) pairs: the vertices between consecutive chain
     boundaries and the two boundaries they may touch, with the chain closed
-    by X_0 = {}, S_0 = {s} and X_{q+1} = V - t, S_{q+1} = {t}."""
+    by X_0 = {}, S_0 = {s} and X_{q+1} = V - t, S_{q+1} = {t}. Each layer
+    is one set difference, X_i - X_{i-1} - S_{i-1}."""
     xs = [(), *chain.sets, tuple(v for v in range(n) if v != t)]
     ss = [(s,), *chain.boundaries, (t,)]
-    out = []
-    for i in range(1, len(xs)):
-        prev = set(xs[i - 1]) | set(ss[i - 1])
-        out.append((tuple(v for v in xs[i] if v not in prev), vset(ss[i] + ss[i - 1])))
-    return out
+    return [(tuple(sorted(set(xs[i]).difference(xs[i - 1], ss[i - 1]))),
+             vset(ss[i] + ss[i - 1])) for i in range(1, len(xs))]
 
 
 def _neighbourhood_pairs(G: Graph, layer: tuple[int, ...], pool: tuple[int, ...]):

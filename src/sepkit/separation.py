@@ -400,7 +400,9 @@ def minimalize_separator(G: Graph, S: Iterable[int], A: Iterable[int],
 def min_separator_containing(G: Graph, s: int, t: int, v: int) -> Optional[SeparatorResult]:
     """The minimum s-t separator closest to s among those containing v, if v
     lies on any minimum s-t separator: the boundary of v's side in one s-t
-    flow (``Residual.sides``).
+    flow (``Residual.sides``). The solve path no longer calls it; it stays
+    because ``perfbench/spans.py`` wraps it by name, so its deletion belongs
+    to a change of the benchmark.
     """
     G.check_vertices((s, t, v))
     if s == t or G.has_edge(s, t):

@@ -329,11 +329,13 @@ def _bipartite_summary() -> ClassSummary:
 
 def maximum_matching(G: Graph) -> tuple[tuple[int, int], ...]:
     """Maximum matching of a small graph by branching on the lowest
-    non-isolated vertex, memoized over alive-vertex bitmasks."""
-    masks = [0] * G.n
-    for u, v in G.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    non-isolated vertex, memoized over alive-vertex bitmasks.
+
+    The matching is read off ``best`` in one pass: each step takes the
+    first edge (v, w), v and then w ascending, that some maximum matching of
+    the alive vertices keeps. No later step starts below a matched v: an
+    edge that keeps the maximum then kept it before v's step as well."""
+    masks = adjacency_masks(G)
 
     @lru_cache(maxsize=None)
     def best(alive: int) -> int:
@@ -353,22 +355,15 @@ def maximum_matching(G: Graph) -> tuple[tuple[int, int], ...]:
 
     matching = []
     alive = (1 << G.n) - 1
-    while True:
-        target = best(alive)
-        if target == 0:
-            break
-        found = False
-        for v in range(G.n):
-            if found or not alive & (1 << v):
-                continue
-            for w in sorted(G.adj[v]):
-                if alive & (1 << w) and 1 + best(alive & ~(1 << v) & ~(1 << w)) == target:
+    target = best(alive)
+    for v in range(G.n):
+        if alive >> v & 1:
+            for w in bits(masks[v] & alive):
+                if 1 + best(alive & ~(1 << v | 1 << w)) == target:
                     matching.append((v, w))
-                    alive &= ~(1 << v) & ~(1 << w)
-                    found = True
+                    alive &= ~(1 << v | 1 << w)
+                    target -= 1
                     break
-        if not found:
-            break
     return tuple(matching)
 
 
@@ -906,8 +901,6 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
     terms = norm.terminals
     if not norm.cut_pairs:
         # deleting nothing is optimal when nothing must be separated
-        if not cls.contains(Graph(0)):
-            return None
         if verify_solution(G, (), norm, k, cls):
             return ()
         return None

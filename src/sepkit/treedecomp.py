@@ -57,30 +57,9 @@ def _fill_in(adj: list[int], v: int) -> int:
     return (missed - nb.bit_count()) // 2
 
 
-def _decomposition_from_order(G: Graph, order: list[int]) -> TreeDecomposition:
-    """Standard bag construction: bag of v = v plus its neighbors at
-    elimination time; each bag hangs off the bag of the earliest-eliminated
-    vertex among those neighbors."""
-    if G.n == 0:
-        return TreeDecomposition(((),), ())
-    adj = adjacency_masks(G)
-    position = [0] * G.n
-    for i, v in enumerate(order):
-        position[v] = i
-    bags = []
-    edges = []
-    for i, v in enumerate(order):
-        nb = _eliminate(adj, v)
-        bags.append(tuple(bits(nb | 1 << v)))
-        if nb:
-            edges.append((i, min(position[u] for u in bits(nb))))
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))
-    return TreeDecomposition(tuple(bags), tuple(edges))
-
-
-def min_fill_order(G: Graph) -> list[int]:
-    """Greedy elimination order: least fill-in first, ties by lowest id.
+def _min_fill(G: Graph) -> list[tuple[int, int]]:
+    """Greedy elimination, least fill-in first and ties by lowest id, as
+    (v, v's neighbour mask when eliminated) steps.
 
     Eliminating v changes the neighbourhood of v's neighbours and the
     adjacency inside the neighbourhood of their neighbours, so only those
@@ -88,24 +67,44 @@ def min_fill_order(G: Graph) -> list[int]:
     adj = adjacency_masks(G)
     fill = [_fill_in(adj, v) for v in range(G.n)]
     alive = list(range(G.n))
-    order = []
+    steps = []
     while alive:
         # the first minimum of an ascending list: ties go to the lowest id
         v = min(alive, key=fill.__getitem__)
         alive.remove(v)
-        order.append(v)
         nb = _eliminate(adj, v)
+        steps.append((v, nb))
         stale = nb
         for u in bits(nb):
             stale |= adj[u]
         for u in bits(stale):
             fill[u] = _fill_in(adj, u)
-    return order
+    return steps
+
+
+def min_fill_order(G: Graph) -> list[int]:
+    """The min-fill elimination order whose steps ``decompose`` reads."""
+    return [v for v, _ in _min_fill(G)]
 
 
 def decompose(G: Graph) -> TreeDecomposition:
-    """Min-fill decomposition with ascending-id tie-breaking."""
-    return _decomposition_from_order(G, min_fill_order(G))
+    """Min-fill decomposition with ascending-id tie-breaking, read off one
+    elimination: the bag of the i-th eliminated vertex v is v plus its
+    neighbours at that step, hung off the bag of the earliest eliminated of
+    them, or off bag i + 1 when it has none."""
+    steps = _min_fill(G)
+    position = [0] * G.n
+    for i, (v, _) in enumerate(steps):
+        position[v] = i
+    bags = []
+    edges = []
+    for i, (v, nb) in enumerate(steps):
+        bags.append(tuple(bits(nb | 1 << v)))
+        if nb:
+            edges.append((i, min(position[u] for u in bits(nb))))
+        elif i + 1 < len(steps):
+            edges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags) or ((),), tuple(edges))
 
 
 def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
@@ -165,10 +164,6 @@ class NiceDecomposition(NamedTuple):
     """Rooted nice decomposition in post-order (children precede parents);
     the last node is the root and has an empty bag."""
     nodes: tuple[NiceNode, ...]
-
-    @property
-    def root(self) -> int:
-        return len(self.nodes) - 1
 
     @property
     def width(self) -> int:

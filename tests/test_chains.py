@@ -1,5 +1,7 @@
 import pytest
 
+import sepkit.chains
+import sepkit.graphs
 from sepkit.chains import SeparatorChain, build_chain, validate_chain
 from sepkit.graphs import DomainError, Graph, boundary, components
 from sepkit.oracle import FIXTURES, enumerate_minimal_separators
@@ -176,3 +178,23 @@ def test_walled_grid_chain_matches_deletion_twin():
     assert ch.sets == tuple(sets)
     assert ch.boundaries == tuple(boundary(G, X) for X in sets)
     assert cover_set(G, s, t, 5) == tuple(range(G.n))
+
+
+def test_build_chain_calls_no_boundary(monkeypatch):
+    # each boundary comes from the union's neighbourhood mask; boundary() is
+    # patched only around build_chain, since validate_chain still uses it
+    def refuse(G, X):
+        raise AssertionError("build_chain called boundary")
+
+    cases = [walled_grid(4, 30)]
+    for G, rng in seeded_graphs(40, seed=67, n_lo=5, n_hi=14):
+        pair = nonadjacent_pair(G, rng)
+        if pair is not None:
+            cases.append((G, *pair))
+    for G, s, t in cases:
+        with monkeypatch.context() as m:
+            m.setattr(sepkit.chains, "boundary", refuse)
+            m.setattr(sepkit.graphs, "boundary", refuse)
+            ch = build_chain(G, s, t)
+        seps = _minimum_seps(G, s, t) if G.n <= 14 else ()
+        assert validate_chain(G, s, t, ch, seps)

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import itertools
@@ -483,6 +484,38 @@ def test_forbidden_induced():
     assert no_triangle.contains(C4)
     assert not no_triangle.contains(complete_graph(3))
     assert not no_triangle.contains(complete_graph(4))
+
+
+def _maximum_matching_reference(G):
+    """Reference twin of maximum_matching's reconstruction: after every
+    matched edge, rescan from vertex 0 for the first (v, w), v and then w
+    ascending, that keeps the maximum."""
+    @functools.lru_cache(maxsize=None)
+    def best(alive):
+        for v in range(G.n):
+            nb = [w for w in G.adj[v] if alive >> w & 1] if alive >> v & 1 else []
+            if nb:
+                rest = alive & ~(1 << v)
+                return max([best(rest)] + [1 + best(rest & ~(1 << w)) for w in nb])
+        return 0
+
+    matching = []
+    alive = (1 << G.n) - 1
+    while best(alive):
+        target = best(alive)
+        v, w = next((v, w) for v in range(G.n) if alive >> v & 1
+                    for w in sorted(G.adj[v])
+                    if alive >> w & 1 and 1 + best(alive & ~(1 << v) & ~(1 << w)) == target)
+        matching.append((v, w))
+        alive &= ~(1 << v) & ~(1 << w)
+    return tuple(matching)
+
+
+def test_maximum_matching_matches_reference():
+    # the edges themselves, not only their number, become eivc witnesses
+    for G, _rng in seeded_graphs(600, seed=71, n_lo=0, n_hi=16,
+                                 ps=(0.1, 0.2, 0.3, 0.5, 0.8)):
+        assert maximum_matching(G) == _maximum_matching_reference(G)
 
 
 def test_matching_helpers():

@@ -1,5 +1,6 @@
 import pytest
 
+import sepkit.treedecomp
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (FIXTURES, bf_treewidth, complete_graph, cycle_graph,
                            hypercube)
@@ -241,3 +242,21 @@ def test_min_fill_order_matches_full_rescan():
         order = _min_fill_rescan(G)
         assert min_fill_order(G) == order
         assert decompose(G) == _bags_from_order(G, order)
+
+
+def test_decompose_eliminates_each_vertex_once(monkeypatch):
+    # the bags are read off the min-fill elimination itself, not off a
+    # second elimination along its order
+    calls = []
+    eliminate = sepkit.treedecomp._eliminate
+
+    def counted(adj, v):
+        calls.append(v)
+        return eliminate(adj, v)
+
+    monkeypatch.setattr(sepkit.treedecomp, "_eliminate", counted)
+    for G, _rng in seeded_graphs(50, seed=61, n_lo=0, n_hi=30):
+        calls.clear()
+        td = decompose(G)
+        assert sorted(calls) == list(range(G.n))
+        assert validate_decomposition(G, td)
