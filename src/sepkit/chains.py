@@ -20,17 +20,23 @@ takes in X_v.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cmp_to_key
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import DomainError, Graph, adjacency_masks, bits, boundary
 from .separation import SeparatorResult, st_flow
 
 
-class SeparatorChain(NamedTuple):
-    ell: int
-    sets: tuple[tuple[int, ...], ...]          # X_1..X_q, ascending by size
-    boundaries: tuple[tuple[int, ...], ...]    # S_i = boundary(X_i)
+class SeparatorChain(namedtuple("SeparatorChain", "ell sets boundaries")):
+    """The chain of one s-t pair:
+
+        ell: int
+        sets: tuple[tuple[int, ...], ...]          # X_1..X_q, ascending by size
+        boundaries: tuple[tuple[int, ...], ...]    # S_i = boundary(X_i)
+    """
+
+    __slots__ = ()
 
     @property
     def q(self) -> int:

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import shlex
 import sys
 import time
 import warnings
@@ -115,6 +113,80 @@ def _pairs(G: Graph, text: str, flag: str) -> tuple[tuple[int, int], ...]:
             raise UsageError(f"non-integer pair in {flag}") from None
         out.append((_vertex(G, u, flag), _vertex(G, v, flag)))
     return tuple(out)
+
+
+# JSON string escapes, as ``json`` writes them with ensure_ascii: \u00XX for
+# the control characters and DEL, and the short form where JSON has one
+_ESCAPES = {i: f"\\u{i:04x}" for i in (*range(0x20), 0x7F)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b",
+                 ord("\f"): "\\f", ord("\n"): "\\n", ord("\r"): "\\r",
+                 ord("\t"): "\\t"})
+
+
+def _non_ascii(c: str) -> str:
+    """A character past ASCII as a \\u escape, or as a surrogate pair of
+    them past the BMP."""
+    code = ord(c)
+    if code < 0x80:
+        return c
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _string(s: str) -> str:
+    # printable ASCII needs an escape only for a quote or a backslash
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        s = s.translate(_ESCAPES)
+        if not s.isascii():
+            s = "".join(map(_non_ascii, s))
+    return f'"{s}"'
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a scalar key as its JSON text in
+    quotes."""
+    if isinstance(key, str):
+        return _string(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, byte for byte: the same
+    separators, escapes, float spellings and key order, and the same
+    ``TypeError`` for a value ``json`` cannot write."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_dumps, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_key(k)}: {_dumps(v)}"
+                               for k, v in sorted(value.items())) + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _ids(vs) -> list[int]:
@@ -279,6 +351,7 @@ def run_command(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:
+        import shlex    # for this message alone
         print(f"verification error: {exc}; replay: sepkit {shlex.join(argv)}",
               file=sys.stderr)
         return 3
@@ -286,7 +359,7 @@ def run_command(argv) -> int:
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"warning: {message}", file=sys.stderr)
     ms = (time.perf_counter() - started) * 1000.0
-    print(json.dumps(result, sort_keys=True))
+    print(_dumps(result))
     print(f"{result['command']}: {result['answer']} (time_ms={ms:.1f})", file=sys.stderr)
     return 0
 

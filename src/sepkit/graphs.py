@@ -8,8 +8,8 @@ deterministic.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from collections import deque, namedtuple
+from typing import Iterable, Optional
 
 
 class GraphError(Exception):
@@ -65,7 +65,13 @@ class Graph:
                 raise DomainError(f"loop at vertex {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        self.n = n
+        self._freeze(nbrs)
+
+    def _freeze(self, nbrs: list[set[int]]) -> None:
+        """Set ``n`` and ``adj`` from checked neighbour sets, one per vertex:
+        the last step of ``__init__`` and of ``parse_graph``, which fills the
+        sets as it reads the edge lines."""
+        self.n = len(nbrs)
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
 
     # -- basic queries ----------------------------------------------------
@@ -112,17 +118,40 @@ MAX_VERTICES = 2 ** 20
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of ``text``, read in one pass: each edge line goes straight
+    into the neighbour sets, which the header allocates once its vertex
+    count has passed the ``MAX_VERTICES`` check."""
     n = None
+    nbrs: list[set[int]] = []
     declared_m = 0
     header_line = 0
     edge_lines = 0
-    edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # split() drops the same whitespace as strip(), so a blank line has
+        # no fields and a comment line's first field starts with "c"
         fields = line.split()
-        if fields[0] == "p":
+        if not fields:
+            continue
+        kind = fields[0]
+        if kind == "e":
+            if n is None:
+                raise ParseError("edge before header", lineno)
+            if len(fields) != 3:
+                raise ParseError("edge must be 'e <u> <v>'", lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError("non-integer endpoint", lineno) from None
+            if u == v:
+                raise ParseError(f"loop at vertex {u}", lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range: {u} {v}", lineno)
+            edge_lines += 1
+            nbrs[u - 1].add(v - 1)
+            nbrs[v - 1].add(u - 1)
+        elif kind.startswith("c"):
+            continue
+        elif kind == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 3:
@@ -137,30 +166,18 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"header declares {n} vertices, more than "
                                  f"the limit of {MAX_VERTICES}", lineno)
             header_line = lineno
-        elif fields[0] == "e":
-            if n is None:
-                raise ParseError("edge before header", lineno)
-            if len(fields) != 3:
-                raise ParseError("edge must be 'e <u> <v>'", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError("non-integer endpoint", lineno) from None
-            if u == v:
-                raise ParseError(f"loop at vertex {u}", lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range: {u} {v}", lineno)
-            edge_lines += 1
-            edges.add((min(u, v) - 1, max(u, v) - 1))
+            nbrs = [set() for _ in range(n)]
         else:
-            raise ParseError(f"unknown line type {fields[0]!r}", lineno)
+            raise ParseError(f"unknown line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing 'p' header", 1)
     if edge_lines != declared_m:
         raise ParseError(
             f"header declares {declared_m} edges but {edge_lines} edge lines found",
             header_line)
-    return Graph(n, edges)
+    G = Graph.__new__(Graph)
+    G._freeze(nbrs)
+    return G
 
 
 def serialize_graph(G: Graph) -> str:
@@ -205,9 +222,14 @@ def components(G: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     return comps
 
 
-class InducedSubgraph(NamedTuple):
-    graph: Graph
-    orig: tuple[int, ...]          # new id -> original id
+class InducedSubgraph(namedtuple("InducedSubgraph", "graph orig")):
+    """G[X] and the map back to G:
+
+        graph: Graph
+        orig: tuple[int, ...]          # new id -> original id
+    """
+
+    __slots__ = ()
 
     def to_new(self, v: int) -> int:
         # orig is sorted, so binary search would do; linear is fine at our sizes

@@ -11,7 +11,8 @@ import itertools
 import math
 import random
 import time
-from typing import Callable, Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Callable, Iterable, Optional
 
 from .graphs import DomainError, Graph, components, two_coloring, serialize_graph
 
@@ -279,12 +280,17 @@ def brute_force_solve(problem: str, G: Graph, *args, cap: int = DEFAULT_CAP, **k
 
 # -- fixtures -----------------------------------------------------------------
 
-class Fixture(NamedTuple):
-    name: str
-    graph: Graph
-    s: int
-    t: int
-    ell: int      # minimum s-t separator size (ground truth)
+class Fixture(namedtuple("Fixture", "name graph s t ell")):
+    """A named graph with a terminal pair:
+
+        name: str
+        graph: Graph
+        s: int
+        t: int
+        ell: int      # minimum s-t separator size (ground truth)
+    """
+
+    __slots__ = ()
 
 
 def path_graph(n: int) -> Graph:
@@ -320,10 +326,15 @@ FIXTURES = {
 
 # -- random instances ---------------------------------------------------------
 
-class RandomModel(NamedTuple):
-    n: int
-    p: float
-    seed: int
+class RandomModel(namedtuple("RandomModel", "n p seed")):
+    """G(n, p) drawn from ``seed``:
+
+        n: int
+        p: float
+        seed: int
+    """
+
+    __slots__ = ()
 
 
 def random_graph(model: RandomModel) -> Graph:

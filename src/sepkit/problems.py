@@ -8,7 +8,8 @@ Every returned witness is re-verified against the original instance.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterable, Optional
 
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
                      shortest_odd_cycle, two_coloring, vset)
@@ -157,15 +158,19 @@ def _attached(G: Graph, orig: tuple[int, ...], X: Iterable[int], Y: Iterable[int
     return Graph(s + 2, edges)
 
 
-class _Branch(NamedTuple):
+class _Branch(namedtuple("_Branch", "R B0 W0 X Y")):
     """One way of resolving an odd-cycle transversal S0: remove R, colour B0
     black and W0 white; a removal that then separates the forced sides X
-    and Y makes G bipartite."""
-    R: tuple[int, ...]
-    B0: tuple[int, ...]
-    W0: tuple[int, ...]
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
+    and Y makes G bipartite. Each field is a sorted vertex tuple:
+
+        R: tuple[int, ...]
+        B0: tuple[int, ...]
+        W0: tuple[int, ...]
+        X: tuple[int, ...]
+        Y: tuple[int, ...]
+    """
+
+    __slots__ = ()
 
 
 def bipartization_branches(G: Graph, S0: tuple[int, ...]):
@@ -334,9 +339,14 @@ def _exact_solve(G: Graph, allowed: tuple[int, ...], budget: int,
 
 # -- edge-induced vertex cut --------------------------------------------------------
 
-class EdgeCutWitness(NamedTuple):
-    edges: tuple[tuple[int, int], ...]
-    deleted: tuple[int, ...]
+class EdgeCutWitness(namedtuple("EdgeCutWitness", "edges deleted")):
+    """The edges of an edge-induced vertex cut and the vertices it deletes:
+
+        edges: tuple[tuple[int, int], ...]
+        deleted: tuple[int, ...]
+    """
+
+    __slots__ = ()
 
 
 def edge_induced_vertex_cut(G: Graph, s: int, t: int, k: int) -> Optional[EdgeCutWitness]:

@@ -75,7 +75,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterable, Optional
 
 from .chains import SeparatorChain, build_chain
 from .graphs import DomainError, Graph, components, induced_subgraph, vset
@@ -85,12 +86,18 @@ GADGET = "gadget"
 SATURATION_LIMIT = 2 ** 63 - 1
 
 
-class TreewidthBounds(NamedTuple):
-    ell: int
-    excess: int
-    g_value: int
-    f_value: int
-    saturated: bool = False
+class TreewidthBounds(namedtuple("TreewidthBounds", "ell excess g_value f_value saturated",
+                                 defaults=(False,))):
+    """The bounds of ``tw_bound``:
+
+        ell: int
+        excess: int
+        g_value: int
+        f_value: int
+        saturated: bool = False
+    """
+
+    __slots__ = ()
 
 
 def tw_bound(ell: int, excess: int) -> TreewidthBounds:
@@ -121,10 +128,15 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
     return TreewidthBounds(ell, excess, g, f, saturated)
 
 
-class TorsoResult(NamedTuple):
-    graph: Graph                       # on C, relabeled ascending
-    orig: tuple[int, ...]              # new id -> original id
-    added_edges: tuple[tuple[int, int], ...]   # original ids, absent from G
+class TorsoResult(namedtuple("TorsoResult", "graph orig added_edges")):
+    """The torso of C:
+
+        graph: Graph                       # on C, relabeled ascending
+        orig: tuple[int, ...]              # new id -> original id
+        added_edges: tuple[tuple[int, int], ...]   # original ids, absent from G
+    """
+
+    __slots__ = ()
 
     def to_new(self, v: int) -> int:
         return self.orig.index(v)
@@ -223,9 +235,10 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     per unit of a huge budget. At excess 0 the cover is the minimum-separator
     vertices, the keys of the flow's ``Residual.sides``; they are exactly the
     union of the chain's boundaries (see ``chains``), which is not built.
-    Otherwise each layer flows its
-    boundary pair before the walk over its neighbourhood pairs, and stops
-    once the layer is covered; the cover is the same in any visit order
+    Nor is it when every vertex but s and t is on a minimum separator, as on
+    a walled grid: the cover is then V at any excess. Otherwise each layer
+    flows its boundary pair before the walk over its neighbourhood pairs,
+    and stops once the layer is covered; the cover is the same in any visit order
     (see the module docstring). ``flow``, a finished s-t flow of G, is
     reused instead of running a new one. ``memo`` is the recursion's table
     of layer subproblems; callers leave it unset and the top-level call
@@ -241,9 +254,11 @@ def cover_set(G: Graph, s: int, t: int, k: int,
         # a flow of size 0 leaves only the empty set as a minimal separator
         return vset((s, t))
     excess = k - int(r.size)
-    if excess == 0:
-        # the chain's boundaries hold exactly the minimum-separator vertices
-        return vset([s, t, *r.residual.sides()])
+    on_minimum = r.residual.sides()
+    if excess == 0 or len(on_minimum) == G.n - 2:
+        # the chain's boundaries hold exactly the minimum-separator vertices,
+        # and when these are all of V - {s, t}, so is the cover
+        return vset([s, t, *on_minimum])
 
     chain = build_chain(G, s, t, flow=r)
     cover: set[int] = {s, t}
@@ -292,16 +307,21 @@ def _layer_cover(network: PairNetwork, na: int, nb: int, k: int, excess: int,
     return tuple(i for i in cover_set(H, a, b, sub_budget, flow=r, memo=memo) if i < a)
 
 
-class ReducedInstance(NamedTuple):
+class ReducedInstance(namedtuple("ReducedInstance",
+                                 "gstar induced cover terminals k width_bound")):
     """Torso of the cover, which keeps the minimal separators of size <= k
     of the cut pairs and every other terminal, with bookkeeping to map
-    answers back."""
-    gstar: Graph                             # torso(G, cover), cover ascending
-    induced: Graph                           # G[cover], for the class check
-    cover: tuple[int, ...]                   # C', original ids
-    terminals: tuple[int, ...]               # original ids
-    k: int                                   # at most n - 2 (reduce_instance)
-    width_bound: int
+    answers back:
+
+        gstar: Graph                             # torso(G, cover), cover ascending
+        induced: Graph                           # G[cover], for the class check
+        cover: tuple[int, ...]                   # C', original ids
+        terminals: tuple[int, ...]               # original ids
+        k: int                                   # at most n - 2 (reduce_instance)
+        width_bound: int
+    """
+
+    __slots__ = ()
 
     def to_gstar(self, v: int) -> int:
         return self.cover.index(v)

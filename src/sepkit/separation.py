@@ -46,7 +46,7 @@ class Residual:
     vertex's in-copy is its in-out arc (``_network``).
     """
 
-    __slots__ = ("inner", "adj", "head", "cap", "reach")
+    __slots__ = ("inner", "adj", "head", "cap", "reach", "_sides")
 
     def __init__(self, inner: tuple[int, ...], adj: list[list[int]], head: list[int],
                  cap: list[int], reach: bytearray):
@@ -55,14 +55,16 @@ class Residual:
         self.head = head
         self.cap = cap          # residual capacity per arc
         self.reach = reach      # nodes residual-reachable from the source
+        self._sides: Optional[dict[int, int]] = None
 
     def sides(self) -> dict[int, int]:
         """{v: side} in ascending v for every vertex v on a minimum
-        separator. The side is the bit mask of the inner vertices whose
-        out-copy lies in the residual closure of the source and v's in-copy;
-        with A the source set, A | side is the A-side X_v of the minimum
-        separator closest to A among those containing v, and that separator
-        is the boundary of X_v.
+        separator. The pass runs on the first call; later calls return the
+        same dict, which callers read and never change. The side is the bit
+        mask of the inner vertices whose out-copy lies in the residual
+        closure of the source and v's in-copy; with A the source set,
+        A | side is the A-side X_v of the minimum separator closest to A
+        among those containing v, and that separator is the boundary of X_v.
 
         v lies on a minimum separator iff that closure reaches neither v's
         out-copy nor the sink. One reverse search from the sink marks the
@@ -75,6 +77,8 @@ class Residual:
         vertex's when no flow passes, puts v on no minimum separator, and
         needs no search.
         """
+        if self._sides is not None:
+            return self._sides
         adj, head, cap, reach = self.adj, self.head, self.cap, self.reach
         size = len(reach)
         # done: the source closure, and the nodes that reach the sink
@@ -153,6 +157,7 @@ class Residual:
                 out[v] = base
             elif not done[v_in] and not closure[comp[v_in]] >> v & 1:
                 out[v] = base | closure[comp[v_in]]
+        self._sides = out
         return out
 
 

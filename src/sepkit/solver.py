@@ -99,10 +99,11 @@ the last call. When that flow exceeds k the call answers NO there, with
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (DomainError, Graph, adjacency_masks, bits, components,
                      induced_subgraph, two_coloring, vset)
@@ -113,7 +114,7 @@ from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, val
 
 # -- hereditary classes -------------------------------------------------------
 
-class ClassSummary(NamedTuple):
+class ClassSummary(namedtuple("ClassSummary", "empty add_pin unpin join")):
     """What the DP keeps of the deleted set's graph (module docstring).
 
     Pins are the deleted bag vertices, named by rank 0..p-1. ``empty`` is the
@@ -123,12 +124,15 @@ class ClassSummary(NamedTuple):
     ``join(l, r)`` glues two graphs with the same pins. ``add_pin`` and
     ``join`` return None when the result leaves the class. Summaries are
     hashable tuples whose element 0 is the vertex count m and which
-    determine p; all four operations are pure.
+    determine p; all four operations are pure:
+
+        empty: tuple
+        add_pin: Callable[[tuple, int, int], Optional[tuple]]
+        unpin: Callable[[tuple, int], tuple]
+        join: Callable[[tuple, tuple], Optional[tuple]]
     """
-    empty: tuple
-    add_pin: Callable[[tuple, int, int], Optional[tuple]]
-    unpin: Callable[[tuple, int], tuple]
-    join: Callable[[tuple, tuple], Optional[tuple]]
+
+    __slots__ = ()
 
 
 class HereditaryClass:
@@ -453,14 +457,19 @@ def parse_class(selector: str) -> HereditaryClass:
 
 # -- constraints and witnesses --------------------------------------------------
 
-class CutConstraints(NamedTuple):
+class CutConstraints(namedtuple("CutConstraints", "cut_pairs uncut_pairs reach",
+                                defaults=((), ()))):
     """Each cut pair ends in two components of G - S and each uncut pair in
     one. A reach constraint (a, B) keeps a, and a's component holds a kept
     vertex of B; the vertices of B may be deleted. The terminals, which S
-    avoids, are the pair ends and the reach sources."""
-    cut_pairs: tuple[tuple[int, int], ...]
-    uncut_pairs: tuple[tuple[int, int], ...] = ()
-    reach: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    avoids, are the pair ends and the reach sources:
+
+        cut_pairs: tuple[tuple[int, int], ...]
+        uncut_pairs: tuple[tuple[int, int], ...] = ()
+        reach: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    """
+
+    __slots__ = ()
 
     @property
     def terminals(self) -> tuple[int, ...]:
@@ -703,14 +712,15 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     # keep and forget of a kept vertex by vertex, then block id; add_pin by
     # (rank, neighbour rank mask), then summary id, with the (rank, mask) of
     # each (vertex, deleted set) kept too; unpin by rank, then summary id;
-    # joins by left id, then right id. None marks a pruned transition
+    # joins by left id, then right id. None marks a pruned transition. The
+    # memos looked up once per state make their inner dict on a miss
     keep_memos: dict = {}
     forget_memos: dict = {}
     pin_memos: dict = {}
     add_pin_memos: dict = {}
-    unpin_memos: dict = {}
-    summary_joins: dict = {}
-    block_joins: dict = {}
+    unpin_memos: dict = defaultdict(dict)
+    summary_joins: dict = defaultdict(dict)
+    block_joins: dict = defaultdict(dict)
 
     tables: list[dict] = []
     total_states = 0
@@ -757,7 +767,7 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                 deleted, bid, sid = key
                 if deleted & bit:
                     rank = (deleted & below).bit_count()
-                    unpin_memo = unpin_memos.setdefault(rank, {})
+                    unpin_memo = unpin_memos[rank]
                     nsid = unpin_memo.get(sid)
                     if nsid is None:
                         nsid = unpin_memo[sid] = summ_id(summary.unpin(summ_list[sid], rank))
@@ -778,8 +788,8 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
                 by_deleted.setdefault(rkey[0], []).append(rkey)
             for lkey in tables[lchild]:
                 deleted, lbid, lsid = lkey
-                summary_memo = summary_joins.setdefault(lsid, {})
-                block_memo = block_joins.setdefault(lbid, {})
+                summary_memo = summary_joins[lsid]
+                block_memo = block_joins[lbid]
                 for rkey in by_deleted.get(deleted, ()):
                     _, rbid, rsid = rkey
                     nsid = summary_memo.get(rsid, _MISSING)

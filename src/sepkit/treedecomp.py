@@ -9,8 +9,8 @@ bits of one int.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from collections import deque, namedtuple
+from typing import Iterable, Optional
 
 from .graphs import DomainError, Graph, adjacency_masks, bits
 
@@ -20,9 +20,14 @@ FORGET = "forget"
 JOIN = "join"
 
 
-class TreeDecomposition(NamedTuple):
-    bags: tuple[tuple[int, ...], ...]
-    tree: tuple[tuple[int, int], ...]     # edges over bag indices
+class TreeDecomposition(namedtuple("TreeDecomposition", "bags tree")):
+    """Bags and the tree over them:
+
+        bags: tuple[tuple[int, ...], ...]
+        tree: tuple[tuple[int, int], ...]     # edges over bag indices
+    """
+
+    __slots__ = ()
 
     @property
     def width(self) -> int:
@@ -153,17 +158,26 @@ def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
 
 # -- nice form --------------------------------------------------------------
 
-class NiceNode(NamedTuple):
-    kind: str
-    vertex: Optional[int]
-    bag: tuple[int, ...]
-    children: tuple[int, ...]
+class NiceNode(namedtuple("NiceNode", "kind vertex bag children")):
+    """One node of a nice decomposition:
+
+        kind: str
+        vertex: Optional[int]
+        bag: tuple[int, ...]
+        children: tuple[int, ...]
+    """
+
+    __slots__ = ()
 
 
-class NiceDecomposition(NamedTuple):
+class NiceDecomposition(namedtuple("NiceDecomposition", "nodes")):
     """Rooted nice decomposition in post-order (children precede parents);
-    the last node is the root and has an empty bag."""
-    nodes: tuple[NiceNode, ...]
+    the last node is the root and has an empty bag:
+
+        nodes: tuple[NiceNode, ...]
+    """
+
+    __slots__ = ()
 
     @property
     def width(self) -> int:

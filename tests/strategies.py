@@ -7,7 +7,8 @@ import random
 from hypothesis import strategies as st
 
 import sepkit.problems
-from sepkit.graphs import Graph, delete_vertices, induced_subgraph, two_coloring, vset
+from sepkit.graphs import (MAX_VERTICES, Graph, ParseError, delete_vertices, induced_subgraph,
+                           two_coloring, vset)
 from sepkit.oracle import RandomModel, random_graph
 from sepkit.separation import min_vertex_separator
 
@@ -91,3 +92,58 @@ def odd_cycle_transversal_by_recolouring(G, k):
             break
         current = smaller
     return current
+
+
+def parse_graph_by_edge_set(text):
+    """Reference twin of ``parse_graph``: the two-pass reader that collects
+    every edge line into a set and builds the graph from it afterwards, with
+    the same checks in the same order."""
+    n = None
+    declared_m = 0
+    header_line = 0
+    edge_lines = 0
+    edges = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(fields) != 3:
+                raise ParseError("header must be 'p <n> <m>'", lineno)
+            try:
+                n, declared_m = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError("non-integer header field", lineno) from None
+            if n < 0 or declared_m < 0:
+                raise ParseError("negative count in header", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"header declares {n} vertices, more than "
+                                 f"the limit of {MAX_VERTICES}", lineno)
+            header_line = lineno
+        elif fields[0] == "e":
+            if n is None:
+                raise ParseError("edge before header", lineno)
+            if len(fields) != 3:
+                raise ParseError("edge must be 'e <u> <v>'", lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError("non-integer endpoint", lineno) from None
+            if u == v:
+                raise ParseError(f"loop at vertex {u}", lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range: {u} {v}", lineno)
+            edge_lines += 1
+            edges.add((min(u, v) - 1, max(u, v) - 1))
+        else:
+            raise ParseError(f"unknown line type {fields[0]!r}", lineno)
+    if n is None:
+        raise ParseError("missing 'p' header", 1)
+    if edge_lines != declared_m:
+        raise ParseError(
+            f"header declares {declared_m} edges but {edge_lines} edge lines found",
+            header_line)
+    return Graph(n, edges)

@@ -9,6 +9,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepkit.cli
 import sepkit.oracle
@@ -17,7 +19,7 @@ import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
 from sepkit.chains import SeparatorChain
-from sepkit.cli import _build_parser, run_command
+from sepkit.cli import _build_parser, _dumps, run_command
 from sepkit.graphs import Graph, serialize_graph
 from sepkit.oracle import FIXTURES
 from sepkit.treedecomp import decompose, format_td
@@ -688,11 +690,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, because this one has loaded both; together they
     # took most of a one-shot command's start-up. Only what the import adds
     # counts, not what site-packages hooks loaded before it. The oracles are
-    # loaded by selfcheck alone.
+    # loaded by selfcheck alone, shlex by a verification error alone, and
+    # json not at all: _dumps writes the result line.
     src = str(pathlib.Path(sepkit.cli.__file__).resolve().parents[1])
     probe = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
-             "import sepkit.cli; print(sorted({'dataclasses', 'inspect', 'sepkit.oracle'}"
-             " & (set(sys.modules) - before)))")
+             "import sepkit.cli; print(sorted({'dataclasses', 'inspect', 'json', 'shlex',"
+             " 'sepkit.oracle'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-I", "-c", probe, src],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
@@ -704,3 +707,43 @@ def test_cli_has_no_assert_statements():
     found = [node.lineno for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# characters json escapes in its own ways, drawn often: quote, backslash, the
+# short escapes, other controls, DEL, non-ASCII, a line separator and astral
+_TRICKY = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\uffff\U0001f600\U0010ffff')
+_TEXT = st.text(st.one_of(_TRICKY, st.characters()), max_size=12)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2 ** 63 - 2, max_value=2 ** 80).map(lambda i: i * (-1) ** i)
+            | st.floats() | _TEXT)
+_JSONABLE = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSONABLE)
+def test_dumps_matches_json(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {2: "int", 1.5: "float", True: "bool"}, {None: 0}, {float("nan"): 1, float("inf"): 2},
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300], 2 ** 200, -(2 ** 64),
+    "\ud800 lone surrogate", {"b": {"z": [], "a": {}}, "a": ()},
+])
+def test_dumps_matches_json_on_other_keys_and_floats(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", 1j, object(), [1, {"a": frozenset()}], {(1, 2): 3}, {"a": 1, 2: 3},
+])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _dumps(value)
+    assert str(got.value) == str(want.value)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from sepkit.graphs import (MAX_VERTICES, DomainError, Graph, ParseError, boundar
                            serialize_graph, shortest_odd_cycle, two_coloring)
 from sepkit.oracle import FIXTURES, cycle_graph
 
-from strategies import graphs
+from strategies import graphs, parse_graph_by_edge_set
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -47,10 +49,63 @@ def test_parse_errors_name_lines():
 
 
 def test_parse_refuses_a_vertex_count_above_the_limit():
-    # refused at the header, before Graph allocates one set per vertex
-    with pytest.raises(ParseError) as exc:
-        parse_graph(f"c one past the limit\np {MAX_VERTICES + 1} 0\n")
+    # refused at the header, before the parser allocates one set per vertex:
+    # allocating first would take hundreds of megabytes before failing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_graph(f"c one past the limit\np {MAX_VERTICES + 1} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert exc.value.line == 2 and f"limit of {MAX_VERTICES}" in str(exc.value)
+    assert peak < 2 ** 20
+
+
+def _random_graph_text(rng):
+    """A graph file, often well formed, with the lines a reader must skip or
+    refuse mixed in at random."""
+    n = rng.choice((0, 1, 2, 3, 5, 8))
+    edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 8))] if n else []
+    edges = [(u, v) for u, v in edges if u != v]
+    lines = [f"p {n} {len(edges)}", *(f"e {u} {v}" for u, v in edges)]
+    if edges and rng.random() < 0.3:
+        lines.append(lines[1])                     # a duplicate edge line
+    if rng.random() < 0.05:
+        del lines[0]                               # no header
+    noise = [
+        "c a comment", "c", "cat 1 2", "  c indented", "c\tp 1 2", "", "   ", "\t",
+        f"e {rng.randint(0, n + 1)} {rng.randint(0, n + 1)}",  # in or out of range
+        f"e {rng.randint(1, max(n, 1))} {rng.randint(1, max(n, 1))} 3",
+        "e 1", "e x 2", "e 1 2.0", "e +1 2", "e 1 1", "e 2 2",
+        f"p {n} {len(edges)}", f"p {n + 1} 0", "p 3", "p x 1", "p -1 0", "p 2 -1",
+        f"p {MAX_VERTICES + 1} 0", "q 1 2", "E 1 2", "pe 1 2", "ee",
+    ]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(noise))
+    end = rng.choice(("\n", "\n", "\r\n", "\r"))
+    return end.join(lines) + rng.choice(("", end))
+
+
+def test_parse_matches_edge_set_reader():
+    rng = random.Random(2027)
+    outcomes = {"graph": 0, "error": 0}
+    messages = set()
+    for _ in range(3000):
+        text = _random_graph_text(rng)
+        try:
+            want = parse_graph_by_edge_set(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_graph(text)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line), text
+            outcomes["error"] += 1
+            messages.add(str(exc).split(": ", 1)[1].split(" ")[0])
+        else:
+            assert parse_graph(text) == want, text
+            outcomes["graph"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+    assert len(messages) >= 8, messages
 
 
 def test_parse_collapses_duplicate_edge_lines():

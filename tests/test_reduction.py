@@ -7,7 +7,7 @@ import pytest
 
 import sepkit.reduction
 from sepkit.graphs import DomainError, Graph, induced_subgraph
-from sepkit.oracle import (FIXTURES, RandomModel, enumerate_minimal_separators,
+from sepkit.oracle import (FIXTURES, RandomModel, cycle_graph, enumerate_minimal_separators,
                            path_graph, random_graph)
 from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
                               _boundary_pair, _neighbourhood_pairs, cover_set,
@@ -16,7 +16,7 @@ from sepkit.chains import build_chain
 from sepkit.separation import PairNetwork, is_separator, min_vertex_separator
 from sepkit.treedecomp import decompose
 
-from strategies import grid, nonadjacent_pair, seeded_graphs
+from strategies import grid, nonadjacent_pair, seeded_graphs, walled_grid
 
 P3 = FIXTURES["P3"].graph
 C4 = FIXTURES["C4"].graph
@@ -287,6 +287,40 @@ def test_cover_matches_unmemoised_recursion():
         assert cover_set(G, s, t, k) == want
         positive += len(want) > 2
     assert positive >= 100
+
+
+def test_cover_is_v_without_a_chain_when_every_vertex_is_on_a_minimum_separator(monkeypatch):
+    # on a walled grid every vertex but s and t lies on a minimum separator,
+    # so the cover is V at any excess, read off the flow with no chain
+    calls = []
+    chain = sepkit.reduction.build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.reduction, "build_chain", counted)
+    G, s, t = walled_grid(4, 30)
+    for k in (5, 6, 9):
+        assert cover_set(G, s, t, k) == tuple(range(G.n))
+    assert calls == []
+    monkeypatch.undo()
+    # the plain recursion builds the chain and walks every layer; it reaches
+    # the same covers where the shortcut applies and where it does not
+    cases = [(*walled_grid(r, c), r + e) for r, c in ((1, 4), (2, 3), (2, 4), (3, 2))
+             for e in (1, 2)]
+    cases += [(path_graph(6), 0, 5, 2), (cycle_graph(8), 0, 4, 3), (cycle_graph(7), 1, 4, 4)]
+    for G, rng in seeded_graphs(150, seed=71, n_lo=4, n_hi=12, ps=(0.2, 0.3, 0.45)):
+        pair = nonadjacent_pair(G, rng)
+        if pair is not None:
+            cases.append((G, *pair, rng.randint(1, 4)))
+    every = 0
+    for G, s, t, k in cases:
+        r = min_vertex_separator(G, (s,), (t,), cap=k)
+        if r.within(k) and 0 < r.size < k:
+            every += len(r.residual.sides()) == G.n - 2
+        assert cover_set(G, s, t, k) == _cover_reference(G, s, t, k)
+    assert every >= 12, every
 
 
 def _count_layer_flows(monkeypatch, cap=None) -> list:
