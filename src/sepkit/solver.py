@@ -86,6 +86,26 @@ accumulated graph can have more; only then is it held against the class's
 ``max_check``. Only the classes whose membership test is exponential carry
 one (``matchdef:`` and ``forbid:``); the others decide any size.
 
+The front half of ``g_multicut_uncut``, ``reduce_instance``, ``decompose``
+and ``make_nice``, does not read the class: the cover keeps every minimal
+separator of size <= k of the cut pairs whatever the class, and only the DP
+judges it. So one table keeps, for the last 16 distinct keys (graph,
+normalised constraints, k), the reduced instance, its nice decomposition and
+the warnings that its reduction raised, and drops the least recently used key
+when a 17th arrives; the bound is fixed. The graph is compared by content
+(``Graph.__eq__`` and ``__hash__``), so a graph read again from the same file
+hits. A hit is exact, since every skipped stage is a deterministic function
+of the graph's content, the constraints and k. The flow that a caller hands
+in stays out of the key: it only saves the reduction a flow, and the cover
+is the same with no flow, a capped one or an uncapped one, since the
+minimum-separator vertices and the chain are properties of the graph, not of
+the maximum flow that finds them. A hit raises the entry's warnings again and
+refuses a flow of another graph or pair as ``reduce_instance`` would; the
+DP, which validates the decomposition against the reduced graph, the
+map-back, the re-verification and ``minimalize_separator`` run on every
+call. An entry keeps its key's graph alive besides the reduced graph,
+G[cover] and the nice decomposition.
+
 Stats reach a caller through ``with collect() as stats:`` (a NO answer has no
 witness to carry them): the innermost block gets the last ``ell``, ``excess``,
 ``cover_size``, ``width_bound`` and ``width``, and ``dp_states`` summed over
@@ -99,6 +119,8 @@ the last call. When that flow exceeds k the call answers NO there, with
 from __future__ import annotations
 
 import itertools
+import threading
+import warnings
 from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -896,30 +918,82 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass
     return S
 
 
+# the front half of the last calls, least recently used first (module docstring)
+_REDUCTIONS_KEPT = 16
+_reductions: dict = {}
+_reductions_lock = threading.Lock()
+# no tw_bound(ell, k - ell) saturates below this budget, so no smaller call
+# can warn (tests check it)
+_WARNS_FROM = 9
+
+
+def _reduce(G: Graph, norm: CutConstraints, k: int,
+            flow: Optional[SeparatorResult]) -> tuple:
+    """The class-independent front half of ``g_multicut_uncut``: the
+    reduced instance, its nice decomposition and the warnings that
+    ``reduce_instance`` raised, which every use of the entry raises again.
+    Below ``_WARNS_FROM`` the reduction cannot warn, and runs without
+    recording, which would swap the process-wide warning filters twice."""
+    terms = norm.terminals
+    targets = [b for _, B in norm.reach for b in B]
+    if k < _WARNS_FROM:
+        ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
+        raised = ()
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
+        raised = tuple(w.message for w in caught)
+    td = decompose(ri.gstar)
+    return ri, make_nice(td, ri.gstar, root_vertex=ri.to_gstar(min(terms))), raised
+
+
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
                      flow: Optional[SeparatorResult] = None) -> Optional[tuple[int, ...]]:
     """Deletion set separating every cut pair, keeping every uncut pair
     connected and every reach constraint met, inducing a member of cls. Only
     the cut pairs are covered; uncut ends, reach sources and reach targets
     join the cover as vertices (``reduce_instance``). ``flow``, a flow of
-    one cut pair from its lower to its higher end, is handed on."""
+    one cut pair from its lower to its higher end, is handed on.
+
+    The reduced instance and its nice decomposition are kept in a table of
+    the last 16 (graph, normalised constraints, k) keys, the graph by
+    content, and a repeat of a key, for any class, reuses them without
+    ``reduce_instance``, ``decompose`` or ``make_nice``. That is exact, since
+    those stages depend on nothing else (module docstring). A hit notes the
+    same ``cover_size`` and ``width_bound``, raises the same warnings, and
+    refuses a ``flow`` of another graph or pair as a miss does. The DP still
+    validates the decomposition against the reduced graph."""
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
     uncut = tuple((a, b) for a, b in cons.uncut_pairs if a != b)
-    norm = CutConstraints(tuple(cons.cut_pairs), uncut, tuple(cons.reach))
+    norm = CutConstraints(tuple((a, b) for a, b in cons.cut_pairs), uncut,
+                          tuple((a, tuple(B)) for a, B in cons.reach))
     terms = norm.terminals
     if not norm.cut_pairs:
         # deleting nothing is optimal when nothing must be separated
         if verify_solution(G, (), norm, k, cls):
             return ()
         return None
-    targets = [b for _, B in norm.reach for b in B]
-    ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
+    key = (G, norm, k)
+    # popped and put back last: the table's order is its recency order
+    with _reductions_lock:
+        entry = _reductions.pop(key, None)
+    if entry is None:
+        entry = _reduce(G, norm, k, flow)
+    elif flow is not None and not any(flow.belongs_to(G, (min(a, b),), (max(a, b),))
+                                      for a, b in norm.cut_pairs):
+        raise DomainError("flow belongs to another graph or terminal pair")
+    with _reductions_lock:
+        _reductions[key] = entry
+        if len(_reductions) > _REDUCTIONS_KEPT:
+            del _reductions[next(iter(_reductions))]
+    ri, nice, raised = entry
+    for message in raised:
+        warnings.warn(message, stacklevel=2)
     _note("cover_size", len(ri.cover))
     _note("width_bound", ri.width_bound)
-    td = decompose(ri.gstar)
-    nice = make_nice(td, ri.gstar, root_vertex=ri.to_gstar(min(terms)))
     mapped = CutConstraints(
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.cut_pairs),
         tuple((ri.to_gstar(a), ri.to_gstar(b)) for a, b in norm.uncut_pairs),

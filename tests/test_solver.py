@@ -4,12 +4,14 @@ import inspect
 import itertools
 import pkgutil
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepkit
+import sepkit.oracle
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
@@ -18,7 +20,7 @@ from sepkit.graphs import (DomainError, Graph, components, induced_subgraph,
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
                            path_graph, _separates)
-from sepkit.reduction import reduce_instance
+from sepkit.reduction import reduce_instance, tw_bound
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
                            HereditaryClass, VerificationError,
@@ -924,3 +926,179 @@ def test_no_function_takes_an_out_parameter():
     for fn in functions:
         assert not any(name.endswith("_out") for name in inspect.signature(fn).parameters), fn
     assert "collect" in sepkit.__all__
+
+
+# -- the reduction table --------------------------------------------------------------
+
+TABLE_CLASSES = ("any", "forest", "bipartite", "maxdeg:1", "edgeless", "matchdef:1")
+FRONT_HALF = ("reduce_instance", "decompose", "make_nice")
+
+
+def _count_front_half(monkeypatch) -> list:
+    """Wrap the stages a hit skips, as ``sepkit.solver`` binds them."""
+    calls = []
+    for name in FRONT_HALF:
+        def counted(*args, _fn=getattr(sepkit.solver, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sepkit.solver, name, counted)
+    return calls
+
+
+def _answer(call):
+    """(witness, collect() stats) of one call."""
+    with collect() as stats:
+        out = call()
+    return out, stats
+
+
+def _mincut_of(G, s, t, k, cls):
+    return g_mincut(G, s, t, k, parse_class(cls))
+
+
+def _multicut_of(G, cons, k, cls):
+    return g_multicut_uncut(G, cons, k, parse_class(cls))
+
+
+def _table_queries():
+    """(graph, [calls that share one key]): g_mincut across the classes on
+    the Q4 and Q3 pairs of the class-dp pool and on seeded graphs, and
+    g_multicut_uncut across classes with uncut pairs and reach constraints.
+    Keys that differ in one part only, the budget, the pair, the uncut
+    pairs or the reach constraints, come one after another."""
+    Q4 = sepkit.oracle.hypercube(4)
+    pairs = [(Q4, 0, 15, 4), (Q4, 0, 7, 4), (Q4, 1, 14, 4), (Q4, 0, 3, 4),
+             (Q3, 0, 7, 5), (Q3, 0, 7, 7)]
+    for G, rng in seeded_graphs(30, seed=281, n_lo=8, n_hi=20, ps=(0.15, 0.25)):
+        s, t = rng.sample(range(G.n), 2)
+        k = rng.randint(1, 4)
+        pairs += [(G, s, t, k), (G, s, t, k + 1)]
+    for G, s, t, k in pairs:
+        yield G, [functools.partial(_mincut_of, s=s, t=t, k=k, cls=c) for c in TABLE_CLASSES]
+    for G, rng in seeded_graphs(40, seed=283, n_lo=6, n_hi=14):
+        apart = [(a, b) for a, b in itertools.combinations(range(G.n), 2)
+                 if not G.has_edge(a, b)]
+        if not apart:
+            continue
+        cut = tuple(rng.sample(apart, rng.randint(1, min(2, len(apart)))))
+        uncut = tuple(tuple(rng.sample(range(G.n), 2)) for _ in range(rng.randint(1, 2)))
+        reach = tuple((rng.randrange(G.n), tuple(rng.sample(range(G.n), rng.randint(1, 3))))
+                      for _ in range(rng.randint(1, 2)))
+        k = rng.randint(1, 4)
+        for cons, budget in ((CutConstraints(cut, uncut, reach), k),
+                             (CutConstraints(cut, uncut, reach), k + 1),
+                             (CutConstraints(cut), k), (CutConstraints(cut, uncut), k),
+                             (CutConstraints(cut, (), reach), k)):
+            yield G, [functools.partial(_multicut_of, cons=cons, k=budget, cls=c)
+                      for c in TABLE_CLASSES[:4]]
+
+
+def test_a_table_hit_matches_a_miss(monkeypatch):
+    # a repeat call, or one for another class, on an equal graph built anew
+    # answers and notes as a call on an emptied table, and skips the front
+    # half; a key that differs in one part is no hit
+    queries = list(_table_queries())
+    fresh = []
+    for G, calls in queries:
+        row = []
+        for call in calls:
+            sepkit.solver._reductions.clear()
+            row.append(_answer(functools.partial(call, G)))
+        fresh.append(row)
+    counted = _count_front_half(monkeypatch)
+    sepkit.solver._reductions.clear()
+    for (G, calls), want in zip(queries, fresh):
+        assert _answer(functools.partial(calls[0], G)) == want[0]
+        counted.clear()
+        copy = Graph(G.n, G.edges())
+        for call, expected in zip(calls + calls[:1], want + want[:1]):
+            assert _answer(functools.partial(call, copy)) == expected
+        assert counted == [], counted
+    answers = [out for row in fresh for out, _ in row]
+    assert len(queries) >= 200
+    assert sum(isinstance(out, tuple) for out in answers) >= 300
+    assert answers.count(None) >= 100
+
+
+def test_the_reduced_instance_does_not_depend_on_the_flow():
+    # why the table's key leaves the flow out: no flow, a flow capped at k
+    # and an uncapped one give the same reduced instance and decomposition
+    checked = 0
+    for G, rng in seeded_graphs(200, seed=293, n_lo=4, n_hi=20):
+        s, t = rng.sample(range(G.n), 2)
+        if G.has_edge(s, t):
+            continue
+        k = rng.randint(1, 5)
+        a, b = min(s, t), max(s, t)
+        got = set()
+        for flow in (None, sepkit.separation.min_vertex_separator(G, (a,), (b,), cap=k),
+                     sepkit.separation.min_vertex_separator(G, (a,), (b,))):
+            ri = reduce_instance(G, (s, t), k, flow=flow)
+            got.add((ri, make_nice(decompose(ri.gstar), ri.gstar, root_vertex=0)))
+        assert len(got) == 1, (G.edges(), s, t, k)
+        checked += 1
+    assert checked >= 120, checked
+
+
+def test_the_table_keeps_the_16_most_recent_keys(monkeypatch):
+    table = sepkit.solver._reductions
+    cons = CutConstraints(((0, 2),))
+    paths = [path_graph(n) for n in range(3, 20)]
+    for P in paths[:16]:
+        g_multicut_uncut(P, cons, 1, ANY)
+    assert len(table) == 16
+    g_multicut_uncut(paths[0], cons, 1, FOREST)      # a hit makes P3 the newest
+    g_multicut_uncut(paths[16], cons, 1, ANY)
+    assert len(table) == 16
+    assert [key[0] for key in table] == paths[2:16] + paths[:1] + paths[16:]
+    counted = _count_front_half(monkeypatch)
+    g_multicut_uncut(paths[1], cons, 1, ANY)         # P4 went first
+    assert counted == list(FRONT_HALF)
+
+
+def test_one_class_dp_pass_fits_the_table(monkeypatch):
+    # the 27 commands of a class-dp pass ask up to four classes of each of
+    # 10 keys, which all stay: a second pass reduces nothing
+    plan = ((sepkit.oracle.hypercube(4), ((0, 15, 4), (0, 7, 4), (1, 14, 4), (0, 3, 4))),
+            (Q3, ((0, 7, 5), (0, 7, 7))),
+            (_gnp(12, 0.4, 123), ((5, 9, 4), (5, 9, 5))),
+            (_gnp(12, 0.4, 121), ((2, 4, 6),)),
+            (grid(3, 6), ((0, 17, 6),)))
+    counted = _count_front_half(monkeypatch)
+    for _ in range(2):
+        for G, keys in plan:
+            for s, t, k in keys:
+                for cls in ("any", "forest", "bipartite", "maxdeg:1"):
+                    g_mincut(Graph(G.n, G.edges()), s, t, k, parse_class(cls))
+        assert counted.count("reduce_instance") == 10
+    assert len(sepkit.solver._reductions) == 10
+
+
+def test_a_hit_raises_what_the_miss_raised():
+    # the saturation warning of the miss, and a flow of another graph
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            assert g_mincut(C4, 0, 2, 65, EDGELESS) == (1, 3)
+    assert len(sepkit.solver._reductions) == 1
+    assert [str(w.message) for w in caught] == \
+        ["treewidth bound saturated for ell=2, excess=63"] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning):
+            g_mincut(C4, 0, 2, 65, EDGELESS)
+    PP = FIXTURES["PP"].graph
+    assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY) == (1, 3)
+    foreign = sepkit.separation.min_vertex_separator(Q3, (0,), (7,), cap=2)
+    with pytest.raises(DomainError):
+        g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, FOREST, flow=foreign)
+
+
+def test_no_budget_below_the_warning_gate_saturates():
+    # a call below this budget runs its reduction without recording warnings
+    gate = sepkit.solver._WARNS_FROM
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not any(tw_bound(ell, k - ell).saturated
+                       for k in range(1, gate) for ell in range(1, k + 1))
+        assert any(tw_bound(ell, gate - ell).saturated for ell in range(1, gate + 1))
