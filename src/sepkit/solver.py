@@ -90,21 +90,26 @@ The front half of ``g_multicut_uncut``, ``reduce_instance``, ``decompose``
 and ``make_nice``, does not read the class: the cover keeps every minimal
 separator of size <= k of the cut pairs whatever the class, and only the DP
 judges it. So one table keeps, for the last 16 distinct keys (graph,
-normalised constraints, k), the reduced instance, its nice decomposition and
-the warnings that its reduction raised, and drops the least recently used key
-when a 17th arrives; the bound is fixed. The graph is compared by content
-(``Graph.__eq__`` and ``__hash__``), so a graph read again from the same file
-hits. A hit is exact, since every skipped stage is a deterministic function
-of the graph's content, the constraints and k. The flow that a caller hands
-in stays out of the key: it only saves the reduction a flow, and the cover
-is the same with no flow, a capped one or an uncapped one, since the
-minimum-separator vertices and the chain are properties of the graph, not of
-the maximum flow that finds them. A hit raises the entry's warnings again and
-refuses a flow of another graph or pair as ``reduce_instance`` would; the
-DP, which validates the decomposition against the reduced graph, the
+normalised constraints, k), the reduced instance and its nice decomposition,
+and drops the least recently used key when a 17th arrives; the bound is
+fixed. The graph is compared by content (``Graph.__eq__`` and ``__hash__``),
+so an equal graph built anew in the same process hits. A hit is exact, since
+every skipped stage is a deterministic function of the graph's content, the
+constraints and k. The flow that a caller hands in stays out of the key: it
+only saves the reduction a flow, and the cover is the same with no flow, a
+capped one or an uncapped one, since the minimum-separator vertices and the
+chain are properties of the graph, not of the maximum flow that finds them.
+A hit refuses a flow of another graph or pair as ``reduce_instance`` would;
+the DP, which validates the decomposition against the reduced graph, the
 map-back, the re-verification and ``minimalize_separator`` run on every
-call. An entry keeps its key's graph alive besides the reduced graph,
-G[cover] and the nice decomposition.
+call. Two kinds of reduction are not kept. One whose width bound saturated:
+a ``tw_bound`` that warned saturates it, so a kept reduction never warned,
+and a saturated one runs again on every call and warns from
+``reduce_instance`` as a first call does. And one of a graph with more than
+128 vertices: an entry keeps its key's graph alive besides the reduced
+graph, G[cover] and the nice decomposition, and this bounds its size. The
+table's lock guards its lookups and stores; two threads missing on one key
+both reduce, and the later store wins with the same content.
 
 Stats reach a caller through ``with collect() as stats:`` (a NO answer has no
 witness to carry them): the innermost block gets the last ``ell``, ``excess``,
@@ -120,7 +125,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -129,7 +133,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (DomainError, Graph, adjacency_masks, bits, components,
                      induced_subgraph, two_coloring, vset)
-from .reduction import reduce_instance
+from .reduction import SATURATION_LIMIT, reduce_instance
 from .separation import SeparatorResult, minimalize_separator, min_vertex_separator
 from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, validate_nice
 
@@ -920,32 +924,10 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass
 
 # the front half of the last calls, least recently used first (module docstring)
 _REDUCTIONS_KEPT = 16
+# no entry for a graph with more vertices than this, which bounds an entry's size
+_REDUCTION_MAX_N = 128
 _reductions: dict = {}
 _reductions_lock = threading.Lock()
-# no tw_bound(ell, k - ell) saturates below this budget, so no smaller call
-# can warn (tests check it)
-_WARNS_FROM = 9
-
-
-def _reduce(G: Graph, norm: CutConstraints, k: int,
-            flow: Optional[SeparatorResult]) -> tuple:
-    """The class-independent front half of ``g_multicut_uncut``: the
-    reduced instance, its nice decomposition and the warnings that
-    ``reduce_instance`` raised, which every use of the entry raises again.
-    Below ``_WARNS_FROM`` the reduction cannot warn, and runs without
-    recording, which would swap the process-wide warning filters twice."""
-    terms = norm.terminals
-    targets = [b for _, B in norm.reach for b in B]
-    if k < _WARNS_FROM:
-        ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
-        raised = ()
-    else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
-        raised = tuple(w.message for w in caught)
-    td = decompose(ri.gstar)
-    return ri, make_nice(td, ri.gstar, root_vertex=ri.to_gstar(min(terms))), raised
 
 
 def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
@@ -961,9 +943,11 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
     content, and a repeat of a key, for any class, reuses them without
     ``reduce_instance``, ``decompose`` or ``make_nice``. That is exact, since
     those stages depend on nothing else (module docstring). A hit notes the
-    same ``cover_size`` and ``width_bound``, raises the same warnings, and
-    refuses a ``flow`` of another graph or pair as a miss does. The DP still
-    validates the decomposition against the reduced graph."""
+    same ``cover_size`` and ``width_bound`` and refuses a ``flow`` of another
+    graph or pair as a miss does. A reduction whose width bound saturated,
+    as that of every reduction that warned does, and one of a graph with
+    more than 128 vertices are not kept. The DP still validates the
+    decomposition against the reduced graph."""
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
@@ -981,17 +965,20 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
     with _reductions_lock:
         entry = _reductions.pop(key, None)
     if entry is None:
-        entry = _reduce(G, norm, k, flow)
+        targets = [b for _, B in norm.reach for b in B]
+        ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
+        entry = ri, make_nice(decompose(ri.gstar), ri.gstar, root_vertex=ri.to_gstar(min(terms)))
     elif flow is not None and not any(flow.belongs_to(G, (min(a, b),), (max(a, b),))
                                       for a, b in norm.cut_pairs):
         raise DomainError("flow belongs to another graph or terminal pair")
-    with _reductions_lock:
-        _reductions[key] = entry
-        if len(_reductions) > _REDUCTIONS_KEPT:
-            del _reductions[next(iter(_reductions))]
-    ri, nice, raised = entry
-    for message in raised:
-        warnings.warn(message, stacklevel=2)
+    ri, nice = entry
+    # a reduction that warned has a saturated width bound; it stays out, so
+    # that every call with it warns as the first one does
+    if ri.width_bound < SATURATION_LIMIT and G.n <= _REDUCTION_MAX_N:
+        with _reductions_lock:
+            _reductions[key] = entry
+            if len(_reductions) > _REDUCTIONS_KEPT:
+                del _reductions[next(iter(_reductions))]
     _note("cover_size", len(ri.cover))
     _note("width_bound", ri.width_bound)
     mapped = CutConstraints(

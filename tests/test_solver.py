@@ -20,7 +20,7 @@ from sepkit.graphs import (DomainError, Graph, components, induced_subgraph,
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
                            path_graph, _separates)
-from sepkit.reduction import reduce_instance, tw_bound
+from sepkit.reduction import reduce_instance
 from sepkit.solver import (ANY, BIPARTITE, EDGELESS, FOREST, MATCH_DEFICIENCY,
                            MAX_DEGREE, FORBIDDEN_INDUCED, CutConstraints,
                            HereditaryClass, VerificationError,
@@ -1074,31 +1074,42 @@ def test_one_class_dp_pass_fits_the_table(monkeypatch):
     assert len(sepkit.solver._reductions) == 10
 
 
-def test_a_hit_raises_what_the_miss_raised():
-    # the saturation warning of the miss, and a flow of another graph
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(2):
+def test_a_saturated_reduction_is_not_kept():
+    # only a saturated width bound comes with a warning; such a reduction
+    # stays out of the table, so each call warns from reduce_instance, as
+    # the first one does
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert g_mincut(C4, 0, 2, 65, EDGELESS) == (1, 3)
-    assert len(sepkit.solver._reductions) == 1
-    assert [str(w.message) for w in caught] == \
-        ["treewidth bound saturated for ell=2, excess=63"] * 2
+        assert [(str(w.message), w.filename) for w in caught] == \
+            [("treewidth bound saturated for ell=2, excess=63", sepkit.reduction.__file__)]
+    assert len(sepkit.solver._reductions) == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UserWarning):
             g_mincut(C4, 0, 2, 65, EDGELESS)
+    # below saturation nothing warns, and the entry is kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g_mincut(C4, 0, 2, 8, EDGELESS) == (1, 3)
+    assert len(sepkit.solver._reductions) == 1
+
+
+def test_a_large_graph_is_not_kept():
+    # an entry holds its graph, the reduced graph, G[cover] and the nice
+    # decomposition, so only graphs up to the bound's vertex count are kept
+    limit = sepkit.solver._REDUCTION_MAX_N
+    cons = CutConstraints(((0, 2),))
+    assert g_multicut_uncut(path_graph(limit), cons, 1, ANY) == (1,)
+    assert len(sepkit.solver._reductions) == 1
+    assert g_multicut_uncut(path_graph(limit + 1), cons, 1, ANY) == (1,)
+    assert len(sepkit.solver._reductions) == 1
+
+
+def test_a_hit_refuses_a_flow_of_another_graph():
     PP = FIXTURES["PP"].graph
     assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY) == (1, 3)
     foreign = sepkit.separation.min_vertex_separator(Q3, (0,), (7,), cap=2)
     with pytest.raises(DomainError):
         g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, FOREST, flow=foreign)
-
-
-def test_no_budget_below_the_warning_gate_saturates():
-    # a call below this budget runs its reduction without recording warnings
-    gate = sepkit.solver._WARNS_FROM
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert not any(tw_bound(ell, k - ell).saturated
-                       for k in range(1, gate) for ell in range(1, k + 1))
-        assert any(tw_bound(ell, gate - ell).saturated for ell in range(1, gate + 1))
