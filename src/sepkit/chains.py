@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import DomainError, Graph, adjacency_masks, bits, boundary
-from .separation import SeparatorResult, st_flow
+from .separation import st_flow
 
 
 class SeparatorChain(namedtuple("SeparatorChain", "ell sets boundaries")):
@@ -51,20 +51,19 @@ def _by_size_then_ids(X: int, Y: int) -> int:
     return -1 if X & (X ^ Y) & -(X ^ Y) else 1
 
 
-def build_chain(G: Graph, s: int, t: int,
-                flow: Optional[SeparatorResult] = None) -> SeparatorChain:
+def build_chain(G: Graph, s: int, t: int) -> SeparatorChain:
     """Construct the nested chain for non-adjacent distinct s, t.
 
     The running union's neighbourhood is kept as a mask that takes in the
     neighbours of the vertices each union gains, so each boundary is that
-    mask minus the union and no vertex's neighbours are read twice.
-    ``flow``, a finished s-t flow of G such as ``cover_set`` already holds,
-    is reused instead of running a new one.
+    mask minus the union and no vertex's neighbours are read twice. The
+    flow is ``st_flow``'s, so the finished s-t flow that ``cover_set`` has
+    just run on G is read again, not rerun.
     """
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
         raise DomainError("terminals must be distinct and non-adjacent")
-    r = st_flow(G, s, t, flow)
+    r = st_flow(G, s, t)
     assert r.is_finite
     ell = int(r.size)
 

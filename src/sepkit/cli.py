@@ -17,7 +17,7 @@ from .problems import (edge_induced_vertex_cut, exact_separator_union,
                        exact_stable_bipartization, odd_cycle_transversal,
                        stable_bipartization)
 from .reduction import cover_set, reduce_instance
-from .separation import is_separator, min_vertex_separator
+from .separation import is_separator, min_vertex_separator, st_flow
 from .solver import (CutConstraints, VerificationError, collect, g_mincut,
                      g_multicut_uncut, parse_class)
 from .treedecomp import decompose, format_td, validate_decomposition
@@ -253,8 +253,8 @@ def _dispatch(args) -> dict:
         return _result(cmd, "OK", witness, stats, notes)
 
     if cmd == "cover":
-        r = min_vertex_separator(G, (s,), (t,))
-        cov = cover_set(G, s, t, args.k, flow=r)
+        r = st_flow(G, s, t)
+        cov = cover_set(G, s, t, args.k)
         if r.is_finite:
             stats["ell"] = int(r.size)
             stats["excess"] = args.k - int(r.size)

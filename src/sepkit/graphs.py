@@ -50,9 +50,12 @@ class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
     ``adj[v]`` is a sorted tuple of neighbors, the only adjacency stored.
+    ``_st_flow``, (s, t, result) or None, is the last flow that
+    ``separation.st_flow`` ran on the graph; it stays out of ``==``, ``hash``
+    and ``repr``, and keeps that flow alive as long as the graph.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_st_flow")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -73,6 +76,7 @@ class Graph:
         sets as it reads the edge lines."""
         self.n = len(nbrs)
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
+        self._st_flow = None
 
     # -- basic queries ----------------------------------------------------
 

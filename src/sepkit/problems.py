@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .graphs import (DomainError, Graph, delete_vertices, induced_subgraph,
                      shortest_odd_cycle, two_coloring, vset)
 from .reduction import cover_set
-from .separation import PairNetwork, is_separator, min_vertex_separator
+from .separation import PairNetwork, is_separator, min_vertex_separator, st_flow
 from .solver import (ANY, EDGELESS, MATCH_DEFICIENCY, CutConstraints, VerificationError,
                      g_mincut, g_multicut_uncut, maximum_matching)
 
@@ -397,18 +397,19 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
     (read off the residual network of one s-t flow, which the cover reuses);
     and vertices whose deletion leaves the minimum separator size above k-1
     can never qualify. The capped flow of G minus v that decides the last
-    shortcut is handed to the call, whose reduction covers the pair s-t
-    alone and keeps N(v) as vertices.
+    shortcut is the one that the call's reduction, which covers the pair
+    s-t alone and keeps N(v) as vertices, reuses: both ask ``st_flow`` on
+    the same graph object.
     """
     G.check_vertices((s, t))
     if s == t or G.has_edge(s, t):
         raise DomainError("terminals must be distinct and non-adjacent")
-    flow = min_vertex_separator(G, (s,), (t,))
+    flow = st_flow(G, s, t)
     if flow.size == 0 or flow.size > k:
         return ()
     out = []
     on_minimum = flow.residual.sides()
-    for v in cover_set(G, s, t, k, flow=flow):
+    for v in cover_set(G, s, t, k):
         if v in (s, t):
             continue
         if v in on_minimum:
@@ -417,11 +418,11 @@ def exact_separator_union(G: Graph, s: int, t: int, k: int) -> tuple[int, ...]:
         rest = delete_vertices(G, (v,))
         ns, nt = rest.to_new(s), rest.to_new(t)
         # oriented as reduce_instance meets the cut pair, which then reuses it
-        r = min_vertex_separator(rest.graph, (min(ns, nt),), (max(ns, nt),), cap=k - 1)
+        r = st_flow(rest.graph, min(ns, nt), max(ns, nt), cap=k - 1)
         if not r.within(k - 1):
             continue
         nbrs = tuple(rest.to_new(u) for u in G.adj[v])
         cons = CutConstraints(((ns, nt),), reach=((ns, nbrs), (nt, nbrs)))
-        if g_multicut_uncut(rest.graph, cons, k - 1, ANY, flow=r) is not None:
+        if g_multicut_uncut(rest.graph, cons, k - 1, ANY) is not None:
             out.append(v)
     return tuple(out)

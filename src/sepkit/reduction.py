@@ -10,13 +10,13 @@ built. A flow of size 0 leaves only the empty separator, so the cover is
 each layer L between consecutive boundaries is covered by subproblems: a
 pair (A, B) of disjoint subsets of the two boundaries is contracted onto
 two fresh terminals a and b, and the cover recurses with a smaller excess.
-Each terminal pair costs one max-flow: the flow that decides whether a pair
-has a separator within budget is handed to ``cover_set`` and on to
+Each terminal pair costs one max-flow. Every stage asks ``st_flow``, which
+keeps a graph's last s-t flow on the graph, so the flow that decides
+whether a pair has a separator within budget also serves ``cover_set`` and
 ``build_chain``, which reads every side of the chain from one pass over its
-residual network;
-``g_mincut`` hands its own flow, run for ``ell`` and ``excess``, to
-``reduce_instance``, and ``exact_separator_union`` hands the flow of G - v
-to its one call on G - v.
+residual network, and so does a flow that an earlier stage ran on the same
+graph object: ``g_mincut``'s flow for ``ell`` and ``excess``, or
+``exact_separator_union``'s capped flow of G - v.
 
 The contracted graph of (A, B) is G[L] with a joined to N(A) & L and b to
 N(B) & L, so a subproblem is keyed by that neighbourhood pair:
@@ -43,7 +43,8 @@ Every subproblem of a layer is flowed on one ``PairNetwork``, built once
 from G[L] on the layer's first miss; a flow copies its capacities and
 switches on a's and b's arcs. At sub-excess 0 the sub-cover is that flow's
 minimum-separator vertices, and only a sub-cover that recurses at
-sub-excess >= 1 builds its subproblem graph, to which the flow is bound.
+sub-excess >= 1 builds its subproblem graph, which keeps the layer flow
+as its own (``PairNetwork.graph``).
 
 The recursion solves each distinct subproblem once. The table is keyed by
 (|L|, the edges of G[L] in layer positions, k, excess), then by the pair
@@ -80,7 +81,7 @@ from typing import Iterable, Optional
 
 from .chains import SeparatorChain, build_chain
 from .graphs import DomainError, Graph, components, induced_subgraph, vset
-from .separation import PairNetwork, SeparatorResult, st_flow
+from .separation import PairNetwork, st_flow
 
 GADGET = "gadget"
 SATURATION_LIMIT = 2 ** 63 - 1
@@ -225,7 +226,6 @@ def _boundary_pair(G: Graph, pos: dict, prev: tuple[int, ...],
 
 
 def cover_set(G: Graph, s: int, t: int, k: int,
-              flow: Optional[SeparatorResult] = None,
               memo: Optional[dict] = None) -> tuple[int, ...]:
     """All vertices on minimal s-t separators of size <= k, plus s and t.
 
@@ -239,17 +239,15 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     a walled grid: the cover is then V at any excess. Otherwise each layer
     flows its boundary pair before the walk over its neighbourhood pairs,
     and stops once the layer is covered; the cover is the same in any visit order
-    (see the module docstring). ``flow``, a finished s-t flow of G, is
-    reused instead of running a new one. ``memo`` is the recursion's table
-    of layer subproblems; callers leave it unset and the top-level call
-    makes it.
+    (see the module docstring). ``memo`` is the recursion's table of layer
+    subproblems; callers leave it unset and the top-level call makes it.
     """
     G.check_vertices((s, t))
     if s == t:
         raise DomainError("terminals must be distinct")
     if G.has_edge(s, t):
         return vset((s, t))
-    r = st_flow(G, s, t, flow, cap=k)
+    r = st_flow(G, s, t, cap=k)
     if not r.within(k) or r.size == 0:
         # a flow of size 0 leaves only the empty set as a minimal separator
         return vset((s, t))
@@ -260,7 +258,7 @@ def cover_set(G: Graph, s: int, t: int, k: int,
         # and when these are all of V - {s, t}, so is the cover
         return vset([s, t, *on_minimum])
 
-    chain = build_chain(G, s, t, flow=r)
+    chain = build_chain(G, s, t)
     cover: set[int] = {s, t}
     for S in chain.boundaries:
         cover.update(S)
@@ -293,7 +291,7 @@ def _layer_cover(network: PairNetwork, na: int, nb: int, k: int, excess: int,
     """The cover of the layer subproblem (na, nb) without its terminals, in
     layer positions; empty when its capped flow exceeds k. At sub-excess 0
     it is the flow's minimum-separator vertices, and only a deeper
-    recursion builds the subproblem graph."""
+    recursion builds the subproblem graph, which keeps the flow as its own."""
     r = network.flow(na, nb, cap=k)
     if not r.within(k):
         return ()
@@ -301,10 +299,8 @@ def _layer_cover(network: PairNetwork, na: int, nb: int, k: int, excess: int,
     if sub_budget == r.size:
         return tuple(r.residual.sides())
     a, b = network.n, network.n + 1
-    H = network.graph(na, nb)
-    r = SeparatorResult(r.size, r.witness, r.exceeds_cap, r.residual,
-                        H, frozenset((a,)), frozenset((b,)))
-    return tuple(i for i in cover_set(H, a, b, sub_budget, flow=r, memo=memo) if i < a)
+    H = network.graph(na, nb, r)
+    return tuple(i for i in cover_set(H, a, b, sub_budget, memo=memo) if i < a)
 
 
 class ReducedInstance(namedtuple("ReducedInstance",
@@ -351,8 +347,7 @@ class ReducedInstance(namedtuple("ReducedInstance",
 
 
 def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
-                    pairs: Optional[Iterable[tuple[int, int]]] = None,
-                    flow: Optional[SeparatorResult] = None) -> ReducedInstance:
+                    pairs: Optional[Iterable[tuple[int, int]]] = None) -> ReducedInstance:
     """Reduce G to the torso of the union of the covers of ``pairs``, the
     pairs that must be separated; every other terminal joins the cover C as
     a plain vertex.
@@ -360,9 +355,9 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
     ``pairs`` default to the two lowest terminals, the single pair of a
     two-terminal call; each pair's ends must be terminals. A pair whose ends
     are equal or adjacent, or whose capped flow exceeds k, has no separator
-    within budget and adds only its ends. ``flow`` is used, as ``st_flow``
-    allows, for the pair (lower id, higher id) it belongs to, and must
-    belong to one of them.
+    within budget and adds only its ends. Each pair is flowed from its lower
+    to its higher end by ``st_flow``, so a flow of that pair that a caller
+    has just run on G, such as ``g_mincut``'s, is not run again.
 
     This keeps every inclusion-minimal solution Z of a constrained cut with
     these cut pairs, any uncut pairs and reach constraints whose ends,
@@ -395,19 +390,16 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
     ordered = sorted({(min(a, b), max(a, b)) for a, b in pairs})
     if not {v for pair in ordered for v in pair} <= set(terms):
         raise DomainError("pair ends must be terminals")
-    if flow is not None and not any(flow.belongs_to(G, (a,), (b,)) for a, b in ordered):
-        raise DomainError("flow belongs to another graph or terminal pair")
     cover: set[int] = set(terms)
     contributing: list[tuple[int, int]] = []
     g_max = 0
     for a, b in ordered:
         if a == b or G.has_edge(a, b):
             continue
-        own = flow is not None and flow.belongs_to(G, (a,), (b,))
-        r = st_flow(G, a, b, flow if own else None, cap=k)
+        r = st_flow(G, a, b, cap=k)
         if not r.within(k):
             continue
-        cover.update(cover_set(G, a, b, k, flow=r))
+        cover.update(cover_set(G, a, b, k))
         contributing.append((a, b))
         if r.size >= 1:
             g_max = max(g_max, tw_bound(int(r.size), k - int(r.size)).g_value)

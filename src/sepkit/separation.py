@@ -17,6 +17,10 @@ the arcs of a's and b's neighbours. The cover recursion flows every
 subproblem of a layer this way, and a compression step of odd cycle
 transversal every branch.
 
+Every pipeline stage asks ``st_flow`` for an s-t flow, and each graph keeps
+the last one (``Graph._st_flow``, read and set by this module alone), so
+the stages of one query share one flow per pair without handing it on.
+
 A finished flow keeps its residual network (``SeparatorResult.residual``).
 By Picard and Queyranne (1980) the closed sets of a maximum flow's residual
 network that contain the source and not the sink are exactly the minimum
@@ -170,24 +174,19 @@ class SeparatorResult:
     ``size`` is the lower bound reached (cap + 1); this is a distinct state
     from INFINITE. A finite result from ``min_vertex_separator`` or
     ``PairNetwork.flow`` carries the residual network of its maximum flow.
-    Every result of ``min_vertex_separator`` records the graph and terminal
-    sets it answers for. ``==``, ``hash`` and ``repr`` read only ``size``,
-    ``witness`` and ``exceeds_cap``; a result is not changed once built.
+    ``==``, ``hash`` and ``repr`` read only ``size``, ``witness`` and
+    ``exceeds_cap``; a result is not changed once built, so the one that
+    ``st_flow`` keeps for a graph can serve every stage that asks for it.
     """
 
-    __slots__ = ("size", "witness", "exceeds_cap", "residual", "graph", "sources", "sinks")
+    __slots__ = ("size", "witness", "exceeds_cap", "residual")
 
     def __init__(self, size: float, witness: tuple[int, ...] = (), exceeds_cap: bool = False,
-                 residual: Optional[Residual] = None, graph: Optional[Graph] = None,
-                 sources: Optional[frozenset[int]] = None,
-                 sinks: Optional[frozenset[int]] = None):
+                 residual: Optional[Residual] = None):
         self.size = size
         self.witness = witness
         self.exceeds_cap = exceeds_cap
         self.residual = residual
-        self.graph = graph
-        self.sources = sources
-        self.sinks = sinks
 
     def _key(self) -> tuple:
         return self.size, self.witness, self.exceeds_cap
@@ -210,9 +209,6 @@ class SeparatorResult:
 
     def within(self, budget: int) -> bool:
         return self.is_finite and self.size <= budget
-
-    def belongs_to(self, G: Graph, A: Iterable[int], B: Iterable[int]) -> bool:
-        return self.graph is G and self.sources == frozenset(A) and self.sinks == frozenset(B)
 
 
 _BIG = 1 << 30
@@ -247,17 +243,16 @@ def _network(n: int, inner: tuple[int, ...], edges: Sequence[tuple[int, int]],
 
 
 def _max_flow(adj: list[list[int]], head: list[int], cap: list[int],
-              inner: tuple[int, ...], limit: Optional[int], **about) -> SeparatorResult:
+              inner: tuple[int, ...], limit: Optional[int]) -> SeparatorResult:
     """Augment ``cap`` in place along shortest paths from the source to the
     sink of a ``_network`` until none is left, or stop once the flow
-    exceeds ``limit``. ``about`` names the graph and terminal sets for the
-    result."""
+    exceeds ``limit``."""
     sink = len(adj) - 1
     source = sink - 1
     flow = 0
     while True:
         if limit is not None and flow > limit:
-            return SeparatorResult(limit + 1, exceeds_cap=True, **about)
+            return SeparatorResult(limit + 1, exceeds_cap=True)
         seen = bytearray(sink + 1)
         seen[source] = 1
         via = [0] * (sink + 1)
@@ -285,8 +280,7 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int],
     # min cut
     witness = tuple(v for v in inner if seen[2 * v] and not seen[2 * v + 1])
     assert len(witness) == flow
-    return SeparatorResult(flow, witness, residual=Residual(inner, adj, head, cap, seen),
-                           **about)
+    return SeparatorResult(flow, witness, residual=Residual(inner, adj, head, cap, seen))
 
 
 def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
@@ -301,20 +295,19 @@ def min_vertex_separator(G: Graph, A: Iterable[int], B: Iterable[int],
     B_s = frozenset(G.check_vertices(B))
     if not A_s or not B_s:
         raise DomainError("terminal sets must be non-empty")
-    about = {"graph": G, "sources": A_s, "sinks": B_s}
     if A_s & B_s:
-        return SeparatorResult(INFINITE, **about)
+        return SeparatorResult(INFINITE)
     for a in A_s:
         for w in G.adj[a]:
             if w in B_s:
-                return SeparatorResult(INFINITE, **about)
+                return SeparatorResult(INFINITE)
     # A-A and B-B edges are irrelevant, and A-B edges were refused above
     terminal = A_s | B_s
     inner = tuple(v for v in range(G.n) if v not in terminal)
     edges = [(u, v) for u in inner for v in G.adj[u] if u < v and v not in terminal]
     sources = vset(w for a in A_s for w in G.adj[a] if w not in terminal)
     sinks = vset(w for b in B_s for w in G.adj[b] if w not in terminal)
-    return _max_flow(*_network(G.n, inner, edges, sources, sinks, _BIG), inner, cap, **about)
+    return _max_flow(*_network(G.n, inner, edges, sources, sinks, _BIG), inner, cap)
 
 
 class PairNetwork:
@@ -327,9 +320,7 @@ class PairNetwork:
     the vertices in the bit masks na = N(a) and nb = N(b), and answers as
     ``min_vertex_separator(H, (a,), (b,), cap)`` on that graph H would:
     the same size, cap stop, witness and residual closures, with the same
-    node numbering, so the residual serves H. The result records no graph
-    (``graph``); a caller that needs one builds a new result with the graph
-    and terminals bound, as ``reduction._layer_cover`` does.
+    node numbering, so the residual serves H, which ``graph`` builds.
     """
 
     __slots__ = ("n", "inner", "edges", "_adj", "_head", "_cap", "_sources")
@@ -342,11 +333,15 @@ class PairNetwork:
                                                     self.inner, self.inner, 0)
         self._sources = 2 * n + 4 * len(edges)      # the first source arc; sink arcs follow
 
-    def graph(self, na: int, nb: int) -> Graph:
-        """The graph H that ``flow(na, nb)`` answers for."""
+    def graph(self, na: int, nb: int, r: Optional[SeparatorResult] = None) -> Graph:
+        """The graph H that ``flow(na, nb)`` answers for, keeping r, that
+        call's result, as its a-b flow for ``st_flow``."""
         a, b = self.n, self.n + 1
-        return Graph(b + 1, [*self.edges, *((i, a) for i in self.inner if na >> i & 1),
-                             *((i, b) for i in self.inner if nb >> i & 1)])
+        H = Graph(b + 1, [*self.edges, *((i, a) for i in self.inner if na >> i & 1),
+                          *((i, b) for i in self.inner if nb >> i & 1)])
+        if r is not None:
+            H._st_flow = (a, b, r)
+        return H
 
     def flow(self, na: int, nb: int, cap: Optional[int] = None) -> SeparatorResult:
         """The a-b flow of ``graph(na, nb)``, stopped once it exceeds ``cap``."""
@@ -359,17 +354,23 @@ class PairNetwork:
         return _max_flow(self._adj, self._head, res, self.inner, cap)
 
 
-def st_flow(G: Graph, s: int, t: int, flow: Optional[SeparatorResult] = None,
-            cap: Optional[int] = None) -> SeparatorResult:
-    """The minimum s-t separator of G capped at ``cap``: ``flow``, which must
-    be of this graph and pair, when it is finished or stopped above ``cap``,
-    else a fresh ``min_vertex_separator``."""
-    if flow is not None and not flow.belongs_to(G, (s,), (t,)):
-        raise DomainError("flow belongs to another graph or terminal pair")
-    if flow is not None and (flow.residual is not None
-                             or cap is not None and flow.exceeds_cap and flow.size > cap):
-        return flow
-    return min_vertex_separator(G, (s,), (t,), cap=cap)
+def st_flow(G: Graph, s: int, t: int, cap: Optional[int] = None) -> SeparatorResult:
+    """``min_vertex_separator(G, (s,), (t,), cap)``, answered from the flow
+    kept on G when it is of the pair (s, t) and can be: a finished flow
+    answers every cap, by a stop at cap + 1 when it is larger, and a flow
+    stopped above ``cap`` answers by that stop too. Any other call runs a
+    fresh flow and keeps it. A finished flow runs alike under every larger
+    cap, so each answer is a fresh flow's, residual closures included."""
+    kept = G._st_flow
+    if kept is not None and kept[:2] == (s, t):
+        r = kept[2]
+        if r.residual is not None and (cap is None or r.size <= cap):
+            return r
+        if cap is not None and r.size > cap and (r.residual is not None or r.exceeds_cap):
+            return SeparatorResult(cap + 1, exceeds_cap=True)
+    r = min_vertex_separator(G, (s,), (t,), cap)
+    G._st_flow = (s, t, r)
+    return r
 
 
 def is_separator(G: Graph, S: Iterable[int], A: Iterable[int], B: Iterable[int]) -> bool:

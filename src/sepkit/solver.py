@@ -95,12 +95,12 @@ and drops the least recently used key when a 17th arrives; the bound is
 fixed. The graph is compared by content (``Graph.__eq__`` and ``__hash__``),
 so an equal graph built anew in the same process hits. A hit is exact, since
 every skipped stage is a deterministic function of the graph's content, the
-constraints and k. The flow that a caller hands in stays out of the key: it
-only saves the reduction a flow, and the cover is the same with no flow, a
-capped one or an uncapped one, since the minimum-separator vertices and the
-chain are properties of the graph, not of the maximum flow that finds them.
-A hit refuses a flow of another graph or pair as ``reduce_instance`` would;
-the DP, which validates the decomposition against the reduced graph, the
+constraints and k. The s-t flow that the graph object keeps
+(``separation.st_flow``) stays out of the key: it only saves the reduction
+a flow, and the cover is the same with no flow, a capped one or an
+uncapped one, since the minimum-separator vertices and the chain are
+properties of the graph, not of the maximum flow that finds them. The DP,
+which validates the decomposition against the reduced graph, the
 map-back, the re-verification and ``minimalize_separator`` run on every
 call. Two kinds of reduction are not kept. One whose width bound saturated:
 a ``tw_bound`` that warned saturates it, so a kept reduction never warned,
@@ -134,7 +134,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .graphs import (DomainError, Graph, adjacency_masks, bits, components,
                      induced_subgraph, two_coloring, vset)
 from .reduction import SATURATION_LIMIT, reduce_instance
-from .separation import SeparatorResult, minimalize_separator, min_vertex_separator
+from .separation import minimalize_separator, st_flow
 from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, validate_nice
 
 
@@ -899,7 +899,7 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass
     if s == t:
         raise DomainError("terminals must be distinct")
     # oriented as reduce_instance meets the pair, which then reuses it
-    r = min_vertex_separator(G, (min(s, t),), (max(s, t),), cap=k)
+    r = st_flow(G, min(s, t), max(s, t), cap=k)
     _note("ell", int(r.size) if r.is_finite else None)
     _note("excess", k - int(r.size) if r.is_finite else None)
     for key in ("cover_size", "width_bound", "width"):
@@ -913,7 +913,7 @@ def g_mincut(G: Graph, s: int, t: int, k: int, cls: HereditaryClass
             return None
         return ()
     final = CutConstraints(((s, t),))
-    wit = g_multicut_uncut(G, final, k, cls, flow=r)
+    wit = g_multicut_uncut(G, final, k, cls)
     if wit is None:
         return None
     S = minimalize_separator(G, wit, (s,), (t,))
@@ -930,24 +930,24 @@ _reductions: dict = {}
 _reductions_lock = threading.Lock()
 
 
-def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass,
-                     flow: Optional[SeparatorResult] = None) -> Optional[tuple[int, ...]]:
+def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClass
+                     ) -> Optional[tuple[int, ...]]:
     """Deletion set separating every cut pair, keeping every uncut pair
     connected and every reach constraint met, inducing a member of cls. Only
     the cut pairs are covered; uncut ends, reach sources and reach targets
-    join the cover as vertices (``reduce_instance``). ``flow``, a flow of
-    one cut pair from its lower to its higher end, is handed on.
+    join the cover as vertices (``reduce_instance``), which reuses a flow
+    of a cut pair, from its lower to its higher end, that the caller has
+    just run on G through ``st_flow``.
 
     The reduced instance and its nice decomposition are kept in a table of
     the last 16 (graph, normalised constraints, k) keys, the graph by
     content, and a repeat of a key, for any class, reuses them without
     ``reduce_instance``, ``decompose`` or ``make_nice``. That is exact, since
     those stages depend on nothing else (module docstring). A hit notes the
-    same ``cover_size`` and ``width_bound`` and refuses a ``flow`` of another
-    graph or pair as a miss does. A reduction whose width bound saturated,
-    as that of every reduction that warned does, and one of a graph with
-    more than 128 vertices are not kept. The DP still validates the
-    decomposition against the reduced graph."""
+    same ``cover_size`` and ``width_bound``. A reduction whose width bound
+    saturated, as that of every reduction that warned does, and one of a
+    graph with more than 128 vertices are not kept. The DP still validates
+    the decomposition against the reduced graph."""
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
@@ -966,11 +966,8 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         entry = _reductions.pop(key, None)
     if entry is None:
         targets = [b for _, B in norm.reach for b in B]
-        ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs, flow=flow)
+        ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs)
         entry = ri, make_nice(decompose(ri.gstar), ri.gstar, root_vertex=ri.to_gstar(min(terms)))
-    elif flow is not None and not any(flow.belongs_to(G, (min(a, b),), (max(a, b),))
-                                      for a, b in norm.cut_pairs):
-        raise DomainError("flow belongs to another graph or terminal pair")
     ri, nice = entry
     # a reduction that warned has a saturated width bound; it stays out, so
     # that every call with it warns as the first one does

@@ -82,15 +82,6 @@ def test_random_chains_validate():
     assert checked >= 100
 
 
-def test_chain_reuses_given_flow():
-    flow = min_vertex_separator(PP, (0,), (5,), cap=3)
-    assert build_chain(PP, 0, 5, flow=flow) == build_chain(PP, 0, 5)
-    with pytest.raises(DomainError):
-        build_chain(PP, 0, 5, flow=min_vertex_separator(PP, (5,), (0,)))
-    with pytest.raises(DomainError):
-        build_chain(PP, 0, 5, flow=min_vertex_separator(C4, (0,), (2,)))
-
-
 def _sides_by_deletion(G, s, t):
     """The distinct s-sides X_v of the minimum separators closest to s
     through each vertex v, from the by-deletion twin and ``components``,

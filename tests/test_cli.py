@@ -545,7 +545,7 @@ def _count_flows(monkeypatch) -> list:
         calls.append(1)
         return flow(*args, **kwargs)
 
-    for module in (sepkit.separation, sepkit.solver, sepkit.cli):
+    for module in (sepkit.separation, sepkit.cli):
         monkeypatch.setattr(module, "min_vertex_separator", counted)
     # a cover's layer subproblems are flowed on the layer's PairNetwork
     layer_flow = sepkit.separation.PairNetwork.flow

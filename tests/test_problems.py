@@ -556,7 +556,7 @@ def test_exact_separator_union_runs_one_flow_per_candidate(monkeypatch):
 
     monkeypatch.setattr(sepkit.problems, "delete_vertices", deleted)
     monkeypatch.setattr(sepkit.problems, "g_multicut_uncut", multicut_counted)
-    for module in (sepkit.separation, sepkit.solver, sepkit.problems):
+    for module in (sepkit.separation, sepkit.problems):
         monkeypatch.setattr(module, "min_vertex_separator", flowed)
     assert exact_separator_union(G, 0, 7, 3) == bf_separator_union(G, 0, 7, 3) == (1, 2, 4, 5)
     per_v = [(sum(H is rest.graph for H in multicuts),

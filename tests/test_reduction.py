@@ -13,7 +13,7 @@ from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
                               _boundary_pair, _neighbourhood_pairs, cover_set,
                               layer_system, reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
-from sepkit.separation import PairNetwork, is_separator, min_vertex_separator
+from sepkit.separation import PairNetwork, is_separator, min_vertex_separator, st_flow
 from sepkit.treedecomp import decompose
 
 from strategies import grid, nonadjacent_pair, seeded_graphs, walled_grid
@@ -71,14 +71,6 @@ def test_reduce_width_bound_saturates():
         warnings.simplefilter("ignore")
         assert reduce_instance(C4, (0, 2), 64).width_bound == SATURATION_LIMIT
         assert reduce_instance(C4, (0, 2), 8).width_bound < SATURATION_LIMIT
-
-
-def test_cover_reuses_given_flow():
-    for G, s, t, k in ((PP, 0, 5, 3), (Q3, 0, 7, 4), (C4, 0, 2, 2)):
-        flow = min_vertex_separator(G, (s,), (t,), cap=k)
-        assert cover_set(G, s, t, k, flow=flow) == cover_set(G, s, t, k)
-    with pytest.raises(DomainError):
-        cover_set(PP, 0, 5, 3, flow=min_vertex_separator(PP, (0,), (4,)))
 
 
 def test_tw_bound_domain():
@@ -188,7 +180,7 @@ def _cover_reference(G, s, t, k):
     if not r.within(k):
         return (min(s, t), max(s, t))
     excess = k - int(r.size)
-    chain = build_chain(G, s, t, flow=r)
+    chain = build_chain(G, s, t)
     cover = {s, t}
     for S in chain.boundaries:
         cover.update(S)
@@ -251,7 +243,7 @@ def test_boundary_pair_is_a_pair_of_the_walk():
         r = min_vertex_separator(G, (s,), (t,))
         if r.size == 0:
             continue
-        chain = build_chain(G, s, t, flow=r)
+        chain = build_chain(G, s, t)
         bounds = [(s,), *chain.boundaries, (t,)]
         for (layer, pool), prev, cur in zip(layer_system(chain, s, t, G.n), bounds, bounds[1:]):
             pos = {v: i for i, v in enumerate(layer)}
@@ -427,7 +419,7 @@ def test_layer_flows_match_min_vertex_separator():
         if r.size == 0:
             continue
         k = int(r.size) + grng.randint(0, 2)
-        for layer, pool in layer_system(build_chain(G, s, t, flow=r), s, t, G.n):
+        for layer, pool in layer_system(build_chain(G, s, t), s, t, G.n):
             pos = {v: i for i, v in enumerate(layer)}
             inside = tuple((pos[u], pos[v]) for u, v in G.edges() if u in pos and v in pos)
             network = PairNetwork(len(layer), inside)
@@ -445,6 +437,9 @@ def test_layer_flows_match_min_vertex_separator():
                     over += 1
                     continue
                 assert got.residual.sides() == want.residual.sides()
+                # the subproblem graph keeps the layer flow, so st_flow on it
+                # runs none
+                assert st_flow(network.graph(na, nb, got), a, b, cap=k) is got
     assert checked >= 500 and over >= 20, (checked, over)
 
 
@@ -533,7 +528,7 @@ def _gadget_reduction_jsonable(G, terminals, k):
     if not G.has_edge(s, t):
         r = min_vertex_separator(G, (s,), (t,), cap=k)
         if r.within(k):
-            cover.update(cover_set(G, s, t, k, flow=r))
+            cover.update(cover_set(G, s, t, k))
             contributing += 1
             if r.size >= 1:
                 g_max = tw_bound(int(r.size), k - int(r.size)).g_value

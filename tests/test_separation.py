@@ -2,12 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepkit.separation
 from sepkit.graphs import DomainError, Graph, bits, boundary, components
 from sepkit.oracle import (FIXTURES, bf_max_disjoint_paths,
                            bf_min_separator_size, enumerate_minimal_separators)
+from sepkit.problems import exact_separator_union
+from sepkit.reduction import cover_set
 from sepkit.separation import (INFINITE, SeparatorResult, is_separator,
                                min_separator_containing, min_vertex_separator,
-                               minimalize_separator)
+                               minimalize_separator, st_flow)
+from sepkit.solver import ANY, g_mincut
 
 from strategies import (graphs, nonadjacent_pair, seeded_graphs,
                         separator_through_by_deletion)
@@ -171,7 +175,7 @@ def test_membership_test_agrees_with_enumeration():
 
 def test_residual_is_outside_equality_and_repr():
     r = min_vertex_separator(PP, (0,), (5,))
-    assert r.residual is not None and r.graph is PP and r.sources == {0} and r.sinks == {5}
+    assert r.residual is not None
     bare = SeparatorResult(2, (1, 3))
     assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare)
     assert repr(r) == "SeparatorResult(size=2, witness=(1, 3), exceeds_cap=False)"
@@ -182,17 +186,76 @@ def test_residual_is_outside_equality_and_repr():
     assert min_vertex_separator(C4, (0, 1), (1, 2)).residual is None
 
 
-def test_every_outcome_records_its_graph_and_terminals():
-    outcomes = [min_vertex_separator(PP, (0,), (5,)),               # finite
-                min_vertex_separator(PP, (0,), (5,), cap=1),        # capped
-                min_vertex_separator(PP, (0,), (1,)),               # adjacent
-                min_vertex_separator(PP, (0, 1), (1, 5))]           # overlapping
-    for r, (A, B) in zip(outcomes, [((0,), (5,))] * 2 + [((0,), (1,)), ((0, 1), (1, 5))]):
-        assert r.belongs_to(PP, A, B)
-        assert not r.belongs_to(PP, B, A) and not r.belongs_to(C4, A, B)
-        assert "graph" not in repr(r) and "sources" not in repr(r)
-    # equal outcomes of different graphs compare equal
-    assert min_vertex_separator(C4, (0,), (1,)) == outcomes[2]
+def test_a_kept_flow_answers_as_a_fresh_flow(monkeypatch):
+    # st_flow keeps each graph's last s-t flow; whatever caps and pairs came
+    # before, every answer is the one a fresh flow on an equal graph gives,
+    # and a flow runs only when the kept one cannot answer
+    fresh_runs = []
+    flow = sepkit.separation.min_vertex_separator
+
+    def counted(*args, **kwargs):
+        fresh_runs.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.separation, "min_vertex_separator", counted)
+    calls = reused = finished = stopped = 0
+    for G, rng in seeded_graphs(120, seed=331, n_lo=4, n_hi=20, ps=(0.15, 0.3, 0.5)):
+        s, t, u = rng.sample(range(G.n), 3)
+        pairs = [(s, t), (s, t), (t, s), (s, u)]
+        ells = {p: flow(G, p[:1], p[1:]).size for p in pairs}
+        kept = None     # (pair, result) as the model of the graph's slot
+        for _ in range(10):
+            pair = rng.choice(pairs)
+            top = 2 if ells[pair] == INFINITE else int(ells[pair]) + 2
+            cap = rng.choice([None, *range(top + 1)])
+            before = len(fresh_runs)
+            got = st_flow(G, *pair, cap)
+            want = flow(Graph(G.n, G.edges()), pair[:1], pair[1:], cap)
+            assert (got.size, got.witness, got.exceeds_cap, got.residual is None) == \
+                (want.size, want.witness, want.exceeds_cap, want.residual is None)
+            if want.residual is not None:
+                assert got.residual.sides() == want.residual.sides()
+            answers = kept is not None and kept[0] == pair and (
+                kept[1].residual is not None
+                or kept[1].exceeds_cap and cap is not None and kept[1].size > cap)
+            assert len(fresh_runs) - before == (not answers)
+            if answers:
+                reused += 1
+                finished += kept[1].residual is not None
+                stopped += kept[1].exceeds_cap
+            else:
+                kept = (pair, got)
+            calls += 1
+    assert calls == 1200 and reused >= 200 and finished >= 150 and stopped >= 12, \
+        (reused, finished, stopped)
+
+
+def test_stages_share_one_kept_flow(monkeypatch):
+    # g_mincut, cover_set and exact_separator_union on one graph object all
+    # read the same kept result; none of them changes what its residual
+    # network answers
+    flowed = []
+
+    def counted(*args, **kwargs):
+        flowed.append(args[0])
+        return min_vertex_separator(*args, **kwargs)
+
+    monkeypatch.setattr(sepkit.separation, "min_vertex_separator", counted)
+    checked = 0
+    for G, rng in seeded_graphs(60, seed=337, n_lo=6, n_hi=16, ps=(0.25, 0.35)):
+        s, t = sorted(rng.sample(range(G.n), 2))
+        ell = min_vertex_separator(G, (s,), (t,)).size
+        if G.has_edge(s, t) or ell in (0, INFINITE):
+            continue
+        k = int(ell) + rng.randint(0, 2)
+        g_mincut(G, s, t, k, ANY)
+        cover_set(G, s, t, k)
+        exact_separator_union(G, s, t, k)
+        assert sum(H is G for H in flowed) == 1
+        fresh = min_vertex_separator(Graph(G.n, G.edges()), (s,), (t,))
+        assert st_flow(G, s, t).residual.sides() == fresh.residual.sides()
+        checked += 1
+    assert checked >= 30, checked
 
 
 def _side_set(A, side):

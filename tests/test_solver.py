@@ -746,10 +746,10 @@ def test_multicut_covers_only_its_cut_pairs(monkeypatch):
     pairs = []
     cover = sepkit.reduction.cover_set
 
-    def counted(G, s, t, k, flow=None, memo=None):
+    def counted(G, s, t, k, memo=None):
         if memo is None:
             pairs.append((s, t))
-        return cover(G, s, t, k, flow=flow, memo=memo)
+        return cover(G, s, t, k, memo=memo)
 
     monkeypatch.setattr(sepkit.reduction, "cover_set", counted)
     cons = CutConstraints(((14, 0), (2, 12)), ((0, 4),))
@@ -813,8 +813,7 @@ def test_g_mincut_runs_one_flow(monkeypatch):
         calls.append(args[1:3])
         return flow(*args, **kwargs)
 
-    for module in (sepkit.separation, sepkit.solver):
-        monkeypatch.setattr(module, "min_vertex_separator", counted)
+    monkeypatch.setattr(sepkit.separation, "min_vertex_separator", counted)
     # a cover's layer subproblems are flowed on the layer's PairNetwork
     layer_flow = sepkit.separation.PairNetwork.flow
 
@@ -823,8 +822,11 @@ def test_g_mincut_runs_one_flow(monkeypatch):
         return layer_flow(network, na, nb, **kwargs)
 
     monkeypatch.setattr(sepkit.separation.PairNetwork, "flow", layer_counted)
+    # a graph of its own: a flow that another test ran on the shared fixture
+    # object would be kept on it and answer this one's
+    G = Graph(Q3.n, Q3.edges())
     with collect() as stats:
-        assert g_mincut(FIXTURES["Q3"].graph, 0, 7, 3, ANY) is not None
+        assert g_mincut(G, 0, 7, 3, ANY) is not None
     assert calls == [((0,), (7,))]
     assert stats["ell"] == 3 and stats["excess"] == 0
 
@@ -845,35 +847,26 @@ def test_g_mincut_stops_at_a_flow_above_k(monkeypatch):
     assert stats == dict.fromkeys(("ell", "excess", "cover_size", "width_bound", "width"))
 
 
-def test_reduce_instance_reuses_given_flow():
-    PP = FIXTURES["PP"].graph
-    for cap in (1, 2):
-        flow = sepkit.separation.min_vertex_separator(PP, (0,), (5,), cap=cap)
-        assert reduce_instance(PP, (0, 5), cap, flow=flow) == reduce_instance(PP, (0, 5), cap)
-    with pytest.raises(DomainError):
-        reduce_instance(PP, (0, 5), 2, flow=sepkit.separation.min_vertex_separator(PP, (5,), (0,)))
-    with pytest.raises(DomainError):
-        reduce_instance(PP, (0, 5), 2, flow=sepkit.separation.min_vertex_separator(C4, (0,), (2,)))
-
-
-def test_reduce_instance_refuses_a_flow_of_another_graph():
-    # a capped flow of another graph used to be taken for the pair and,
-    # having no residual to check, dropped the pair from the cover: NO
-    PP = FIXTURES["PP"].graph
-    foreign = sepkit.separation.min_vertex_separator(FIXTURES["Q3"].graph, (0,), (7,), cap=2)
-    with pytest.raises(DomainError):
-        g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY, flow=foreign)
-    with pytest.raises(DomainError):
-        reduce_instance(PP, (0, 5), 2, flow=foreign)
-    assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY) == (1, 3)
+def test_g_mincut_below_ell_after_a_kept_flow():
+    # the finished flow of the first call, kept on the graph, answers the
+    # second call's smaller cap as a flow stopped above it: NO, no ell
+    G = Graph(Q3.n, Q3.edges())
+    assert g_mincut(G, 0, 7, 4, ANY) is not None
+    with collect() as stats:
+        assert g_mincut(G, 0, 7, 2, ANY) is None
+    assert stats["ell"] is None and stats["excess"] is None
 
 
 def test_reduce_instance_reruns_a_flow_capped_below_k():
-    # a flow that stopped above cap 1 does not decide budget 2
+    # a flow that stopped above cap 1, kept on the graph, does not decide
+    # budget 2: dropping the pair from the cover answered NO
     PP = FIXTURES["PP"].graph
-    low = sepkit.separation.min_vertex_separator(PP, (0,), (5,), cap=1)
-    assert low.exceeds_cap
-    assert reduce_instance(PP, (0, 5), 2, flow=low) == reduce_instance(PP, (0, 5), 2)
+    low = Graph(PP.n, PP.edges())
+    assert sepkit.separation.st_flow(low, 0, 5, cap=1).exceeds_cap
+    assert reduce_instance(low, (0, 5), 2) == reduce_instance(Graph(PP.n, PP.edges()), (0, 5), 2)
+    low = Graph(PP.n, PP.edges())
+    sepkit.separation.st_flow(low, 0, 5, cap=1)
+    assert g_multicut_uncut(low, CutConstraints(((0, 5),)), 2, ANY) == (1, 3)
 
 
 # -- the stats collector ------------------------------------------------------------
@@ -1021,8 +1014,9 @@ def test_a_table_hit_matches_a_miss(monkeypatch):
 
 
 def test_the_reduced_instance_does_not_depend_on_the_flow():
-    # why the table's key leaves the flow out: no flow, a flow capped at k
-    # and an uncapped one give the same reduced instance and decomposition
+    # why the table's key leaves the flow out: with no flow kept on the
+    # graph, a flow capped at k or an uncapped one, the reduced instance and
+    # decomposition are the same
     checked = 0
     for G, rng in seeded_graphs(200, seed=293, n_lo=4, n_hi=20):
         s, t = rng.sample(range(G.n), 2)
@@ -1031,9 +1025,11 @@ def test_the_reduced_instance_does_not_depend_on_the_flow():
         k = rng.randint(1, 5)
         a, b = min(s, t), max(s, t)
         got = set()
-        for flow in (None, sepkit.separation.min_vertex_separator(G, (a,), (b,), cap=k),
-                     sepkit.separation.min_vertex_separator(G, (a,), (b,))):
-            ri = reduce_instance(G, (s, t), k, flow=flow)
+        for caps in ((), (k,), (None,)):
+            H = Graph(G.n, G.edges())
+            for cap in caps:
+                sepkit.separation.st_flow(H, a, b, cap=cap)
+            ri = reduce_instance(H, (s, t), k)
             got.add((ri, make_nice(decompose(ri.gstar), ri.gstar, root_vertex=0)))
         assert len(got) == 1, (G.edges(), s, t, k)
         checked += 1
@@ -1105,11 +1101,3 @@ def test_a_large_graph_is_not_kept():
     assert len(sepkit.solver._reductions) == 1
     assert g_multicut_uncut(path_graph(limit + 1), cons, 1, ANY) == (1,)
     assert len(sepkit.solver._reductions) == 1
-
-
-def test_a_hit_refuses_a_flow_of_another_graph():
-    PP = FIXTURES["PP"].graph
-    assert g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, ANY) == (1, 3)
-    foreign = sepkit.separation.min_vertex_separator(Q3, (0,), (7,), cap=2)
-    with pytest.raises(DomainError):
-        g_multicut_uncut(PP, CutConstraints(((0, 5),)), 2, FOREST, flow=foreign)
