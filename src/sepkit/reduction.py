@@ -6,7 +6,8 @@ vertex of every minimal s-t separator of size at most k. At excess 0 those
 are the vertices on some minimum separator, the keys of the one pass over
 the residual network of the s-t flow (``Residual.sides``); no chain is
 built. A flow of size 0 leaves only the empty separator, so the cover is
-{s, t} at any budget. For positive excess the chain boundaries go in, and
+{s, t} at any budget. For positive excess the minimum-separator vertices go
+in, which are the union of the chain's boundaries (see ``chains``), and
 each layer L between consecutive boundaries is covered by subproblems: a
 pair (A, B) of disjoint subsets of the two boundaries is contracted onto
 two fresh terminals a and b, and the cover recurses with a smaller excess.
@@ -26,18 +27,18 @@ have the edge a-b, for which no separator exists. A subproblem graph has
 the layer's vertices in ascending order, then a and b as its last two ids.
 
 Each layer between boundaries S_{i-1} and S_i (S_0 = {s}, S_{q+1} = {t})
-first flows its boundary pair, A = S_{i-1} - S_i and B = S_i - S_{i-1},
-when both are non-empty and no A-B edge exists (``_boundary_pair``). It is
-oriented as the walk orients a pair, with the lowest vertex in A, so it has
-the walk's table key and the walk's own visit is a hit. Its sub-cover
-usually covers the whole layer at once, so a layer stops after one flow
-whatever the vertex ids; the walk alone, in id order, meets the pair that
-covers the layer early or late depending on the labelling. The visit order
-cannot change the cover: the boundary pair is itself a pair of the walk; a
-layer's loop stops only once the cover holds the whole layer, after which a
-pair could add only layer vertices, and until then it adds the sub-cover of
-every pair it meets; and by induction over the recursion, each table value
-is the same function of its key in any visit order.
+is walked once, and the walk yields the boundary pair, A = S_{i-1} - S_i and
+B = S_i - S_{i-1}, first, when both are non-empty and no A-B edge exists.
+It is oriented as the walk orients a pair, with the lowest vertex in A, and
+the walk does not yield it again. Its sub-cover usually covers the whole
+layer at once, so a layer stops after one flow whatever the vertex ids; the
+walk alone, in id order, meets the pair that covers the layer early or late
+depending on the labelling. The visit order cannot change the cover: the
+boundary pair is itself a pair of the walk; a layer's loop stops only once
+the cover holds the whole layer, after which a pair could add only layer
+vertices, and until then it adds the sub-cover of every pair it meets; and
+by induction over the recursion, each table value is the same function of
+its key in any visit order.
 
 Every subproblem of a layer is flowed on one ``PairNetwork``, built once
 from G[L] on the layer's first miss; a flow copies its capacities and
@@ -74,13 +75,12 @@ form that ``reduce`` prints.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import namedtuple
 from typing import Iterable, Optional
 
 from .chains import SeparatorChain, build_chain
-from .graphs import DomainError, Graph, components, induced_subgraph, vset
+from .graphs import DomainError, Graph, components, vset
 from .separation import PairNetwork, st_flow
 
 GADGET = "gadget"
@@ -129,64 +129,76 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
     return TreewidthBounds(ell, excess, g, f, saturated)
 
 
-class TorsoResult(namedtuple("TorsoResult", "graph orig added_edges")):
-    """The torso of C:
+class TorsoResult(namedtuple("TorsoResult", "graph induced orig")):
+    """The torso of C and G[C], on the same ids:
 
-        graph: Graph                       # on C, relabeled ascending
-        orig: tuple[int, ...]              # new id -> original id
-        added_edges: tuple[tuple[int, int], ...]   # original ids, absent from G
+        graph: Graph                  # on C, relabeled ascending
+        induced: Graph                # G[C]: graph less the torso-added edges
+        orig: tuple[int, ...]         # new id -> original id
     """
 
     __slots__ = ()
 
-    def to_new(self, v: int) -> int:
-        return self.orig.index(v)
-
 
 def torso(G: Graph, C: Iterable[int]) -> TorsoResult:
     """Graph on C with an edge for each original adjacency or each path whose
-    internal vertices avoid C."""
+    internal vertices avoid C, and G[C], built from the original adjacencies
+    the torso starts from."""
     cs = G.check_vertices(C)
     index = {v: i for i, v in enumerate(cs)}
-    edges = {(index[u], index[v]) for u, v in G.edges()
-             if u in index and v in index}
-    original = set(edges)
+    original = [(index[u], index[v]) for u, v in G.edges()
+                if u in index and v in index]
+    edges = set(original)
     for comp in components(G, cs):
         attach = sorted({index[w] for v in comp for w in G.adj[v] if w in index})
         for i, u in enumerate(attach):
             for v in attach[i + 1:]:
                 edges.add((u, v))
-    added = tuple(sorted((cs[u], cs[v]) for u, v in edges - original))
-    return TorsoResult(Graph(len(cs), edges), cs, added)
+    return TorsoResult(Graph(len(cs), edges), Graph(len(cs), original), cs)
 
 
 def layer_system(chain: SeparatorChain, s: int, t: int, n: int) -> list[tuple]:
-    """(layer L_i, pool) pairs: the vertices between consecutive chain
-    boundaries and the two boundaries they may touch, with the chain closed
-    by X_0 = {}, S_0 = {s} and X_{q+1} = V - t, S_{q+1} = {t}. Each layer
-    is one set difference, X_i - X_{i-1} - S_{i-1}."""
+    """(layer L_i, S_{i-1}, S_i) triples: the vertices between consecutive
+    chain boundaries and the two boundaries they may touch, with the chain
+    closed by X_0 = {}, S_0 = {s} and X_{q+1} = V - t, S_{q+1} = {t}. Each
+    layer is one set difference, X_i - X_{i-1} - S_{i-1}."""
     xs = [(), *chain.sets, tuple(v for v in range(n) if v != t)]
     ss = [(s,), *chain.boundaries, (t,)]
-    return [(tuple(sorted(set(xs[i]).difference(xs[i - 1], ss[i - 1]))),
-             vset(ss[i] + ss[i - 1])) for i in range(1, len(xs))]
+    return [(tuple(sorted(set(xs[i]).difference(xs[i - 1], ss[i - 1]))), ss[i - 1], ss[i])
+            for i in range(1, len(xs))]
 
 
-def _neighbourhood_pairs(G: Graph, layer: tuple[int, ...], pool: tuple[int, ...]):
+def _neighbourhood_pairs(G: Graph, pos: dict, prev: tuple[int, ...], cur: tuple[int, ...]):
     """The distinct (N(A) & L, N(B) & L) over unordered pairs (A, B) of
-    disjoint non-empty subsets of pool with no A-B edge, as masks over the
-    positions of ``layer``, each yielded where it first appears.
+    disjoint non-empty subsets of the pool prev | cur with no A-B edge, as
+    masks over the layer positions ``pos``, each yielded once.
 
-    Each pool vertex goes to neither side, to A or to B, the last pool
-    vertex decided first, and a pair counts once, when its lowest vertex is
-    in A: the order of the base-3 codes, pool[i] the i-th digit. A branch
-    that puts a vertex next to the other side is pruned: an A-B edge
-    becomes the edge a-b, for which no separator exists.
+    The boundary pair A = prev - cur, B = cur - prev comes first, when both
+    sides are non-empty and no A-B edge exists. Then comes the walk, which
+    skips the boundary pair: each pool vertex goes to neither side, to A or
+    to B, the last pool vertex decided first, and a pair counts once, when
+    its lowest vertex is in A: the order of the base-3 codes, pool[i] the
+    i-th digit. The boundary pair is oriented alike. A branch that puts a
+    vertex next to the other side is pruned: an A-B edge becomes the edge
+    a-b, for which no separator exists.
     """
-    pos = {v: i for i, v in enumerate(layer)}
+    pool = vset(prev + cur)
     at = {v: j for j, v in enumerate(pool)}
     reach = [sum(1 << pos[w] for w in G.adj[v] if w in pos) for v in pool]
     near = [sum(1 << at[w] for w in G.adj[v] if w in at) for v in pool]
     seen = set()
+    # the boundary pair: OR, not sum, since two vertices of a side can share
+    # a neighbour
+    A = B = na = nb = near_a = 0
+    for j, v in enumerate(pool):
+        if v not in cur:
+            A, na, near_a = A | 1 << j, na | reach[j], near_a | near[j]
+        elif v not in prev:
+            B, nb = B | 1 << j, nb | reach[j]
+    if A and B and not near_a & B:
+        pair = (na, nb) if A & -A < B & -B else (nb, na)
+        seen.add(pair)
+        yield pair
     # (vertices left to decide, A, B, N(A) & L, N(B) & L, side of the lowest)
     stack = [(len(pool), 0, 0, 0, 0, 0)]
     while stack:
@@ -204,27 +216,6 @@ def _neighbourhood_pairs(G: Graph, layer: tuple[int, ...], pool: tuple[int, ...]
         stack.append((j, A, B, na, nb, low))
 
 
-def _boundary_pair(G: Graph, pos: dict, prev: tuple[int, ...],
-                   cur: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The layer's boundary pair A = prev - cur, B = cur - prev as
-    (N(A) & L, N(B) & L), masks over the layer positions ``pos``, oriented
-    as ``_neighbourhood_pairs`` orients it: the side with the lowest vertex
-    is A. A 1-tuple, or empty when a side is empty or an A-B edge exists."""
-    A, B = set(prev).difference(cur), set(cur).difference(prev)
-    if not A or not B or any(w in B for v in A for w in G.adj[v]):
-        return ()
-    masks = []
-    for side in sorted((A, B), key=min):
-        # OR, not sum: two vertices of a side can share a neighbour
-        mask = 0
-        for v in side:
-            for w in G.adj[v]:
-                if w in pos:
-                    mask |= 1 << pos[w]
-        masks.append(mask)
-    return ((masks[0], masks[1]),)
-
-
 def cover_set(G: Graph, s: int, t: int, k: int,
               memo: Optional[dict] = None) -> tuple[int, ...]:
     """All vertices on minimal s-t separators of size <= k, plus s and t.
@@ -232,15 +223,16 @@ def cover_set(G: Graph, s: int, t: int, k: int,
     Degrades to {s, t} when the terminals are adjacent, no separator of
     size <= k exists or the flow has size 0, whose only minimal separator is
     the empty set; returning there keeps the recursion from descending once
-    per unit of a huge budget. At excess 0 the cover is the minimum-separator
-    vertices, the keys of the flow's ``Residual.sides``; they are exactly the
-    union of the chain's boundaries (see ``chains``), which is not built.
-    Nor is it when every vertex but s and t is on a minimum separator, as on
-    a walled grid: the cover is then V at any excess. Otherwise each layer
-    flows its boundary pair before the walk over its neighbourhood pairs,
-    and stops once the layer is covered; the cover is the same in any visit order
-    (see the module docstring). ``memo`` is the recursion's table of layer
-    subproblems; callers leave it unset and the top-level call makes it.
+    per unit of a huge budget. Every other cover starts from the
+    minimum-separator vertices, the keys of the flow's ``Residual.sides``,
+    which are exactly the union of the chain's boundaries (see ``chains``).
+    At excess 0 that is the cover, and no chain is built; nor is it when
+    every vertex but s and t is on a minimum separator, as on a walled
+    grid: the cover is then V at any excess. Otherwise each layer walks its
+    neighbourhood pairs, the boundary pair first, and stops once the layer
+    is covered; the cover is the same in any visit order (see the module
+    docstring). ``memo`` is the recursion's table of layer subproblems;
+    callers leave it unset and the top-level call makes it.
     """
     G.check_vertices((s, t))
     if s == t:
@@ -252,28 +244,22 @@ def cover_set(G: Graph, s: int, t: int, k: int,
         # a flow of size 0 leaves only the empty set as a minimal separator
         return vset((s, t))
     excess = k - int(r.size)
-    on_minimum = r.residual.sides()
-    if excess == 0 or len(on_minimum) == G.n - 2:
-        # the chain's boundaries hold exactly the minimum-separator vertices,
-        # and when these are all of V - {s, t}, so is the cover
-        return vset([s, t, *on_minimum])
+    # the minimum-separator vertices: at excess 0 the whole cover, and at
+    # any excess all of V once they are all of V - {s, t}
+    cover = {s, t, *r.residual.sides()}
+    if excess == 0 or len(cover) == G.n:
+        return tuple(sorted(cover))
 
     chain = build_chain(G, s, t)
-    cover: set[int] = {s, t}
-    for S in chain.boundaries:
-        cover.update(S)
-
     if memo is None:
         memo = {}
-    bounds = [(s,), *chain.boundaries, (t,)]
-    for (layer, pool), prev, cur in zip(layer_system(chain, s, t, G.n), bounds, bounds[1:]):
+    for layer, prev, cur in layer_system(chain, s, t, G.n):
         pos = {v: i for i, v in enumerate(layer)}
         inside = tuple((i, pos[w]) for i, v in enumerate(layer) for w in G.adj[v]
                        if pos.get(w, -1) > i)
         table = memo.setdefault((len(layer), inside, k, excess), {})
         network = None
-        for na, nb in itertools.chain(_boundary_pair(G, pos, prev, cur),
-                                      _neighbourhood_pairs(G, layer, pool)):
+        for na, nb in _neighbourhood_pairs(G, pos, prev, cur):
             # a sub-cover maps back into the layer: nothing left to add
             if cover.issuperset(layer):
                 break
@@ -408,5 +394,5 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
                    else outside - 1)
     width_bound = min(width_bound, SATURATION_LIMIT)
     tor = torso(G, cover)
-    return ReducedInstance(tor.graph, induced_subgraph(G, tor.orig).graph,
-                           tor.orig, terms, min(k, G.n - 2), width_bound)
+    return ReducedInstance(tor.graph, tor.induced, tor.orig, terms, min(k, G.n - 2),
+                           width_bound)

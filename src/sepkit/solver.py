@@ -84,7 +84,8 @@ back-pointers are those of the plain loop.
 The budget k is first clamped to the number of deletable vertices, since no
 accumulated graph can have more; only then is it held against the class's
 ``max_check``. Only the classes whose membership test is exponential carry
-one (``matchdef:`` and ``forbid:``); the others decide any size.
+one (``matchdef:`` and ``forbid:``); the others decide any size. A negative
+budget then answers None: no deletion set fits it, the empty one included.
 
 The front half of ``g_multicut_uncut``, ``reduce_instance``, ``decompose``
 and ``make_nice``, does not read the class: the cover keeps every minimal
@@ -92,8 +93,10 @@ separator of size <= k of the cut pairs whatever the class, and only the DP
 judges it. So one table keeps, for the last 16 distinct keys (graph,
 normalised constraints, k), the reduced instance and its nice decomposition,
 and drops the least recently used key when a 17th arrives; the bound is
-fixed. The graph is compared by content (``Graph.__eq__`` and ``__hash__``),
-so an equal graph built anew in the same process hits. A hit is exact, since
+fixed. The key holds the graph's content, its vertex count and adjacency,
+which ``Graph.__eq__`` and ``__hash__`` compare, and not the graph object,
+so an equal graph built anew in the same process hits and no entry keeps
+the caller's graph, or the flow kept on it, alive. A hit is exact, since
 every skipped stage is a deterministic function of the graph's content, the
 constraints and k. The s-t flow that the graph object keeps
 (``separation.st_flow``) stays out of the key: it only saves the reduction
@@ -106,7 +109,7 @@ call. Two kinds of reduction are not kept. One whose width bound saturated:
 a ``tw_bound`` that warned saturates it, so a kept reduction never warned,
 and a saturated one runs again on every call and warns from
 ``reduce_instance`` as a first call does. And one of a graph with more than
-128 vertices: an entry keeps its key's graph alive besides the reduced
+128 vertices: an entry keeps its key's adjacency besides the reduced
 graph, G[cover] and the nice decomposition, and this bounds its size. The
 table's lock guards its lookups and stores; two threads missing on one key
 both reduce, and the later store wins with the same content.
@@ -643,6 +646,9 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     k = min(k, G.n - len(terminals))
     if cls.max_check is not None and k > cls.max_check:
         raise DomainError(f"budget {k} exceeds class max_check {cls.max_check}")
+    if k < 0:
+        # no deletion set fits a negative budget, the empty one included
+        return None
     summary = cls.summary
 
     def finished_ok(bm: int) -> bool:
@@ -960,7 +966,8 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         if verify_solution(G, (), norm, k, cls):
             return ()
         return None
-    key = (G, norm, k)
+    # the graph by content: a Graph would keep its last s-t flow alive
+    key = (G.n, G.adj, norm, k)
     # popped and put back last: the table's order is its recency order
     with _reductions_lock:
         entry = _reductions.pop(key, None)

@@ -10,7 +10,7 @@ from sepkit.graphs import DomainError, Graph, induced_subgraph
 from sepkit.oracle import (FIXTURES, RandomModel, cycle_graph, enumerate_minimal_separators,
                            path_graph, random_graph)
 from sepkit.reduction import (GADGET, SATURATION_LIMIT, TreewidthBounds,
-                              _boundary_pair, _neighbourhood_pairs, cover_set,
+                              _neighbourhood_pairs, cover_set,
                               layer_system, reduce_instance, torso, tw_bound)
 from sepkit.chains import build_chain
 from sepkit.separation import PairNetwork, is_separator, min_vertex_separator, st_flow
@@ -25,13 +25,15 @@ Q3 = FIXTURES["Q3"].graph
 
 
 def test_torso_examples():
-    tr = torso(path_graph(3), (0, 2))
-    assert tr.graph.edges() == [(0, 1)] and tr.added_edges == ((0, 2),)
-    tr = torso(C4, (0, 2))
-    assert tr.graph.edges() == [(0, 1)] and tr.added_edges == ((0, 2),)
-    tr = torso(PP, (0, 1, 5))
-    assert tr.graph.edges() == [(0, 1), (0, 2), (1, 2)]
-    assert tr.added_edges == ((0, 5), (1, 5))
+    # the torso-added edges are the torso's edges outside G[C], on the same ids
+    for G, C, edges, added in ((path_graph(3), (0, 2), [(0, 1)], [(0, 2)]),
+                               (C4, (0, 2), [(0, 1)], [(0, 2)]),
+                               (PP, (0, 1, 5), [(0, 1), (0, 2), (1, 2)], [(0, 5), (1, 5)])):
+        tr = torso(G, C)
+        assert tr.orig == C and tr.graph.edges() == edges
+        assert tr.induced == induced_subgraph(G, C).graph
+        assert [(tr.orig[u], tr.orig[v]) for u, v in tr.graph.edges()
+                if not tr.induced.has_edge(u, v)] == added
 
 
 def test_torso_domain_error():
@@ -103,12 +105,15 @@ def test_cover_at_excess_zero_reads_the_residual(monkeypatch):
 def test_layer_system_partitions():
     ch = build_chain(PP, 0, 5)
     system = layer_system(ch, 0, 5, PP.n)
-    flat = [v for layer, _ in system for v in layer]
+    flat = [v for layer, _, _ in system for v in layer]
     assert len(flat) == len(set(flat))
     assert set(flat) <= set(range(6)) - {0, 5}
+    # each layer lies between consecutive boundaries of the closed chain
+    bounds = [(0,), *ch.boundaries, (5,)]
+    assert [(prev, cur) for _, prev, cur in system] == list(zip(bounds, bounds[1:]))
     # no layer edge escapes its boundary pool
-    for layer, pool in system:
-        allowed = set(layer) | set(pool)
+    for layer, prev, cur in system:
+        allowed = set(layer) | set(prev) | set(cur)
         for v in layer:
             assert set(PP.adj[v]) <= allowed
 
@@ -186,10 +191,10 @@ def _cover_reference(G, s, t, k):
         cover.update(S)
     if excess == 0:
         return tuple(sorted(cover))
-    for layer, pool in layer_system(chain, s, t, G.n):
+    for layer, prev, cur in layer_system(chain, s, t, G.n):
         if not layer:
             continue
-        for A, B in _disjoint_subset_pairs(pool):
+        for A, B in _disjoint_subset_pairs(sorted(set(prev) | set(cur))):
             H, a, b = _contract_terminal_sets(G, layer, A, B)
             rr = min_vertex_separator(H, (a,), (b,), cap=k)
             if not rr.within(k):
@@ -200,10 +205,26 @@ def _cover_reference(G, s, t, k):
     return tuple(sorted(cover))
 
 
+def _boundary_pair_masks(G, pos, prev, cur):
+    """The boundary pair A = prev - cur, B = cur - prev as its neighbourhood
+    masks, the side with the lowest vertex first; None when a side is empty
+    or an A-B edge exists."""
+    A, B = set(prev) - set(cur), set(cur) - set(prev)
+    if not A or not B or any(G.has_edge(u, v) for u in A for v in B):
+        return None
+    if min(B) < min(A):
+        A, B = B, A
+    na, nb = ({w for v in side for w in G.adj[v] if w in pos} for side in (A, B))
+    return sum(1 << pos[w] for w in na), sum(1 << pos[w] for w in nb)
+
+
 def test_neighbourhood_pairs_are_first_occurrences_of_subset_pairs():
     # the base-3 enumeration with the A-B edge skip, reduced to the first
-    # occurrence of each (N(A) & L, N(B) & L), in the order it gives them
-    adjacent_pools = lonely = 0
+    # occurrence of each (N(A) & L, N(B) & L), in the order it gives them:
+    # exactly the walk when prev = cur = pool, which has no boundary pair,
+    # and the walk after its boundary pair, which it does not repeat, for a
+    # random split of the pool into prev and cur
+    adjacent_pools = lonely = split = 0
     for G, rng in seeded_graphs(300, seed=61, n_lo=4, n_hi=13):
         vs = list(range(G.n))
         rng.shuffle(vs)
@@ -218,15 +239,27 @@ def test_neighbourhood_pairs_are_first_occurrences_of_subset_pairs():
             nb = sum(1 << pos[w] for w in {w for v in B for w in G.adj[v] if w in pos})
             if (na, nb) not in want:
                 want.append((na, nb))
-        assert list(_neighbourhood_pairs(G, layer, pool)) == want
+        assert list(_neighbourhood_pairs(G, pos, pool, pool)) == want
+        # each pool vertex in prev only, in cur only or in both
+        sides = [rng.randrange(3) for _ in pool]
+        prev = tuple(v for v, side in zip(pool, sides) if side != 1)
+        cur = tuple(v for v, side in zip(pool, sides) if side != 0)
+        first = _boundary_pair_masks(G, pos, prev, cur)
+        got = list(_neighbourhood_pairs(G, pos, prev, cur))
+        if first is None:
+            assert got == want
+        else:
+            assert got == [first] + [p for p in want if p != first]
+            split += 1
         adjacent_pools += any(G.has_edge(u, v) for u, v in itertools.combinations(pool, 2))
         lonely += any(not set(G.adj[v]) & set(layer) for v in pool)
-    assert adjacent_pools >= 100 and lonely >= 100, (adjacent_pools, lonely)
+    assert adjacent_pools >= 100 and lonely >= 100 and split >= 50, (adjacent_pools, lonely, split)
 
 
 def test_boundary_pair_is_a_pair_of_the_walk():
     # A = S_{i-1} - S_i and B = S_i - S_{i-1}, oriented as the walk orients
-    # a pair, so that the walk's own visit is a table hit
+    # a pair, comes first, and the walk over the layer's pool follows
+    # without it
     cases = []
     for G, grng in seeded_graphs(400, seed=71, n_lo=6, n_hi=20, ps=(0.15, 0.2, 0.3)):
         pair = nonadjacent_pair(G, grng)
@@ -243,24 +276,24 @@ def test_boundary_pair_is_a_pair_of_the_walk():
         r = min_vertex_separator(G, (s,), (t,))
         if r.size == 0:
             continue
-        chain = build_chain(G, s, t)
-        bounds = [(s,), *chain.boundaries, (t,)]
-        for (layer, pool), prev, cur in zip(layer_system(chain, s, t, G.n), bounds, bounds[1:]):
+        for layer, prev, cur in layer_system(build_chain(G, s, t), s, t, G.n):
             pos = {v: i for i, v in enumerate(layer)}
-            got = _boundary_pair(G, pos, prev, cur)
-            A, B = set(prev) - set(cur), set(cur) - set(prev)
-            if not A or not B or any(G.has_edge(u, v) for u in A for v in B):
-                assert got == ()
+            pool = tuple(sorted(set(prev) | set(cur)))
+            walk = list(_neighbourhood_pairs(G, pos, pool, pool))
+            got = list(_neighbourhood_pairs(G, pos, prev, cur))
+            want = _boundary_pair_masks(G, pos, prev, cur)
+            if want is None:
+                assert got == walk
                 continue
-            if min(B) < min(A):
-                A, B = B, A
-                flipped += 1
-            na, nb = ({w for v in side for w in G.adj[v] if w in pos} for side in (A, B))
-            want = (sum(1 << pos[w] for w in na), sum(1 << pos[w] for w in nb))
-            assert got == (want,) and want in set(_neighbourhood_pairs(G, layer, pool))
+            assert got == [want] + [p for p in walk if p != want] and want in walk
+            # the side holding the lowest vertex, whose mask comes first
+            A, B = set(prev) - set(cur), set(cur) - set(prev)
+            low = B if min(B) < min(A) else A
+            flipped += low is B
             met += 1
             # OR, not sum: two vertices of a side share a layer neighbour
-            shared += sum(len([w for w in G.adj[v] if w in pos]) for v in A) > len(na)
+            shared += (sum(len([w for w in G.adj[v] if w in pos]) for v in low)
+                       > bin(want[0]).count("1"))
     assert met >= 80 and flipped >= 20 and shared >= 20, (met, flipped, shared)
 
 
@@ -419,12 +452,12 @@ def test_layer_flows_match_min_vertex_separator():
         if r.size == 0:
             continue
         k = int(r.size) + grng.randint(0, 2)
-        for layer, pool in layer_system(build_chain(G, s, t), s, t, G.n):
+        for layer, prev, cur in layer_system(build_chain(G, s, t), s, t, G.n):
             pos = {v: i for i, v in enumerate(layer)}
             inside = tuple((pos[u], pos[v]) for u, v in G.edges() if u in pos and v in pos)
             network = PairNetwork(len(layer), inside)
             a, b = len(layer), len(layer) + 1
-            for na, nb in _neighbourhood_pairs(G, layer, pool):
+            for na, nb in _neighbourhood_pairs(G, pos, prev, cur):
                 H = Graph(b + 1, [*inside, *((i, a) for i in range(a) if na >> i & 1),
                                   *((i, b) for i in range(a) if nb >> i & 1)])
                 assert network.graph(na, nb) == H
@@ -454,11 +487,11 @@ def test_separation_preservation_in_torso():
         extra = [v for v in range(n) if v not in (a, b) and rng.random() < 0.5]
         C = sorted({a, b, *extra})
         tr = torso(G, C)
-        na, nb = tr.to_new(a), tr.to_new(b)
+        na, nb = tr.orig.index(a), tr.orig.index(b)
         others = [v for v in C if v not in (a, b)]
         for r in range(0, min(3, len(others)) + 1):
             for S in itertools.combinations(others, r):
-                inside = is_separator(tr.graph, [tr.to_new(v) for v in S], (na,), (nb,))
+                inside = is_separator(tr.graph, [tr.orig.index(v) for v in S], (na,), (nb,))
                 outside = is_separator(G, S, (a,), (b,))
                 assert inside == outside
 
@@ -534,7 +567,7 @@ def _gadget_reduction_jsonable(G, terminals, k):
                 g_max = tw_bound(int(r.size), k - int(r.size)).g_value
     width_bound = min(3 * contributing * (g_max + 1) + 1 + len(terms) - 2, SATURATION_LIMIT)
     tor = torso(G, cover)
-    added_new = {(tor.to_new(u), tor.to_new(v)) for u, v in tor.added_edges}
+    added_new = {(i, j) for i, j in tor.graph.edges() if not G.has_edge(tor.orig[i], tor.orig[j])}
     edges = [e for e in tor.graph.edges() if e not in added_new]
     origin = list(tor.orig)
     nxt = len(tor.orig)

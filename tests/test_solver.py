@@ -569,6 +569,19 @@ def test_failed_reverification_raises_verification_error(monkeypatch):
         g_multicut_uncut(C4, CutConstraints(((0, 2),)), 2, EDGELESS)
 
 
+@pytest.mark.parametrize("k", [-1, -2])
+def test_a_negative_budget_answers_none(k):
+    # the cut pair 0-2 is already separated, so the empty set meets every
+    # constraint; the DP accepted it at any k, and g_multicut_uncut then
+    # refused its own witness with a VerificationError
+    G = Graph(4, [(0, 1), (2, 3)])
+    for cons in (CutConstraints(((0, 2),)), CutConstraints(((0, 2),), ((0, 1),))):
+        assert dp_constrained_cut(G, _nice(G), cons, 0, ANY) == ()
+        assert g_multicut_uncut(G, cons, 0, ANY) == ()
+        assert dp_constrained_cut(G, _nice(G), cons, k, ANY) is None
+        assert g_multicut_uncut(G, cons, k, ANY) is None
+
+
 def _gnp(n, p, seed):
     rng = random.Random(seed)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -1046,10 +1059,23 @@ def test_the_table_keeps_the_16_most_recent_keys(monkeypatch):
     g_multicut_uncut(paths[0], cons, 1, FOREST)      # a hit makes P3 the newest
     g_multicut_uncut(paths[16], cons, 1, ANY)
     assert len(table) == 16
-    assert [key[0] for key in table] == paths[2:16] + paths[:1] + paths[16:]
+    assert [key[:2] for key in table] == \
+        [(P.n, P.adj) for P in paths[2:16] + paths[:1] + paths[16:]]
     counted = _count_front_half(monkeypatch)
     g_multicut_uncut(paths[1], cons, 1, ANY)         # P4 went first
     assert counted == list(FRONT_HALF)
+
+
+def test_no_table_key_holds_a_graph():
+    # a key holds the graph's content: the caller's graph would keep its
+    # last s-t flow alive as long as the entry, although a hit reads no flow
+    star = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
+    assert g_mincut(Q3, 0, 7, 4, ANY) is not None
+    assert g_mincut(grid(3, 4), 0, 11, 3, FOREST) is not None
+    assert g_multicut_uncut(star, CutConstraints(((1, 2),), ((1, 3),)), 1, ANY) == (0,)
+    table = sepkit.solver._reductions
+    assert len(table) == 3
+    assert not [part for key in table for part in key if isinstance(part, Graph)]
 
 
 def test_one_class_dp_pass_fits_the_table(monkeypatch):
@@ -1093,8 +1119,9 @@ def test_a_saturated_reduction_is_not_kept():
 
 
 def test_a_large_graph_is_not_kept():
-    # an entry holds its graph, the reduced graph, G[cover] and the nice
-    # decomposition, so only graphs up to the bound's vertex count are kept
+    # an entry holds its graph's adjacency, the reduced graph, G[cover] and
+    # the nice decomposition, so only graphs up to the bound's vertex count
+    # are kept
     limit = sepkit.solver._REDUCTION_MAX_N
     cons = CutConstraints(((0, 2),))
     assert g_multicut_uncut(path_graph(limit), cons, 1, ANY) == (1,)
