@@ -9,7 +9,6 @@ import argparse
 import functools
 import sys
 import time
-import warnings
 
 from .chains import build_chain, validate_chain
 from .graphs import DomainError, Graph, GraphError, ParseError, parse_graph
@@ -330,17 +329,13 @@ def _dispatch(args) -> dict:
 
 
 def run_command(argv) -> int:
-    """Run one command. Warnings the library raises along the way are
-    collected and written to stderr as one ``warning: <message>`` line each,
-    so neither stdout nor the exit code depends on the warning filters."""
+    """Run one command: its JSON line on stdout, its answer and time on
+    stderr, and exit 0, or an error line on stderr and exit 1, 2 or 3."""
     parser = _build_parser()
     started = time.perf_counter()
-    caught: list = []
     try:
         args = parser.parse_args(argv)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = _dispatch(args)
+        result = _dispatch(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -355,9 +350,6 @@ def run_command(argv) -> int:
         print(f"verification error: {exc}; replay: sepkit {shlex.join(argv)}",
               file=sys.stderr)
         return 3
-    finally:
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"warning: {message}", file=sys.stderr)
     ms = (time.perf_counter() - started) * 1000.0
     print(_dumps(result))
     print(f"{result['command']}: {result['answer']} (time_ms={ms:.1f})", file=sys.stderr)

@@ -397,7 +397,10 @@ def _nonadjacent_pair(G: Graph, rng: random.Random) -> Optional[tuple[int, int]]
     return rng.choice(pairs) if pairs else None
 
 
-GMINCUT_CLASSES = ("edgeless", "any", "forest", "bipartite", "maxdeg:1", "matchdef:1")
+# forbid:Bo (induced-P3-free: disjoint unions of cliques) is judged on the
+# canonical-form path, as matchdef:1 is
+GMINCUT_CLASSES = ("edgeless", "any", "forest", "bipartite", "maxdeg:1", "matchdef:1",
+                   "forbid:Bo")
 
 
 def cross_check(config: CheckConfig) -> CheckReport:

@@ -75,7 +75,6 @@ form that ``reduce`` prints.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from typing import Iterable, Optional
 
@@ -95,7 +94,7 @@ class TreewidthBounds(namedtuple("TreewidthBounds", "ell excess g_value f_value 
         excess: int
         g_value: int
         f_value: int
-        saturated: bool = False
+        saturated: bool = False     # a value passed 2^63 - 1 and was clamped
     """
 
     __slots__ = ()
@@ -106,7 +105,8 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
 
     g(l, 0) = 6l and g(l, e) = 3 * (2l + 3^(2l) * (g(l, e-1) + 1));
     f(l, 0) = 1 and f(l, e) = f(l, e-1) * 3^(2l) + 1. Values beyond 2^63 - 1
-    saturate with a warning; g >= f throughout, so the loop stops once f
+    saturate: they read ``SATURATION_LIMIT`` and ``saturated`` is set, which
+    is the only report of it. g >= f throughout, so the loop stops once f
     saturates.
     """
     if ell < 1 or excess < 0:
@@ -123,9 +123,6 @@ def tw_bound(ell: int, excess: int) -> TreewidthBounds:
             f = min(f, SATURATION_LIMIT)
             if f == SATURATION_LIMIT:
                 break
-    if saturated:
-        warnings.warn(f"treewidth bound saturated for ell={ell}, excess={excess}",
-                      stacklevel=2)
     return TreewidthBounds(ell, excess, g, f, saturated)
 
 
@@ -361,7 +358,9 @@ def reduce_instance(G: Graph, terminals: Iterable[int], k: int,
     bag); the 1 covers the degree-2 gadgets of the serialised form. With no
     contributing pair the torso is on the terminals alone, and the bound is
     their number minus one; the serialised form then claims at least 2
-    when it has a gadget (``to_jsonable``).
+    when it has a gadget (``to_jsonable``). The bound is clamped to
+    ``SATURATION_LIMIT`` (2^63 - 1), and a bound that reads it saturated;
+    nothing else reports it.
 
     The instance keeps k clamped to n - 2, since no a-b separator of G is
     larger, so a huge budget costs the serialised form at most n - 1

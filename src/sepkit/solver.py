@@ -105,14 +105,13 @@ uncapped one, since the minimum-separator vertices and the chain are
 properties of the graph, not of the maximum flow that finds them. The DP,
 which validates the decomposition against the reduced graph, the
 map-back, the re-verification and ``minimalize_separator`` run on every
-call. Two kinds of reduction are not kept. One whose width bound saturated:
-a ``tw_bound`` that warned saturates it, so a kept reduction never warned,
-and a saturated one runs again on every call and warns from
-``reduce_instance`` as a first call does. And one of a graph with more than
-128 vertices: an entry keeps its key's adjacency besides the reduced
-graph, G[cover] and the nice decomposition, and this bounds its size. The
-table's lock guards its lookups and stores; two threads missing on one key
-both reduce, and the later store wins with the same content.
+call. A reduction whose width bound saturated is kept like any other: its
+``width_bound`` reads 2^63 - 1 on a hit as on a miss. Only the reduction of
+a graph with more than 128 vertices is not kept: an entry keeps its key's
+adjacency besides the reduced graph, G[cover] and the nice decomposition,
+and this bounds its size. The table's lock guards its lookups and stores;
+two threads missing on one key both reduce, and the later store wins with
+the same content.
 
 Stats reach a caller through ``with collect() as stats:`` (a NO answer has no
 witness to carry them): the innermost block gets the last ``ell``, ``excess``,
@@ -136,7 +135,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (DomainError, Graph, adjacency_masks, bits, components,
                      induced_subgraph, two_coloring, vset)
-from .reduction import SATURATION_LIMIT, reduce_instance
+from .reduction import reduce_instance
 from .separation import minimalize_separator, st_flow
 from .treedecomp import FORGET, INTRODUCE, JOIN, LEAF, decompose, make_nice, validate_nice
 
@@ -649,6 +648,9 @@ def dp_constrained_cut(G: Graph, nice, cons: CutConstraints, k: int, cls: Heredi
     if k < 0:
         # no deletion set fits a negative budget, the empty one included
         return None
+    if not cls.contains(Graph(0)):
+        # a hereditary class without the empty graph holds no graph
+        return None
     summary = cls.summary
 
     def finished_ok(bm: int) -> bool:
@@ -950,10 +952,9 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
     content, and a repeat of a key, for any class, reuses them without
     ``reduce_instance``, ``decompose`` or ``make_nice``. That is exact, since
     those stages depend on nothing else (module docstring). A hit notes the
-    same ``cover_size`` and ``width_bound``. A reduction whose width bound
-    saturated, as that of every reduction that warned does, and one of a
-    graph with more than 128 vertices are not kept. The DP still validates
-    the decomposition against the reduced graph."""
+    same ``cover_size`` and ``width_bound``. The reduction of a graph with
+    more than 128 vertices is not kept. The DP still validates the
+    decomposition against the reduced graph."""
     for a, b in cons.cut_pairs:
         if a == b or G.has_edge(a, b):
             return None
@@ -976,9 +977,7 @@ def g_multicut_uncut(G: Graph, cons: CutConstraints, k: int, cls: HereditaryClas
         ri = reduce_instance(G, (*terms, *targets), k, pairs=norm.cut_pairs)
         entry = ri, make_nice(decompose(ri.gstar), ri.gstar, root_vertex=ri.to_gstar(min(terms)))
     ri, nice = entry
-    # a reduction that warned has a saturated width bound; it stays out, so
-    # that every call with it warns as the first one does
-    if ri.width_bound < SATURATION_LIMIT and G.n <= _REDUCTION_MAX_N:
+    if G.n <= _REDUCTION_MAX_N:
         with _reductions_lock:
             _reductions[key] = entry
             if len(_reductions) > _REDUCTIONS_KEPT:

@@ -154,10 +154,8 @@ def test_reduce_clamps_a_huge_budget(tmp_path, capsys):
         (3, 7), (4, 5), (4, 9), (5, 7), (5, 8), (6, 9), (7, 9)])))
     docs = []
     for k in ("1000", "8"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # the saturated width bound
-            code, doc, _ = _run(capsys, ["reduce", "--graph", str(path),
-                                         "--s", "2", "--t", "6", "--k", k])
+        code, doc, _ = _run(capsys, ["reduce", "--graph", str(path),
+                                     "--s", "2", "--t", "6", "--k", k])
         assert code == 0
         docs.append(doc["witness"])
     huge, clamped = docs
@@ -508,7 +506,9 @@ def test_budget_above_class_max_check(graph_files, capsys, argv):
     assert doc["answer"] == "YES" and doc["witness"] == [2, 4]
 
 
-def test_saturation_warning_is_one_clean_line(graph_files, capsys):
+def test_a_saturated_budget_prints_no_warning(graph_files, capsys):
+    # the width bound saturates at k = 65 on C4, and width_bound saying so
+    # is the only report, under the default filters as under -W error
     argv = ["stable-cut", "--graph", graph_files["C4"], "--s", "1", "--t", "3",
             "--k", "65"]
     code, doc, err = _run(capsys, argv)
@@ -517,10 +517,25 @@ def test_saturation_warning_is_one_clean_line(graph_files, capsys):
         code_strict, doc_strict, err_strict = _run(capsys, argv)
     assert code == code_strict == 0
     assert doc == doc_strict and doc["answer"] == "YES"
+    assert doc["stats"]["width_bound"] == 2 ** 63 - 1
     for text in (err, err_strict):
-        assert "UserWarning" not in text and ".py:" not in text
-        lines = [ln for ln in text.splitlines() if ln.startswith("warning: ")]
-        assert lines == ["warning: treewidth bound saturated for ell=2, excess=63"]
+        assert "warning" not in text.lower() and ".py:" not in text
+        assert text.startswith("stable-cut: YES (time_ms=")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gmincut", "--s", "1", "--t", "3", "--class", "forbid:?"],
+    ["multicut", "--cut", "1:3", "--class", "forbid:?"],
+])
+def test_a_class_without_the_empty_graph_answers_no(tmp_path, capsys, argv):
+    # forbid:? forbids the 0-vertex graph, so its class holds no graph; both
+    # commands once ended in exit 3 on a failed re-verification
+    path = tmp_path / "g.gr"
+    path.write_text("p 4 1\ne 1 2\n")
+    for k in ("0", "1"):
+        code, doc, err = _run(capsys, argv[:1] + ["--graph", str(path), "--k", k] + argv[1:])
+        assert code == 0, err
+        assert doc["answer"] == "NO" and doc["witness"] is None
 
 
 def test_stable_cut_complete_bipartite_is_fast(tmp_path, capsys):

@@ -1096,26 +1096,31 @@ def test_one_class_dp_pass_fits_the_table(monkeypatch):
     assert len(sepkit.solver._reductions) == 10
 
 
-def test_a_saturated_reduction_is_not_kept():
-    # only a saturated width bound comes with a warning; such a reduction
-    # stays out of the table, so each call warns from reduce_instance, as
-    # the first one does
-    for _ in range(2):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert g_mincut(C4, 0, 2, 65, EDGELESS) == (1, 3)
-        assert [(str(w.message), w.filename) for w in caught] == \
-            [("treewidth bound saturated for ell=2, excess=63", sepkit.reduction.__file__)]
-    assert len(sepkit.solver._reductions) == 0
+def test_a_saturated_reduction_is_kept(monkeypatch):
+    # a saturated width bound is a value like any other: the repeat is a
+    # hit with the first call's witness and stats, and nothing warns
+    counted = _count_front_half(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UserWarning):
-            g_mincut(C4, 0, 2, 65, EDGELESS)
-    # below saturation nothing warns, and the entry is kept
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert g_mincut(C4, 0, 2, 8, EDGELESS) == (1, 3)
+        first, again = (_answer(lambda: g_mincut(C4, 0, 2, 65, EDGELESS)) for _ in range(2))
+    assert first == again
+    assert first[0] == (1, 3) and first[1]["width_bound"] == 2 ** 63 - 1
+    assert counted == list(FRONT_HALF)
     assert len(sepkit.solver._reductions) == 1
+
+
+def test_a_class_without_the_empty_graph_holds_no_graph():
+    # forbid:? forbids the 0-vertex graph, so no deletion set meets it, the
+    # empty one included; the DP once returned () and re-verification failed
+    empty = parse_class("forbid:?")
+    assert not empty.contains(Graph(0))
+    P4 = path_graph(4)
+    assert dp_constrained_cut(P4, _nice(P4), CutConstraints(((0, 3),)), 2, empty) is None
+    assert dp_constrained_cut(C4, _nice(C4), CutConstraints(((0, 2),)), 2, empty) is None
+    D2 = Graph(4, [(0, 1)])
+    for k in (0, 1):
+        assert g_mincut(D2, 0, 2, k, empty) is None
+        assert g_multicut_uncut(D2, CutConstraints(((0, 2),)), k, empty) is None
 
 
 def test_a_large_graph_is_not_kept():
