@@ -215,6 +215,9 @@ def _dispatch(args) -> dict:
                                              suites=suites))
         except OracleCapError as exc:
             raise UsageError(exc) from None
+        print("selfcheck: seconds per phase",
+              *(f"{phase}={sec:.3f}" for phase, sec in report.elapsed.items()),
+              file=sys.stderr)
         answer = "OK" if report.ok else "MISMATCH"
         return _result(cmd, answer, report.to_jsonable(include_elapsed=False),
                        {}, ["elapsed-per-phase reported on stderr only"])
@@ -330,12 +333,15 @@ def _dispatch(args) -> dict:
 
 def run_command(argv) -> int:
     """Run one command: its JSON line on stdout, its answer and time on
-    stderr, and exit 0, or an error line on stderr and exit 1, 2 or 3."""
+    stderr, and exit 0, or an error line on stderr and exit 1, 2, 3 or 4."""
     parser = _build_parser()
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
         result = _dispatch(args)
+    except MemoryError:
+        # the traceback holds the tables that ran out: report once it is gone
+        result = None
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -350,6 +356,9 @@ def run_command(argv) -> int:
         print(f"verification error: {exc}; replay: sepkit {shlex.join(argv)}",
               file=sys.stderr)
         return 3
+    if result is None:
+        print("resource error: out of memory", file=sys.stderr)
+        return 4
     ms = (time.perf_counter() - started) * 1000.0
     print(_dumps(result))
     print(f"{result['command']}: {result['answer']} (time_ms={ms:.1f})", file=sys.stderr)

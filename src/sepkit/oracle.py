@@ -351,16 +351,15 @@ ALL_SUITES = ("minsep", "chain", "cover", "gmincut", "multicut", "oct",
 
 
 class CheckConfig:
-    __slots__ = ("trials", "seed", "n_max", "k_max", "suites", "inject_fault")
+    __slots__ = ("trials", "seed", "n_max", "k_max", "suites")
 
     def __init__(self, trials: int = 50, seed: int = 0, n_max: int = 9, k_max: int = 3,
-                 suites: tuple[str, ...] = ALL_SUITES, inject_fault: bool = False):
+                 suites: tuple[str, ...] = ALL_SUITES):
         self.trials = trials
         self.seed = seed
         self.n_max = n_max
         self.k_max = k_max
         self.suites = suites
-        self.inject_fault = inject_fault   # test hook: corrupt one fast answer
 
 
 class CheckReport:
@@ -439,18 +438,16 @@ def cross_check(config: CheckConfig) -> CheckReport:
         p = rng.choice((0.2, 0.3, 0.45))
         return random_graph(RandomModel(n, p, seed)), rng, seed
 
-    def run_minsep(G, rng, tag):
+    def run_minsep(G, rng):
         s = rng.randrange(G.n)
         t = rng.choice([v for v in range(G.n) if v != s])
         params = trial(s=s, t=t)
         fast = separation.min_vertex_separator(G, (s,), (t,)).size
-        if config.inject_fault and tag == 0:
-            fast = fast + 1 if fast != INF else 0
         slow = bf_min_separator_size(G, (s,), (t,))
         if fast != slow:
             report.record("minsep", G, params, fast, slow)
 
-    def run_chain(G, rng, tag):
+    def run_chain(G, rng):
         pair = _nonadjacent_pair(G, rng)
         if pair is None:
             return
@@ -462,7 +459,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if not chains.validate_chain(G, s, t, ch, seps):
             report.record("chain", G, params, ch, seps)
 
-    def run_cover(G, rng, tag):
+    def run_cover(G, rng):
         pair = _nonadjacent_pair(G, rng)
         if pair is None:
             return
@@ -476,7 +473,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if missing or not {s, t} <= cov:
             report.record("cover", G, params, sorted(cov), missing)
 
-    def run_gmincut(G, rng, tag):
+    def run_gmincut(G, rng):
         s = rng.randrange(G.n)
         t = rng.choice([v for v in range(G.n) if v != s])
         k = rng.randint(0, config.k_max)
@@ -488,7 +485,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if (fast is None) != (slow is None):
             report.record("gmincut", G, params, fast, slow)
 
-    def run_multicut(G, rng, tag):
+    def run_multicut(G, rng):
         # uncut ends, reach sources and reach targets may coincide with
         # cut ends
         def pairs():
@@ -506,7 +503,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if (fast is None) != (slow is None):
             report.record("multicut", G, params, fast, slow)
 
-    def run_oct(G, rng, tag):
+    def run_oct(G, rng):
         k = rng.randint(0, config.k_max)
         params = trial(k=k)
         fast = problems.odd_cycle_transversal(G, k)
@@ -514,7 +511,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if (fast is None) != (slow is None):
             report.record("oct", G, params, fast, slow)
 
-    def run_stablebip(G, rng, tag):
+    def run_stablebip(G, rng):
         k = rng.randint(0, config.k_max)
         params = trial(k=k)
         fast = problems.stable_bipartization(G, k)
@@ -522,7 +519,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if (fast is None) != (slow is None):
             report.record("stablebip", G, params, fast, slow)
 
-    def run_exactbip(G, rng, tag):
+    def run_exactbip(G, rng):
         k = rng.randint(0, config.k_max)
         params = trial(k=k)
         fast = problems.exact_stable_bipartization(G, k)
@@ -530,7 +527,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if (fast is None) != (slow is None):
             report.record("exactbip", G, params, fast, slow)
 
-    def run_eivc(G, rng, tag):
+    def run_eivc(G, rng):
         s = rng.randrange(G.n)
         t = rng.choice([v for v in range(G.n) if v != s])
         k = rng.randint(0, min(2, config.k_max))
@@ -540,7 +537,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         if (fast is None) != (slow is None):
             report.record("eivc", G, params, fast, slow)
 
-    def run_exactc(G, rng, tag):
+    def run_exactc(G, rng):
         pair = _nonadjacent_pair(G, rng)
         if pair is None:
             return
@@ -561,17 +558,17 @@ def cross_check(config: CheckConfig) -> CheckReport:
     if config.trials == 0:
         return report
 
-    def run(name: str, G: Graph, rng: random.Random, tag: int) -> None:
+    def run(name: str, G: Graph, rng: random.Random) -> None:
         current[0] = {}
         try:
-            runners[name](G, rng, tag)
+            runners[name](G, rng)
         except Exception as exc:    # a crash is a mismatch, not the end
             report.record(name, G, dict(current[0]), exc, None)
 
     t0 = time.perf_counter()
     for fx in FIXTURES.values():
         for name in config.suites:
-            run(name, fx.graph, random.Random(config.seed), -1)
+            run(name, fx.graph, random.Random(config.seed))
             report.trials += 1
     report.elapsed["fixtures"] = time.perf_counter() - t0
 
@@ -581,7 +578,7 @@ def cross_check(config: CheckConfig) -> CheckReport:
         t0 = time.perf_counter()
         G, rng, seed = sample(counter)
         before = len(report.mismatches)
-        run(name, G, rng, counter // len(config.suites))
+        run(name, G, rng)
         for entry in report.mismatches[before:]:
             entry["params"]["seed"] = seed   # replay: same model seed and params
         report.trials += 1

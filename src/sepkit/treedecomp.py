@@ -4,7 +4,8 @@ solver DP, and PACE-style text export.
 Solver correctness relies only on decomposition validity; the heuristic width
 just controls DP table sizes. Min-fill, the bag construction and both
 validators work on int adjacency masks, a vertex's neighbours as the set
-bits of one int.
+bits of one int. A nice node is its kind, vertex and children: its bag is
+derived from those, as a mask, and never stored.
 """
 
 from __future__ import annotations
@@ -158,12 +159,12 @@ def validate_decomposition(G: Graph, td: TreeDecomposition) -> bool:
 
 # -- nice form --------------------------------------------------------------
 
-class NiceNode(namedtuple("NiceNode", "kind vertex bag children")):
-    """One node of a nice decomposition:
+class NiceNode(namedtuple("NiceNode", "kind vertex children")):
+    """One node of a nice decomposition; its bag is not stored but follows
+    from these fields and its child's bag (``NiceDecomposition.bags``):
 
         kind: str
-        vertex: Optional[int]
-        bag: tuple[int, ...]
+        vertex: Optional[int]       # introduced or forgotten; None otherwise
         children: tuple[int, ...]
     """
 
@@ -172,39 +173,31 @@ class NiceNode(namedtuple("NiceNode", "kind vertex bag children")):
 
 class NiceDecomposition(namedtuple("NiceDecomposition", "nodes")):
     """Rooted nice decomposition in post-order (children precede parents);
-    the last node is the root and has an empty bag:
+    the last node is the root. Each bag is derived: empty at a leaf, the
+    child's bag plus or minus the vertex at an introduce or forget node,
+    and the children's common bag at a join; the root's bag is empty.
 
         nodes: tuple[NiceNode, ...]
     """
 
     __slots__ = ()
 
+    def bags(self) -> list[int]:
+        """Each node's bag as a mask of vertex bits, in node order; an
+        introduce or forget node toggles its vertex in its child's bag."""
+        masks: list[int] = []
+        for nd in self.nodes:
+            if nd.kind == LEAF:
+                masks.append(0)
+            elif nd.kind == JOIN:
+                masks.append(masks[nd.children[0]])
+            else:
+                masks.append(masks[nd.children[0]] ^ 1 << nd.vertex)
+        return masks
+
     @property
     def width(self) -> int:
-        return max((len(nd.bag) for nd in self.nodes), default=0) - 1
-
-
-class _NiceBuilder:
-    def __init__(self):
-        self.nodes: list[NiceNode] = []
-
-    def add(self, kind, vertex, bag, children) -> int:
-        self.nodes.append(NiceNode(kind, vertex, tuple(sorted(bag)), tuple(children)))
-        return len(self.nodes) - 1
-
-    def leaf(self) -> int:
-        return self.add(LEAF, None, (), ())
-
-    def chain_to(self, idx: int, have: tuple[int, ...], want: Iterable[int]) -> int:
-        want_s = set(want)
-        cur = set(have)
-        for v in sorted(cur - want_s):
-            cur.discard(v)
-            idx = self.add(FORGET, v, cur, (idx,))
-        for v in sorted(want_s - cur):
-            cur.add(v)
-            idx = self.add(INTRODUCE, v, cur, (idx,))
-        return idx
+        return max((m.bit_count() for m in self.bags()), default=0) - 1
 
 
 def make_nice(td: TreeDecomposition, G: Graph, root_vertex: Optional[int] = None) -> NiceDecomposition:
@@ -219,7 +212,19 @@ def make_nice(td: TreeDecomposition, G: Graph, root_vertex: Optional[int] = None
                 root = i
                 break
     adj = td.neighbors()
-    b = _NiceBuilder()
+    nodes: list[NiceNode] = []
+
+    def add(kind: str, vertex: Optional[int], children: tuple[int, ...]) -> int:
+        nodes.append(NiceNode(kind, vertex, children))
+        return len(nodes) - 1
+
+    def move(idx: int, have: Iterable[int], want: Iterable[int]) -> int:
+        # from node idx with bag ``have`` up to bag ``want``
+        for v in sorted(set(have).difference(want)):
+            idx = add(FORGET, v, (idx,))
+        for v in sorted(set(want).difference(have)):
+            idx = add(INTRODUCE, v, (idx,))
+        return idx
 
     parent = {root: None}
     order = [root]
@@ -237,32 +242,30 @@ def make_nice(td: TreeDecomposition, G: Graph, root_vertex: Optional[int] = None
         kids = [j for j in adj[i] if parent.get(j) == i]
         bag = td.bags[i]
         if not kids:
-            idx = b.chain_to(b.leaf(), (), bag)
+            idx = move(add(LEAF, None, ()), (), bag)
         else:
-            tops = []
-            for j in kids:
-                tops.append(b.chain_to(topped[j], td.bags[j], bag))
+            tops = [move(topped[j], td.bags[j], bag) for j in kids]
             idx = tops[0]
             for other in tops[1:]:
-                idx = b.add(JOIN, None, bag, (idx, other))
+                idx = add(JOIN, None, (idx, other))
         topped[i] = idx
-    final = b.chain_to(topped[root], td.bags[root], ())
-    if b.nodes[final].bag:
-        raise AssertionError("root bag must end empty")
-    return NiceDecomposition(tuple(b.nodes))
+    move(topped[root], td.bags[root], ())
+    return NiceDecomposition(tuple(nodes))
 
 
 def validate_nice(G: Graph, nice: NiceDecomposition) -> bool:
     """Shape and coverage checks for a nice decomposition of G.
 
-    Each node's bag follows from its kind and its children's bags, every
-    node but the last (the root, with an empty bag) is the child of exactly
-    one later node, every vertex is forgotten exactly once and every edge
-    is met when its later endpoint is introduced. Since a vertex only
+    Every child precedes its parent, and every node but the last (the
+    root) is the child of exactly one later node. A leaf has no children;
+    an introduce or forget node has one, whose bag lacks or holds the
+    node's vertex, a vertex of G; a join has two with equal bags. The
+    root's bag is empty, every vertex is forgotten exactly once and every
+    edge is met when its later endpoint is introduced. Since a vertex only
     leaves a bag at its forget node on the way to the empty root, the nodes
     holding it form a subtree: a tree decomposition of G."""
     nodes = nice.nodes
-    if not nodes or nodes[-1].bag:
+    if not nodes:
         return False
     n = G.n
     nbrs = adjacency_masks(G)
@@ -276,38 +279,35 @@ def validate_nice(G: Graph, nice: NiceDecomposition) -> bool:
             return False
         for c in kids:
             parents[c] += 1
-        mask = 0
-        for u in nd.bag:
-            if not 0 <= u < n:
-                return False
-            mask |= 1 << u
-        masks.append(mask)
         if nd.kind == LEAF:
-            if kids or mask:
+            if kids:
                 return False
+            masks.append(0)
         elif nd.kind == JOIN:
-            if len(kids) != 2 or masks[kids[0]] != mask or masks[kids[1]] != mask:
+            if len(kids) != 2 or masks[kids[0]] != masks[kids[1]]:
                 return False
+            masks.append(masks[kids[0]])
         elif nd.kind in (INTRODUCE, FORGET):
             v = nd.vertex
             if len(kids) != 1 or not isinstance(v, int) or not 0 <= v < n:
                 return False
             bit, below = 1 << v, masks[kids[0]]
             if nd.kind == INTRODUCE:
-                if below & bit or below | bit != mask:
+                if below & bit:
                     return False
                 hit = nbrs[v] & below
                 met[v] |= hit
                 for u in bits(hit):
                     met[u] |= bit
             else:
-                if not below & bit or below ^ bit != mask:
+                if not below & bit:
                     return False
                 twice |= forgotten & bit
                 forgotten |= bit
+            masks.append(below ^ bit)
         else:
             return False
-    if parents[-1] or any(p != 1 for p in parents[:-1]):
+    if masks[-1] or parents[-1] or any(p != 1 for p in parents[:-1]):
         return False
     return forgotten == (1 << n) - 1 and not twice and met == nbrs
 

@@ -67,6 +67,29 @@ def test_selfcheck_command(capsys):
     assert "elapsed" not in doc["witness"]
 
 
+def test_selfcheck_reports_phase_seconds_on_stderr(capsys):
+    # the fixtures and each suite's random trials are timed, on stderr only
+    assert run_command(["selfcheck", "--trials", "4", "--seed", "7",
+                        "--suites", "minsep,cover"]) == 0
+    out = capsys.readouterr()
+    phases = out.err.splitlines()[0]
+    assert re.fullmatch(r"selfcheck: seconds per phase fixtures=\S+ minsep=\S+ cover=\S+",
+                        phases), phases
+    assert "seconds" not in out.out
+
+
+def test_out_of_memory_is_one_error_line(graph_files, capsys, monkeypatch):
+    # exit 4, nothing on stdout and no traceback: one line on stderr
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sepkit.cli, "g_mincut", exhausted)
+    assert run_command(["gmincut", "--graph", graph_files["C4"],
+                        "--s", "1", "--t", "3", "--k", "2", "--class", "any"]) == 4
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "resource error: out of memory\n")
+
+
 def test_selfcheck_runs_every_suite_by_default(capsys):
     base = ["selfcheck", "--trials", "3", "--seed", "7"]
     assert run_command(base) == 0

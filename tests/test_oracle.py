@@ -1,11 +1,13 @@
 import pytest
 
+import sepkit.separation
 from sepkit.graphs import DomainError, Graph
 from sepkit.oracle import (ALL_SUITES, DEFAULT_CAP, CheckConfig, FIXTURES,
                            OracleCapError, RandomModel, brute_force_solve,
                            bf_separator_union, cross_check,
                            enumerate_minimal_separators, random_graph,
                            serialize_graph, subsets_by_size, _separates)
+from sepkit.separation import SeparatorResult
 
 P3 = FIXTURES["P3"].graph
 PP = FIXTURES["PP"].graph
@@ -69,13 +71,26 @@ def test_cross_check_clean_run():
     assert "elapsed" not in report.to_jsonable(include_elapsed=False)
 
 
-def test_cross_check_fault_hook_records_mismatch():
-    report = cross_check(CheckConfig(trials=1, seed=7, suites=("minsep",),
-                                     inject_fault=True))
+def test_cross_check_fault_hook_records_mismatch(monkeypatch):
+    # a wrong fast separator size on the random trial's graph alone (one too
+    # large, or 0 for an infinite one): the fixtures still agree, and the
+    # mismatch keeps its graph and replay seed
+    flow = sepkit.separation.min_vertex_separator
+    fixtures = [fx.graph for fx in FIXTURES.values()]
+
+    def wrong(G, A, B, *args):
+        r = flow(G, A, B, *args)
+        return r if G in fixtures else SeparatorResult(r.size + 1 if r.is_finite else 0)
+
+    monkeypatch.setattr(sepkit.separation, "min_vertex_separator", wrong)
+    report = cross_check(CheckConfig(trials=1, seed=7, suites=("minsep",)))
     assert len(report.mismatches) == 1
     entry = report.mismatches[0]
     assert entry["suite"] == "minsep" and entry["graph"].startswith("p ")
+    assert (entry["fast"], entry["oracle"]) == ("0", "inf")   # s and t are adjacent
     assert entry["params"]["seed"] == 7 * 1_000_003  # replayable
+    # the fault comes from the test alone: the harness has no switch for one
+    assert CheckConfig.__slots__ == ("trials", "seed", "n_max", "k_max", "suites")
 
 
 def test_cross_check_zero_trials_empty_report():

@@ -15,7 +15,7 @@ import sepkit.oracle
 import sepkit.reduction
 import sepkit.separation
 import sepkit.solver
-from sepkit.graphs import (DomainError, Graph, components, induced_subgraph,
+from sepkit.graphs import (DomainError, Graph, bits, components, induced_subgraph,
                            two_coloring, vset)
 from sepkit.oracle import (FIXTURES, bf_g_mincut, bf_max_matching_size,
                            bf_multicut_uncut, complete_graph, cycle_graph,
@@ -296,6 +296,7 @@ def _summaries_along(H, nice, cls):
     every vertex deleted: per node, the vertices introduced below it and
     their summary (None once rejected)."""
     ops, nbrs = cls.summary, [frozenset(a) for a in H.adj]
+    masks = nice.bags()
     out = []
     for nd in nice.nodes:
         kids = [out[c] for c in nd.children]
@@ -307,7 +308,7 @@ def _summaries_along(H, nice, cls):
             summ = None if None in (lsumm, rsumm) else ops.join(lsumm, rsumm)
         else:
             [(seen, summ)] = kids
-            child_bag = nice.nodes[nd.children[0]].bag
+            child_bag = bits(masks[nd.children[0]])
             if nd.kind == INTRODUCE:
                 seen = seen | {nd.vertex}
                 if summ is not None:
@@ -352,10 +353,10 @@ def test_class_summaries_record_components_and_sides():
     for G, rng in seeded_graphs(150, seed=59, n_lo=1, n_hi=9, ps=(0.2, 0.35, 0.5)):
         nice = make_nice(decompose(G), G, root_vertex=rng.randrange(G.n))
         for cls in (FOREST, BIPARTITE):
-            for nd, (seen, summ) in zip(nice.nodes, _summaries_along(G, nice, cls)):
+            for bag, (seen, summ) in zip(nice.bags(), _summaries_along(G, nice, cls)):
                 if summ is None:
                     continue
-                pins = sorted(nd.bag)
+                pins = bits(bag)
 
                 def held(mask):
                     return frozenset(v for i, v in enumerate(pins) if mask >> i & 1)

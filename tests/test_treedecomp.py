@@ -78,6 +78,26 @@ def test_make_nice_branching_gets_join():
     assert validate_nice(g, nice)
 
 
+def test_make_nice_pinned_nodes_and_derived_bags():
+    # a node is its kind, vertex and children; each child's subtree moves to
+    # its parent's bag by forgets, then introduces, in ascending order, and
+    # bags() derives every bag as a mask
+    from sepkit.treedecomp import FORGET, NiceNode
+    assert NiceNode._fields == ("kind", "vertex", "children")
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    td = TreeDecomposition(((0, 1), (0, 2), (0, 3)), ((0, 1), (0, 2)))
+    nice = make_nice(td, g)
+    assert nice.nodes == (
+        (LEAF, None, ()), (INTRODUCE, 0, (0,)), (INTRODUCE, 3, (1,)),
+        (LEAF, None, ()), (INTRODUCE, 0, (3,)), (INTRODUCE, 2, (4,)),
+        (FORGET, 2, (5,)), (INTRODUCE, 1, (6,)), (FORGET, 3, (2,)),
+        (INTRODUCE, 1, (8,)), (JOIN, None, (7, 9)), (FORGET, 0, (10,)),
+        (FORGET, 1, (11,)))
+    assert nice.bags() == [0b0, 0b1, 0b1001, 0b0, 0b1, 0b101, 0b1, 0b11, 0b1,
+                           0b11, 0b11, 0b10, 0b0]
+    assert nice.width == 1
+
+
 def test_make_nice_rejects_invalid():
     with pytest.raises(DomainError):
         make_nice(TreeDecomposition(((0,),), ()), Graph(2, [(0, 1)]))
@@ -113,13 +133,35 @@ def test_validate_nice_negative_shapes():
     assert not validate_nice(g, chopped)
     # join with mismatched child bags
     bad = NiceDecomposition((
-        NiceNode(LEAF, None, (), ()),
-        NiceNode(INTRODUCE, 0, (0,), (0,)),
-        NiceNode(LEAF, None, (), ()),
-        NiceNode(JOIN, None, (0,), (1, 2)),
-        NiceNode(FORGET, 0, (), (3,)),
+        NiceNode(LEAF, None, ()),
+        NiceNode(INTRODUCE, 0, (0,)),
+        NiceNode(LEAF, None, ()),
+        NiceNode(JOIN, None, (1, 2)),
+        NiceNode(FORGET, 0, (3,)),
     ))
     assert not validate_nice(Graph(1), bad)
+    # each shape breaks one per-node or tree check on K1
+    leaf, intro = NiceNode(LEAF, None, ()), NiceNode(INTRODUCE, 0, (0,))
+    forget = NiceNode(FORGET, 0, (1,))
+    assert validate_nice(Graph(1), NiceDecomposition((leaf, intro, forget)))
+    shapes = {
+        "introduce of a vertex in the bag": (leaf, intro, NiceNode(INTRODUCE, 0, (1,)),
+                                             NiceNode(FORGET, 0, (2,))),
+        "forget of a vertex not in the bag": (leaf, NiceNode(FORGET, 0, (0,))),
+        "vertex out of range": (leaf, NiceNode(INTRODUCE, 1, (0,)), NiceNode(FORGET, 1, (1,))),
+        "no vertex": (leaf, NiceNode(INTRODUCE, None, (0,)), forget),
+        "child after its parent": (NiceNode(INTRODUCE, 0, (1,)), leaf, forget),
+        "child of itself": (leaf, NiceNode(INTRODUCE, 0, (1,)), forget),
+        "two parents": (leaf, intro, forget, NiceNode(JOIN, None, (2, 2))),
+        "no parent": (leaf, leaf, intro, NiceNode(FORGET, 0, (2,))),
+        "leaf with a child": (leaf, NiceNode(LEAF, None, (0,)), intro, forget),
+        "join with one child": (leaf, intro, NiceNode(JOIN, None, (1,)), NiceNode(FORGET, 0, (2,))),
+        "unknown kind": (leaf, intro, NiceNode("bag", 0, (1,)), NiceNode(FORGET, 0, (2,))),
+        "never forgotten": (leaf,),
+        "empty": (),
+    }
+    for name, nodes in shapes.items():
+        assert not validate_nice(Graph(1), NiceDecomposition(nodes)), name
 
 
 def test_validate_nice_requires_a_tree_decomposition():
@@ -130,32 +172,32 @@ def test_validate_nice_requires_a_tree_decomposition():
     from sepkit.treedecomp import FORGET, NiceDecomposition, NiceNode
     P3 = Graph(3, [(0, 1), (1, 2)])
 
-    def node(kind, vertex, bag, *children):
-        return NiceNode(kind, vertex, bag, children)
+    def node(kind, vertex, *children):
+        return NiceNode(kind, vertex, children)
 
     shapes = {
         # 1 is introduced, forgotten and introduced again on one path
         "reintroduced": (
-            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 0),
-            node(INTRODUCE, 1, (0, 1), 1), node(FORGET, 1, (0,), 2),
-            node(FORGET, 0, (), 3), node(INTRODUCE, 1, (1,), 4),
-            node(INTRODUCE, 2, (1, 2), 5), node(FORGET, 1, (2,), 6),
-            node(FORGET, 2, (), 7)),
+            node(LEAF, None), node(INTRODUCE, 0, 0),
+            node(INTRODUCE, 1, 1), node(FORGET, 1, 2),
+            node(FORGET, 0, 3), node(INTRODUCE, 1, 4),
+            node(INTRODUCE, 2, 5), node(FORGET, 1, 6),
+            node(FORGET, 2, 7)),
         # 1 is forgotten in both branches of a join
         "forgotten twice": (
-            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 0),
-            node(INTRODUCE, 1, (0, 1), 1), node(FORGET, 1, (0,), 2),
-            node(LEAF, None, ()), node(INTRODUCE, 1, (1,), 4),
-            node(INTRODUCE, 2, (1, 2), 5), node(FORGET, 1, (2,), 6),
-            node(FORGET, 2, (), 7), node(INTRODUCE, 0, (0,), 8),
-            node(JOIN, None, (0,), 3, 9), node(FORGET, 0, (), 10)),
+            node(LEAF, None), node(INTRODUCE, 0, 0),
+            node(INTRODUCE, 1, 1), node(FORGET, 1, 2),
+            node(LEAF, None), node(INTRODUCE, 1, 4),
+            node(INTRODUCE, 2, 5), node(FORGET, 1, 6),
+            node(FORGET, 2, 7), node(INTRODUCE, 0, 8),
+            node(JOIN, None, 3, 9), node(FORGET, 0, 10)),
         # nodes that no path from the root reaches introduce 1
         "unreachable": (
-            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 0),
-            node(INTRODUCE, 1, (0, 1), 1), node(INTRODUCE, 2, (0, 1, 2), 2),
-            node(LEAF, None, ()), node(INTRODUCE, 0, (0,), 4),
-            node(FORGET, 0, (), 5), node(INTRODUCE, 2, (2,), 6),
-            node(FORGET, 2, (), 7)),
+            node(LEAF, None), node(INTRODUCE, 0, 0),
+            node(INTRODUCE, 1, 1), node(INTRODUCE, 2, 2),
+            node(LEAF, None), node(INTRODUCE, 0, 4),
+            node(FORGET, 0, 5), node(INTRODUCE, 2, 6),
+            node(FORGET, 2, 7)),
     }
     cons = CutConstraints(((0, 2),))
     assert dp_constrained_cut(P3, make_nice(decompose(P3), P3), cons, 0, ANY) is None
